@@ -8,14 +8,16 @@ Subcommands:
 * scan     sweep a crystal family and check the expected properties
 * minimal  minimality verdict of a Dieudonne crystal, with its Newton slopes
 
-Exit codes: 0 success, 1 a checked property failed, 2 invalid input,
-3 resource limit hit.  Machine formats (json, csv) are byte deterministic for
-a given command line; --out writes atomically via a temp file and rename.
+Exit codes: 0 success, 1 a checked property failed, 2 invalid input (including
+an --out file that cannot be written), 3 resource limit hit.  Machine formats
+(json, csv) are byte deterministic for a given command line; --out writes
+atomically via a temp file and rename.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -23,6 +25,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional, Sequence
 
 from .circseq import AllZero, circular_count, linear_count
@@ -33,11 +36,10 @@ from .crystal import (
     gamma_table,
     is_minimal,
     newton_slopes,
-    orbit_data,
     verify_formula_vs_oracle,
 )
 from .digraph import build_level_digraph, oracle_counts, propagate_zeros, to_dot
-from .permutation import ParseError, cycle_string, parse_permutation
+from .permutation import ParseError, Permutation, cycle_string, parse_permutation
 from .scan import CHECKS, FAMILIES, run_scan, summarize
 
 MAX_R = 8
@@ -60,8 +62,8 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_limits(args, r: Optional[int], m: Optional[int]) -> None:
-    if getattr(args, "override_limits", False):
+def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> None:
+    if override_limits:
         return
     if r is not None and r > MAX_R:
         raise ResourceLimitError(f"r={r} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
@@ -113,14 +115,6 @@ class JobSpec:
 
     def crystal(self) -> FCyclicCrystal:
         return FCyclicCrystal(parse_permutation(self.perm, self.r), self.slopes)
-
-    def check_limits(self, level: Optional[int]) -> None:
-        if self.override_limits:
-            return
-        if self.r > MAX_R:
-            raise ResourceLimitError(f"r={self.r} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
-        if level is not None and level > MAX_M:
-            raise ResourceLimitError(f"level {level} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -178,13 +172,20 @@ def _seq_text(values: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
+def _int_text(n: int) -> str:
+    # str(int) refuses integers above sys.get_int_max_str_digits() digits
+    # (4,300 by default), and p^b gets there within the default caps; Decimal
+    # converts exactly at any size, without touching that process-wide limit.
+    return str(Decimal(n))
+
+
 # ---------------------------------------------------------------- gamma
 
 
 def cmd_gamma(args) -> int:
     spec = JobSpec.from_args("gamma", args)
     crystal = spec.crystal()
-    spec.check_limits(spec.m_max)
+    _check_limits(spec.override_limits, spec.r, spec.m_max)
     report = gamma_table(crystal, spec.m_max)
 
     if args.format == "json":
@@ -242,7 +243,7 @@ def cmd_endo(args) -> int:
     if spec.m is not None and spec.m_max is not None:
         raise ValueError("pass only one of --m and --m-max")
     top = spec.m if spec.m is not None else spec.m_max
-    spec.check_limits(top)
+    _check_limits(spec.override_limits, spec.r, top)
     report = gamma_table(crystal, top)
 
     if spec.m is not None:
@@ -251,12 +252,12 @@ def cmd_endo(args) -> int:
             payload = {"schema": SCHEMA, "command": "endo", **_crystal_json(crystal), "m": spec.m, "b": b}
             if args.prime is not None:
                 payload["prime"] = args.prime
-                payload["components"] = str(args.prime**b)
+                payload["components"] = _int_text(args.prime**b)
             _emit(_json_dumps(payload), args.out)
             return 0
         lines = [f"b({args.m}) = {b}"]
         if args.prime is not None:
-            lines.append(f"components({args.m}) = {args.prime}^{b} = {args.prime**b}")
+            lines.append(f"components({args.m}) = {args.prime}^{b} = {_int_text(args.prime**b)}")
         _emit("\n".join(lines) + "\n", args.out)
         return 0
 
@@ -264,7 +265,7 @@ def cmd_endo(args) -> int:
         payload = {"schema": SCHEMA, "command": "endo", **_crystal_json(crystal), "m_max": top, "b": list(report.b)}
         if args.prime is not None:
             payload["prime"] = args.prime
-            payload["components"] = [str(args.prime**b) for b in report.b]
+            payload["components"] = [_int_text(args.prime**b) for b in report.b]
         _emit(_json_dumps(payload), args.out)
         return 0
     if args.format == "csv":
@@ -273,13 +274,13 @@ def cmd_endo(args) -> int:
         for n in range(1, top + 1):
             row = f"{n},{report.b[n - 1]}"
             if args.prime is not None:
-                row += f",{args.prime ** report.b[n - 1]}"
+                row += "," + _int_text(args.prime ** report.b[n - 1])
             lines.append(row)
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     lines = ["b: " + " ".join(str(v) for v in report.b) + f"   (m = 1..{top})"]
     if args.prime is not None:
-        lines.append("components: " + " ".join(str(args.prime**v) for v in report.b))
+        lines.append("components: " + " ".join(_int_text(args.prime**v) for v in report.b))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -290,7 +291,7 @@ def cmd_endo(args) -> int:
 def _verify_sequence(args) -> int:
     seq = _parse_ints(args.seq, "--seq")
     m = args.m if args.m is not None else (args.m_max or 1)
-    _check_limits(args, None, m)
+    _check_limits(args.override_limits, None, m)
     if m * len(seq) > args.vertex_budget:
         raise ResourceLimitError(f"digraph would need {m * len(seq)} vertices, budget is {args.vertex_budget}")
 
@@ -338,16 +339,12 @@ def _verify_sequence(args) -> int:
 
 
 def _verify_sweep(args) -> int:
-    import itertools
-
-    _check_limits(args, args.r_max, args.m_max)
+    _check_limits(args.override_limits, args.r_max, args.m_max)
     mismatches: list[dict] = []
     crystals = 0
     checks = 0
     for r in range(1, args.r_max + 1):
         for images in itertools.permutations(range(1, r + 1)):
-            from .permutation import Permutation
-
             pi = Permutation(images)
             for slopes in itertools.product(range(args.slope_max + 1), repeat=r):
                 crystal = FCyclicCrystal(pi, slopes)
@@ -416,9 +413,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    _check_limits(args, args.r, args.m_max)
+    _check_limits(args.override_limits, args.r, args.m_max)
     checks = tuple(args.check) if args.check else CHECKS
-    records = run_scan(args.family, args.r, args.m_max, args.slope_max, checks, args.workers)
+    records = run_scan(args.family, args.r, args.m_max, args.slope_max, checks)
     summary = summarize(records)
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
 
@@ -517,7 +514,7 @@ def cmd_scan(args) -> int:
 def cmd_minimal(args) -> int:
     spec = JobSpec.from_args("minimal", args)
     crystal = spec.crystal()
-    spec.check_limits(None)
+    _check_limits(spec.override_limits, spec.r, None)
     if not crystal.is_dieudonne:
         raise ValueError("minimality verdicts need 0/1 slopes")
     verdict = is_minimal(crystal)
@@ -602,7 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slope-max", type=int, default=1, help="fcrystal families: slopes range over 0..this")
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--check", action="append", choices=CHECKS, help="repeatable; default: all checks")
-    p.add_argument("--workers", type=int, default=0, help="parallel workers; 0 = all available cores")
+    p.add_argument(
+        "--workers", type=int, default=0,
+        help="accepted and ignored: scans run serially, once per isomorphism class",
+    )
     _add_common_output(p)
     p.set_defaults(func=cmd_scan)
 
@@ -624,6 +624,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except (ParseError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write {args.out or 'output'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

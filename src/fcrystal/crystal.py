@@ -112,6 +112,26 @@ class GammaReport:
     ordinary: Optional[bool]
     per_orbit: tuple[OrbitData, ...]
 
+    def monotonicity(self) -> DeltaReport:
+        """Check the increments: never increasing, and strictly decreasing
+        through the stabilization level (the whole range when m_max is at
+        least stabilization + 1)."""
+        delta = self.delta
+        first_violation: Optional[int] = None
+        for n in range(1, self.m_max):
+            if delta[n] > delta[n - 1]:
+                first_violation = n
+                break
+        strict = all(
+            delta[n] < delta[n - 1]
+            for n in range(1, min(self.stabilization + 1, self.m_max))
+        )
+        return DeltaReport(
+            nonincreasing=first_violation is None,
+            strict_through_stabilization=strict,
+            first_violation=first_violation,
+        )
+
 
 @dataclass(frozen=True)
 class VerifyCheck:
@@ -158,26 +178,28 @@ def orbit_epsilon(crystal: FCyclicCrystal, orbit: Orbit) -> tuple[int, ...]:
     return tuple(e[i - 1] - e[j - 1] for i, j in orbit.points)
 
 
+def _level_report(orbit: Orbit, eps: tuple[int, ...], m: int) -> OrbitData:
+    norm = normalize(eps, m)
+    if isinstance(norm, AllZero):
+        return OrbitData(orbit, eps, norm, SegmentCensus({}, m), 0)
+    return OrbitData(orbit, eps, norm, segment_census(norm, m), circular_level(norm))
+
+
 def orbit_data(crystal: FCyclicCrystal, m: int) -> list[OrbitData]:
     """Per-orbit difference sequences with their level-m normal forms and censuses."""
     if m < 1:
         raise ValueError("level must be at least 1")
-    out: list[OrbitData] = []
-    for orbit in product_orbits(crystal.pi):
-        eps = orbit_epsilon(crystal, orbit)
-        norm = normalize(eps, m)
-        if isinstance(norm, AllZero):
-            census = SegmentCensus({}, m)
-            level: Optional[int] = 0
-        else:
-            census = segment_census(norm, m)
-            level = circular_level(norm)
-        out.append(OrbitData(orbit, eps, norm, census, level))
-    return out
+    return [_level_report(orbit, orbit_epsilon(crystal, orbit), m) for orbit in product_orbits(crystal.pi)]
 
 
-def _full_orbit_invariants(crystal: FCyclicCrystal) -> list[tuple[Orbit, dict[int, int], Optional[int]]]:
-    # Unclamped and uncapped, so the same data is exact at every level at once.
+def _full_orbit_invariants(
+    crystal: FCyclicCrystal,
+) -> list[tuple[Orbit, tuple[int, ...], dict[int, int], Optional[int]]]:
+    """One walk of the pair orbits: each orbit with its difference sequence, its
+    segment census by level and its circular level.
+
+    Unclamped and uncapped, so the same data is exact at every level at once.
+    """
     out = []
     for orbit in product_orbits(crystal.pi):
         eps = orbit_epsilon(crystal, orbit)
@@ -189,7 +211,7 @@ def _full_orbit_invariants(crystal: FCyclicCrystal) -> list[tuple[Orbit, dict[in
             cap = len(norm.entries)  # a segment level never exceeds half the length
             counts = dict(segment_census(norm, cap).counts)
             level = circular_level(norm)
-        out.append((orbit, counts, level))
+        out.append((orbit, eps, counts, level))
     return out
 
 
@@ -200,7 +222,7 @@ def gamma(crystal: FCyclicCrystal, m: int) -> int:
     if m == 0:
         return 0
     total = 0
-    for _orbit, counts, _level in _full_orbit_invariants(crystal):
+    for _orbit, _eps, counts, _level in _full_orbit_invariants(crystal):
         total += sum(count for level, count in counts.items() if level <= m)
     return total
 
@@ -216,7 +238,7 @@ def endo_exponent(crystal: FCyclicCrystal, m: int) -> int:
     if m < 1:
         raise ValueError("level must be at least 1")
     total = 0
-    for orbit, _counts, level in _full_orbit_invariants(crystal):
+    for orbit, _eps, _counts, level in _full_orbit_invariants(crystal):
         if level is not None and level < m:
             total += (m - level) * len(orbit)
     return total
@@ -230,7 +252,7 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
 
     delta = [0] * (m_max + 1)
     stabilization = 0
-    for _orbit, counts, _level in invariants:
+    for _orbit, _eps, counts, _level in invariants:
         for level, count in counts.items():
             if level > stabilization:
                 stabilization = level
@@ -244,7 +266,7 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
     b = []
     for n in range(1, m_max + 1):
         total = 0
-        for orbit, _counts, level in invariants:
+        for orbit, _eps, _counts, level in invariants:
             if level is not None and level < n:
                 total += (n - level) * len(orbit)
         b.append(total)
@@ -258,7 +280,7 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
         stabilization=stabilization,
         stabilization_is_isomorphism_number=crystal.is_dieudonne,
         ordinary=ordinary,
-        per_orbit=tuple(orbit_data(crystal, m_max)),
+        per_orbit=tuple(_level_report(orbit, eps, m_max) for orbit, eps, _counts, _level in invariants),
     )
 
 
@@ -307,22 +329,7 @@ def delta_monotonicity_report(crystal: FCyclicCrystal, m_max: int) -> DeltaRepor
     """Check the gamma increments: never increasing, and strictly decreasing
     through the stabilization level.  m_max should be at least stabilization + 1
     for the strict check to cover the full range."""
-    report = gamma_table(crystal, m_max)
-    delta = report.delta
-    first_violation: Optional[int] = None
-    for n in range(1, m_max):
-        if delta[n] > delta[n - 1]:
-            first_violation = n
-            break
-    strict = all(
-        delta[n] < delta[n - 1]
-        for n in range(1, min(report.stabilization + 1, m_max))
-    )
-    return DeltaReport(
-        nonincreasing=first_violation is None,
-        strict_through_stabilization=strict,
-        first_violation=first_violation,
-    )
+    return gamma_table(crystal, m_max).monotonicity()
 
 
 def newton_slopes(crystal: FCyclicCrystal) -> tuple[Fraction, ...]:

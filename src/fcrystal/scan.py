@@ -3,25 +3,21 @@
 A scan walks a family of crystals in a canonical order (permutations by image
 tuple, slope vectors lexicographically), computes the gamma and b tables for
 each, and evaluates a set of expected properties.  Records come back in
-enumeration order regardless of worker count, so scan output is reproducible
-byte for byte.
+enumeration order, so scan output is reproducible byte for byte.
+
+Every invariant and verdict of a record is an isomorphism invariant, so a scan
+computes it once per isomorphism class and copies it to the class's other
+members (see run_scan).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Iterator, Optional, Sequence
 
-from .crystal import (
-    FCyclicCrystal,
-    delta_monotonicity_report,
-    gamma_table,
-    is_minimal,
-)
-from .permutation import Permutation, cycle_string
+from .crystal import FCyclicCrystal, gamma_table, is_minimal
+from .permutation import Permutation, cycle_decomposition, cycle_string
 
 FAMILIES = ("circular-dieudonne", "all-dieudonne", "circular-fcrystal", "all-fcrystal")
 
@@ -129,7 +125,7 @@ def scan_record(
     minimal_matches: Optional[bool] = None
 
     if "nonincreasing" in checks or "strict" in checks:
-        report = delta_monotonicity_report(crystal, m_max)
+        report = table.monotonicity()
         if "nonincreasing" in checks:
             nonincreasing = report.nonincreasing
         # The strict decrease only holds for circular nonordinary Dieudonne
@@ -166,9 +162,15 @@ def scan_record(
     )
 
 
-def _job(args: tuple[tuple[int, ...], tuple[int, ...], int, tuple[str, ...]]) -> ScanRecord:
-    images, slopes, m_max, checks = args
-    return scan_record(Permutation(images), slopes, m_max, checks)
+def _class_key(cycles: Sequence[tuple[int, ...]], slopes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # Relabeling the basis conjugates pi, which keeps exactly this data: each
+    # cycle's slope word up to rotation (taken at its least rotation), as a
+    # multiset over the cycles.
+    words = []
+    for cycle in cycles:
+        word = tuple(slopes[i - 1] for i in cycle)
+        words.append(min(word[k:] + word[:k] for k in range(len(word))))
+    return tuple(sorted(words))
 
 
 def run_scan(
@@ -177,23 +179,30 @@ def run_scan(
     m_max: int,
     slope_max: int = 1,
     checks: Sequence[str] = CHECKS,
-    workers: Optional[int] = None,
 ) -> list[ScanRecord]:
-    """Scan a whole family.  Records come back in enumeration order for any worker count.
+    """Scan a whole family.  Records come back in enumeration order.
 
-    workers=None (or 0) uses all available cores; small scans run serially
-    either way because pool startup would dominate.
+    scan_record runs once per isomorphism class, on the class's first member;
+    every later member gets that record's invariants and verdicts with its own
+    r, perm and slopes.  The memo lives for this call only.
     """
-    jobs = [
-        (pi.images, slopes, m_max, tuple(checks))
-        for pi, slopes in enumerate_family(family, r, slope_max)
-    ]
-    if workers is None or workers <= 0:
-        workers = os.cpu_count() or 1
-    if workers == 1 or len(jobs) < 64:
-        return [_job(job) for job in jobs]
-    with Pool(workers) as pool:
-        return list(pool.imap(_job, jobs, chunksize=max(1, len(jobs) // (workers * 8))))
+    checks = tuple(checks)
+    by_class: dict[tuple[tuple[int, ...], ...], ScanRecord] = {}
+    records = []
+    # The family lists each permutation with all its slope vectors in a row.
+    for pi, members in itertools.groupby(enumerate_family(family, r, slope_max), key=lambda item: item[0]):
+        cycles = cycle_decomposition(pi)
+        perm = cycle_string(pi)
+        for _, slopes in members:
+            key = _class_key(cycles, slopes)
+            first = by_class.get(key)
+            if first is None:
+                record = by_class[key] = scan_record(pi, slopes, m_max, checks)
+            else:
+                # A direct build costs under half of dataclasses.replace.
+                record = ScanRecord(**{**vars(first), "r": pi.size, "perm": perm, "slopes": slopes})
+            records.append(record)
+    return records
 
 
 def summarize(records: Sequence[ScanRecord]) -> dict[str, int]:

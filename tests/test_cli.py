@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from decimal import Decimal
 
 import pytest
 
@@ -121,6 +122,26 @@ def test_endo_large_prime_power_is_exact(capsys):
     assert f"= {7 ** 64}" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_endo_prime_power_above_str_digit_limit(capsys, fmt):
+    # 1000003^1024 has 6,145 digits, past the interpreter's 4,300-digit str() limit
+    code, out, err = run(
+        capsys,
+        "endo", "--r", "8", "--perm", "1 2 3 4 5 6 7 8", "--slopes", "0,0,0,0,0,0,0,0",
+        "--m", "16", "--prime", "1000003", "--format", fmt,
+    )
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["b"] == 1024
+        digits = payload["components"]
+    else:
+        assert out.startswith("b(16) = 1024\ncomponents(16) = 1000003^1024 = ")
+        digits = out.rstrip("\n").rsplit(" ", 1)[1]
+    assert len(digits) == 6145 and digits.isdigit()
+    assert int(Decimal(digits)) == 1000003**1024
+
+
 # ------------------------------------------------------------ verify
 
 
@@ -210,7 +231,7 @@ def test_scan_flags_constant_delta_family(capsys):
 
 
 def test_scan_workers_agree_with_serial(capsys):
-    # large enough that --workers 2 really goes through the process pool
+    # --workers is accepted and ignored; the output must not depend on it
     args = ("scan", "--family", "circular-fcrystal", "--r", "4", "--m-max", "3", "--format", "csv")
     _, serial, _ = run(capsys, *args, "--workers", "1")
     _, parallel, _ = run(capsys, *args, "--workers", "2")
@@ -330,3 +351,14 @@ def test_scan_csv_to_file_prints_summary(tmp_path, capsys):
     assert code == 0
     assert "records=8" in out
     assert target.read_text().startswith("r,perm,slopes")
+
+
+def test_out_to_missing_directory_is_invalid_input(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", "3", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()

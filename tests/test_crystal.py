@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fcrystal import (
     AllZero,
     FCyclicCrystal,
+    Permutation,
     ResourceLimitError,
     delta_monotonicity_report,
     endo_exponent,
@@ -192,3 +193,32 @@ def test_gamma_agrees_with_table(c, m):
     table = gamma_table(c, m)
     assert table.gamma[m] == gamma(c, m)
     assert table.b[m - 1] == endo_exponent(c, m)
+    assert table.per_orbit == tuple(orbit_data(c, m))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda r: st.tuples(
+            st.permutations(list(range(1, r + 1))),
+            st.permutations(list(range(1, r + 1))),
+            st.lists(st.integers(0, 3), min_size=r, max_size=r),
+        )
+    ),
+    st.integers(1, 6),
+)
+@settings(max_examples=150)
+def test_invariants_survive_relabeling(data, m):
+    # Relabeling the basis by sigma conjugates pi and moves slope i to sigma(i).
+    images, sigma, slopes = data
+    r = len(images)
+    conj = [0] * r
+    moved = [0] * r
+    for i in range(1, r + 1):
+        conj[sigma[i - 1] - 1] = sigma[images[i - 1] - 1]
+        moved[sigma[i - 1] - 1] = slopes[i - 1]
+    c = FCyclicCrystal(Permutation(tuple(images)), tuple(slopes))
+    d = FCyclicCrystal(Permutation(tuple(conj)), tuple(moved))
+    a, b = gamma_table(c, m), gamma_table(d, m)
+    assert (a.gamma, a.delta, a.b, a.stabilization, a.ordinary) == (b.gamma, b.delta, b.b, b.stabilization, b.ordinary)
+    if c.is_dieudonne:
+        assert is_minimal(c) == is_minimal(d)
