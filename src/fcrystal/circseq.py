@@ -49,9 +49,6 @@ class SegmentCensus:
     def up_to(self, m: int) -> int:
         return sum(count for level, count in self.counts.items() if level <= m)
 
-    def max_level(self) -> int:
-        return max(self.counts, default=0)
-
 
 def _check_seq(seq: CircularSeq) -> None:
     if len(seq) == 0:

@@ -10,23 +10,30 @@ Subcommands:
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input (including
 an --out file that cannot be written), 3 resource limit hit.  Machine formats
-(json, csv) are byte deterministic for a given command line; --out writes
-atomically via a temp file and rename.
+(json, csv) are byte deterministic for a given command line.
+
+Output contract: each cmd_* function takes the parsed arguments and returns
+(exit code, output), where output is the json payload without "schema" and
+"command", or the text/csv lines.  A command builds only the format asked for
+and writes nothing.  main adds the header, renders, and writes once: to stdout,
+or to --out atomically via a temp file and rename.  The one other write is the
+scan csv summary line, which main prints after the csv, to the stream the csv
+does not use (stderr when the csv goes to stdout, stdout with --out); so a
+failed --out write prints no summary.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import random
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import fields
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .circseq import AllZero, circular_count, linear_count
 from .crystal import (
@@ -39,12 +46,14 @@ from .crystal import (
     verify_formula_vs_oracle,
 )
 from .digraph import build_level_digraph, oracle_counts, propagate_zeros, to_dot
-from .permutation import ParseError, Permutation, cycle_string, parse_permutation
-from .scan import CHECKS, FAMILIES, run_scan, summarize
+from .permutation import ParseError, cycle_string, parse_permutation
+from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, run_scan, summarize
 
 MAX_R = 8
 MAX_M = 16
 SCHEMA = "fcrystal/1"
+
+Output = tuple[int, Union[dict, list[str]]]  # see "Output contract" above
 
 _SPLIT = re.compile(r"[,\s]+")
 
@@ -71,50 +80,20 @@ def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> 
         raise ResourceLimitError(f"level {m} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One crystal job: the command, the crystal input, levels, and output knobs.
+def _at_least(args, flag: str, low: int) -> None:
+    value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+    if value is not None and value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
 
-    Construction validates everything, including the crystal invariants, so a
-    JobSpec in hand is safe to execute.
-    """
 
-    command: str
-    r: int
-    perm: str
-    slopes: tuple[int, ...]
-    m: Optional[int]
-    m_max: Optional[int]
-    prime: Optional[int]
-    format: str
-    out: Optional[str]
-    override_limits: bool
-
-    @classmethod
-    def from_args(cls, command: str, args) -> "JobSpec":
-        slopes = _parse_ints(args.slopes, "--slopes")
-        if len(slopes) != args.r:
-            raise ValueError(f"--slopes needs exactly {args.r} entries, got {len(slopes)}")
-        prime = getattr(args, "prime", None)
-        if prime is not None and prime < 2:
-            raise ValueError(f"--prime must be at least 2, got {prime}")
-        spec = cls(
-            command=command,
-            r=args.r,
-            perm=args.perm,
-            slopes=slopes,
-            m=getattr(args, "m", None),
-            m_max=getattr(args, "m_max", None),
-            prime=prime,
-            format=args.format,
-            out=args.out,
-            override_limits=args.override_limits,
-        )
-        spec.crystal()
-        return spec
-
-    def crystal(self) -> FCyclicCrystal:
-        return FCyclicCrystal(parse_permutation(self.perm, self.r), self.slopes)
+def _crystal(args) -> FCyclicCrystal:
+    """The crystal named by --r, --perm and --slopes; also checks --prime where the command has it."""
+    _at_least(args, "--r", 1)
+    slopes = _parse_ints(args.slopes, "--slopes")
+    if len(slopes) != args.r:
+        raise ValueError(f"--slopes needs exactly {args.r} entries, got {len(slopes)}")
+    _at_least(args, "--prime", 2)
+    return FCyclicCrystal(parse_permutation(args.perm, args.r), slopes)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -133,21 +112,16 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _normalized_json(norm) -> dict:
-    if isinstance(norm, AllZero):
-        return {"kind": "all-zero", "length": norm.original_length}
-    return {"kind": "signs", "entries": list(norm.entries)}
-
-
 def _orbit_json(data) -> dict:
+    norm = data.normalized
     return {
-        "points": [list(p) for p in data.orbit.points],
-        "epsilon": list(data.epsilon),
-        "normalized": _normalized_json(data.normalized),
+        "points": data.orbit.points,
+        "epsilon": data.epsilon,
+        "normalized": (
+            {"kind": "all-zero", "length": norm.original_length}
+            if isinstance(norm, AllZero)
+            else {"kind": "signs", "entries": norm.entries}
+        ),
         "census": {str(level): data.census.counts[level] for level in sorted(data.census.counts)},
         "level": data.level,
     }
@@ -157,64 +131,48 @@ def _crystal_json(crystal: FCyclicCrystal) -> dict:
     return {
         "r": crystal.r,
         "perm": cycle_string(crystal.pi),
-        "slopes": list(crystal.slopes),
+        "slopes": crystal.slopes,
         "dieudonne": crystal.is_dieudonne,
     }
 
 
-def _yesno(value: Optional[bool]) -> str:
-    if value is None:
-        return "n/a"
-    return "yes" if value else "no"
+_YESNO = {None: "n/a", True: "yes", False: "no"}
+_FLAG = {None: "", True: "true", False: "false"}
 
 
 def _seq_text(values: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
 
-def _int_text(n: int) -> str:
-    # str(int) refuses integers above sys.get_int_max_str_digits() digits
-    # (4,300 by default), and p^b gets there within the default caps; Decimal
-    # converts exactly at any size, without touching that process-wide limit.
-    return str(Decimal(n))
-
-
 # ---------------------------------------------------------------- gamma
 
 
-def cmd_gamma(args) -> int:
-    spec = JobSpec.from_args("gamma", args)
-    crystal = spec.crystal()
-    _check_limits(spec.override_limits, spec.r, spec.m_max)
-    report = gamma_table(crystal, spec.m_max)
+def cmd_gamma(args) -> Output:
+    crystal = _crystal(args)
+    _check_limits(args.override_limits, args.r, args.m_max)
+    report = gamma_table(crystal, args.m_max)
 
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "gamma",
+        return 0, {
             **_crystal_json(crystal),
             "m_max": report.m_max,
-            "gamma": list(report.gamma),
-            "delta": list(report.delta),
-            "b": list(report.b),
+            "gamma": report.gamma,
+            "delta": report.delta,
+            "b": report.b,
             "stabilization": report.stabilization,
             "stabilization_is_isomorphism_number": report.stabilization_is_isomorphism_number,
             "ordinary": report.ordinary,
             "orbits": [_orbit_json(d) for d in report.per_orbit],
         }
-        _emit(_json_dumps(payload), args.out)
-        return 0
     if args.format == "csv":
-        lines = ["m,gamma,delta,b"]
-        lines.append(f"0,{report.gamma[0]},,")
+        lines = ["m,gamma,delta,b", f"0,{report.gamma[0]},,"]
         for n in range(1, report.m_max + 1):
             lines.append(f"{n},{report.gamma[n]},{report.delta[n - 1]},{report.b[n - 1]}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
+        return 0, lines
 
     lines = [
         f"crystal r={crystal.r} perm={cycle_string(crystal.pi)} slopes={_seq_text(crystal.slopes)}"
-        f" dieudonne={_yesno(crystal.is_dieudonne)} ordinary={_yesno(report.ordinary)}",
+        f" dieudonne={_YESNO[crystal.is_dieudonne]} ordinary={_YESNO[report.ordinary]}",
         "gamma: " + " ".join(str(v) for v in report.gamma) + f"   (m = 0..{report.m_max})",
         "delta: " + " ".join(str(v) for v in report.delta) + f"   (m = 1..{report.m_max})",
         "b:     " + " ".join(str(v) for v in report.b) + f"   (m = 1..{report.m_max})",
@@ -228,69 +186,57 @@ def cmd_gamma(args) -> int:
         lines.append(
             f"orbit {k}: len={len(data.orbit)} eps={_seq_text(data.epsilon)} level={level} census={{{census}}}{kind}"
         )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, lines
 
 
 # ---------------------------------------------------------------- endo
 
 
-def cmd_endo(args) -> int:
-    spec = JobSpec.from_args("endo", args)
-    crystal = spec.crystal()
-    if spec.m is None and spec.m_max is None:
+def cmd_endo(args) -> Output:
+    crystal = _crystal(args)
+    if args.m is None and args.m_max is None:
         raise ValueError("endo needs --m or --m-max")
-    if spec.m is not None and spec.m_max is not None:
+    if args.m is not None and args.m_max is not None:
         raise ValueError("pass only one of --m and --m-max")
-    top = spec.m if spec.m is not None else spec.m_max
-    _check_limits(spec.override_limits, spec.r, top)
+    single = args.m is not None
+    top = args.m if single else args.m_max
+    _check_limits(args.override_limits, args.r, top)
     report = gamma_table(crystal, top)
-
-    if spec.m is not None:
-        b = report.b[spec.m - 1]
-        if args.format == "json":
-            payload = {"schema": SCHEMA, "command": "endo", **_crystal_json(crystal), "m": spec.m, "b": b}
-            if args.prime is not None:
-                payload["prime"] = args.prime
-                payload["components"] = _int_text(args.prime**b)
-            _emit(_json_dumps(payload), args.out)
-            return 0
-        lines = [f"b({args.m}) = {b}"]
-        if args.prime is not None:
-            lines.append(f"components({args.m}) = {args.prime}^{b} = {_int_text(args.prime**b)}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
+    levels = [top] if single else range(1, top + 1)
+    b = [report.b[n - 1] for n in levels]
+    # p^b for the printed levels only; empty without --prime.  str(int) refuses
+    # integers above sys.get_int_max_str_digits() digits (4,300 by default), and
+    # p^b gets there within the default caps; Decimal converts exactly at any
+    # size, without touching that process-wide limit.
+    powers = [] if args.prime is None else [str(Decimal(args.prime**v)) for v in b]
 
     if args.format == "json":
-        payload = {"schema": SCHEMA, "command": "endo", **_crystal_json(crystal), "m_max": top, "b": list(report.b)}
-        if args.prime is not None:
-            payload["prime"] = args.prime
-            payload["components"] = [_int_text(args.prime**b) for b in report.b]
-        _emit(_json_dumps(payload), args.out)
-        return 0
+        payload = _crystal_json(crystal)
+        payload.update({"m": top, "b": b[0]} if single else {"m_max": top, "b": b})
+        if powers:
+            payload.update(prime=args.prime, components=powers[0] if single else powers)
+        return 0, payload
+    if single:
+        return 0, [f"b({top}) = {b[0]}"] + [f"components({top}) = {args.prime}^{b[0]} = {p}" for p in powers]
     if args.format == "csv":
-        header = "m,b" if args.prime is None else "m,b,components"
-        lines = [header]
-        for n in range(1, top + 1):
-            row = f"{n},{report.b[n - 1]}"
-            if args.prime is not None:
-                row += "," + _int_text(args.prime ** report.b[n - 1])
-            lines.append(row)
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    lines = ["b: " + " ".join(str(v) for v in report.b) + f"   (m = 1..{top})"]
-    if args.prime is not None:
-        lines.append("components: " + " ".join(_int_text(args.prime**v) for v in report.b))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        lines = ["m,b,components" if powers else "m,b"]
+        for n, v in zip(levels, b):
+            lines.append(f"{n},{v},{powers[n - 1]}" if powers else f"{n},{v}")
+        return 0, lines
+    lines = ["b: " + " ".join(str(v) for v in b) + f"   (m = 1..{top})"]
+    if powers:
+        lines.append("components: " + " ".join(powers))
+    return 0, lines
 
 
 # ---------------------------------------------------------------- verify
 
 
-def _verify_sequence(args) -> int:
+def cmd_verify(args) -> Output:
+    if args.seq is None:
+        return _verify_sweep(args)
     seq = _parse_ints(args.seq, "--seq")
-    m = args.m if args.m is not None else (args.m_max or 1)
+    m = args.m if args.m is not None else args.m_max
     _check_limits(args.override_limits, None, m)
     if m * len(seq) > args.vertex_budget:
         raise ResourceLimitError(f"digraph would need {m * len(seq)} vertices, budget is {args.vertex_budget}")
@@ -299,17 +245,13 @@ def _verify_sequence(args) -> int:
     f_linear = linear_count(seq, m)
     f_circular = circular_count(seq, m)
     match = f_linear == stats.free_linear and f_circular == stats.circular
-
-    dump = ""
-    if args.dump_digraph:
-        dump = to_dot(propagate_zeros(build_level_digraph(seq, m)))
+    code = 0 if match else 1
+    dump = to_dot(propagate_zeros(build_level_digraph(seq, m))) if args.dump_digraph else None
 
     if args.format == "json":
         payload = {
-            "schema": SCHEMA,
-            "command": "verify",
             "mode": "sequence",
-            "seq": list(seq),
+            "seq": seq,
             "m": m,
             "formula": {"linear": f_linear, "circular": f_circular},
             "oracle": {
@@ -320,65 +262,61 @@ def _verify_sequence(args) -> int:
             },
             "match": match,
         }
-        if args.dump_digraph:
+        if dump is not None:
             payload["digraph_dot"] = dump
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [
-            f"seq={_seq_text(seq)} m={m}",
-            f"formula: linear={f_linear} circular={f_circular}",
-            f"oracle:  linear={stats.free_linear} circular={stats.circular}"
-            f" circular_edges={stats.circular_edges} zero_linear={stats.zero_linear}",
-            f"match: {_yesno(match)}",
-        ]
-        text = "\n".join(lines) + "\n"
-        if args.dump_digraph:
-            text += dump
-        _emit(text, args.out)
-    return 0 if match else 1
+        return code, payload
+    lines = [
+        f"seq={_seq_text(seq)} m={m}",
+        f"formula: linear={f_linear} circular={f_circular}",
+        f"oracle:  linear={stats.free_linear} circular={stats.circular}"
+        f" circular_edges={stats.circular_edges} zero_linear={stats.zero_linear}",
+        f"match: {_YESNO[match]}",
+    ]
+    if dump is not None:
+        lines += dump.splitlines()
+    return code, lines
 
 
-def _verify_sweep(args) -> int:
+def _verify_sweep(args) -> Output:
+    _at_least(args, "--r-max", 1)
+    _at_least(args, "--slope-max", 0)
+    _at_least(args, "--random", 0)
+    _at_least(args, "--max-s", 1)
+    _at_least(args, "--max-entry", 0)
     _check_limits(args.override_limits, args.r_max, args.m_max)
     mismatches: list[dict] = []
     crystals = 0
     checks = 0
     for r in range(1, args.r_max + 1):
-        for images in itertools.permutations(range(1, r + 1)):
-            pi = Permutation(images)
-            for slopes in itertools.product(range(args.slope_max + 1), repeat=r):
-                crystal = FCyclicCrystal(pi, slopes)
-                report = verify_formula_vs_oracle(crystal, args.m_max, args.vertex_budget)
-                crystals += 1
-                checks += len(report.checks)
-                for c in report.mismatches:
-                    mismatches.append(
-                        {
-                            "perm": cycle_string(pi),
-                            "slopes": list(slopes),
-                            "orbit": c.orbit_index,
-                            "m": c.m,
-                            "formula": [c.formula_linear, c.formula_circular],
-                            "oracle": [c.oracle_linear, c.oracle_circular],
-                        }
-                    )
+        for pi, slopes in enumerate_family("all-fcrystal", r, args.slope_max):
+            report = verify_formula_vs_oracle(FCyclicCrystal(pi, slopes), args.m_max, args.vertex_budget)
+            crystals += 1
+            checks += len(report.checks)
+            for c in report.mismatches:
+                mismatches.append(
+                    {
+                        "perm": cycle_string(pi),
+                        "slopes": slopes,
+                        "orbit": c.orbit_index,
+                        "m": c.m,
+                        "formula": [c.formula_linear, c.formula_circular],
+                        "oracle": [c.oracle_linear, c.oracle_circular],
+                    }
+                )
 
     rng = random.Random(args.seed)
-    random_mismatches: list[dict] = []
     for _ in range(args.random):
         s = rng.randint(1, args.max_s)
         seq = tuple(rng.randint(-args.max_entry, args.max_entry) for _ in range(s))
         m = rng.randint(1, args.m_max)
         stats = oracle_counts(seq, m)
         if linear_count(seq, m) != stats.free_linear or circular_count(seq, m) != stats.circular:
-            random_mismatches.append({"seq": list(seq), "m": m})
+            mismatches.append({"seq": seq, "m": m})
         checks += 1
 
-    ok = not mismatches and not random_mismatches
+    ok = not mismatches
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "verify",
+        return (0 if ok else 1), {
             "mode": "sweep",
             "r_max": args.r_max,
             "slope_max": args.slope_max,
@@ -387,48 +325,49 @@ def _verify_sweep(args) -> int:
             "random": args.random,
             "seed": args.seed,
             "checks": checks,
-            "mismatches": mismatches + random_mismatches,
+            "mismatches": mismatches,
             "ok": ok,
         }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        lines = [
-            f"sweep r<=%d slope<=%d m<=%d: crystals=%d checks=%d" % (args.r_max, args.slope_max, args.m_max, crystals, checks),
-        ]
-        if args.random:
-            lines.append(f"random: n={args.random} seed={args.seed} max_s={args.max_s} max_entry={args.max_entry}")
-        lines.append(f"mismatches: {len(mismatches) + len(random_mismatches)}")
-        lines.append("ok" if ok else "FAIL")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if ok else 1
-
-
-def cmd_verify(args) -> int:
-    if args.seq is not None:
-        return _verify_sequence(args)
-    return _verify_sweep(args)
+    lines = [f"sweep r<={args.r_max} slope<={args.slope_max} m<={args.m_max}: crystals={crystals} checks={checks}"]
+    if args.random:
+        lines.append(f"random: n={args.random} seed={args.seed} max_s={args.max_s} max_entry={args.max_entry}")
+    lines.append(f"mismatches: {len(mismatches)}")
+    lines.append("ok" if ok else "FAIL")
+    return (0 if ok else 1), lines
 
 
 # ---------------------------------------------------------------- scan
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Output:
+    _at_least(args, "--r", 1)
+    _at_least(args, "--slope-max", 0)
     _check_limits(args.override_limits, args.r, args.m_max)
     checks = tuple(args.check) if args.check else CHECKS
     records = run_scan(args.family, args.r, args.m_max, args.slope_max, checks)
     summary = summarize(records)
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
+    code = 0 if violations == 0 else 1
 
-    def _flag(value: Optional[bool]) -> str:
-        if value is None:
-            return ""
-        return "true" if value else "false"
-
+    if args.format == "json":
+        # vars(rec) is the record's fields in order, the csv columns; a copy is the
+        # cheapest dict.  m_max is stated once in the payload.
+        json_records = [vars(rec).copy() for rec in records]
+        for record in json_records:
+            del record["m_max"]
+        return code, {
+            "family": args.family,
+            "r": args.r,
+            "slope_max": args.slope_max,
+            "m_max": args.m_max,
+            "checks": checks,
+            "records": json_records,
+            "summary": summary,
+        }
+    summary_line = " ".join(f"{k}={v}" for k, v in summary.items())
     if args.format == "csv":
-        lines = [
-            "r,perm,slopes,m_max,gamma,delta,b,stabilization,dieudonne,ordinary,minimal,"
-            "nonincreasing,strict,increasing_to_stab,ratio,minimal_matches_stab"
-        ]
+        lines = [",".join(field.name for field in fields(ScanRecord))]
+        # One explicit expression per row: this loop is most of a large csv scan's time.
         for rec in records:
             lines.append(
                 ",".join(
@@ -441,108 +380,58 @@ def cmd_scan(args) -> int:
                         ";".join(str(v) for v in rec.delta),
                         ";".join(str(v) for v in rec.b),
                         str(rec.stabilization),
-                        _flag(rec.dieudonne),
-                        _flag(rec.ordinary),
-                        _flag(rec.minimal),
-                        _flag(rec.nonincreasing),
-                        _flag(rec.strict),
-                        _flag(rec.increasing_to_stab),
-                        _flag(rec.ratio),
-                        _flag(rec.minimal_matches_stab),
+                        _FLAG[rec.dieudonne],
+                        _FLAG[rec.ordinary],
+                        _FLAG[rec.minimal],
+                        _FLAG[rec.nonincreasing],
+                        _FLAG[rec.strict],
+                        _FLAG[rec.increasing_to_stab],
+                        _FLAG[rec.ratio],
+                        _FLAG[rec.minimal_matches_stab],
                     ]
                 )
             )
-        text = "\n".join(lines) + "\n"
-        summary_text = " ".join(f"{k}={v}" for k, v in summary.items()) + "\n"
-        if args.out is not None:
-            _emit(text, args.out)
-            sys.stdout.write(summary_text)
-        else:
-            _emit(text, None)
-            sys.stderr.write(summary_text)
-        return 0 if violations == 0 else 1
+        lines.append(summary_line)  # main writes it after the csv, to the other stream
+        return code, lines
 
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "scan",
-            "family": args.family,
-            "r": args.r,
-            "slope_max": args.slope_max,
-            "m_max": args.m_max,
-            "checks": list(checks),
-            "records": [
-                {
-                    "r": rec.r,
-                    "perm": rec.perm,
-                    "slopes": list(rec.slopes),
-                    "gamma": list(rec.gamma),
-                    "delta": list(rec.delta),
-                    "b": list(rec.b),
-                    "stabilization": rec.stabilization,
-                    "dieudonne": rec.dieudonne,
-                    "ordinary": rec.ordinary,
-                    "minimal": rec.minimal,
-                    "nonincreasing": rec.nonincreasing,
-                    "strict": rec.strict,
-                    "increasing_to_stab": rec.increasing_to_stab,
-                    "ratio": rec.ratio,
-                    "minimal_matches_stab": rec.minimal_matches_stab,
-                }
-                for rec in records
-            ],
-            "summary": summary,
-        }
-        _emit(_json_dumps(payload), args.out)
-        return 0 if violations == 0 else 1
-
-    lines = [f"scan family={args.family} r={args.r} slope_max={args.slope_max} m_max={args.m_max}"]
-    lines.append(" ".join(f"{k}={v}" for k, v in summary.items()))
+    lines = [f"scan family={args.family} r={args.r} slope_max={args.slope_max} m_max={args.m_max}", summary_line]
     if violations:
         for rec in records:
             if rec.violations:
                 lines.append(f"VIOLATION perm={rec.perm} slopes={_seq_text(rec.slopes)}: {','.join(rec.violations)}")
     else:
         lines.append("all checks passed")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0 if violations == 0 else 1
+    return code, lines
 
 
 # ---------------------------------------------------------------- minimal
 
 
-def cmd_minimal(args) -> int:
-    spec = JobSpec.from_args("minimal", args)
-    crystal = spec.crystal()
-    _check_limits(spec.override_limits, spec.r, None)
+def cmd_minimal(args) -> Output:
+    crystal = _crystal(args)
+    _check_limits(args.override_limits, args.r, None)
     if not crystal.is_dieudonne:
         raise ValueError("minimality verdicts need 0/1 slopes")
     verdict = is_minimal(crystal)
     report = gamma_table(crystal, max(2, crystal.r))
     consistent = verdict == (report.stabilization <= 1)
+    code = 0 if consistent else 1
     slopes = newton_slopes(crystal)
 
     if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "minimal",
+        return code, {
             **_crystal_json(crystal),
             "newton_slopes": [str(s) for s in slopes],
             "minimal": verdict,
             "stabilization": report.stabilization,
             "consistent": consistent,
         }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        newton = " ".join(str(s) for s in slopes)
-        lines = [
-            f"crystal r={crystal.r} perm={cycle_string(crystal.pi)} slopes={_seq_text(crystal.slopes)}",
-            f"newton slopes: {newton}",
-            f"minimal: {_yesno(verdict)}",
-            f"stabilization: {report.stabilization} consistent={_yesno(consistent)}",
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if consistent else 1
+    return code, [
+        f"crystal r={crystal.r} perm={cycle_string(crystal.pi)} slopes={_seq_text(crystal.slopes)}",
+        "newton slopes: " + " ".join(str(s) for s in slopes),
+        f"minimal: {_YESNO[verdict]}",
+        f"stabilization: {report.stabilization} consistent={_YESNO[consistent]}",
+    ]
 
 
 # ---------------------------------------------------------------- parser
@@ -615,10 +504,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, output = args.func(args)
+        summary = output.pop() if args.command == "scan" and args.format == "csv" else None
+        if isinstance(output, dict):
+            text = json.dumps({"schema": SCHEMA, "command": args.command, **output}, indent=2) + "\n"
+        else:
+            text = "\n".join(output) + "\n"
+        _emit(text, args.out)
+        if summary is not None:
+            (sys.stderr if args.out is None else sys.stdout).write(summary + "\n")
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
@@ -628,6 +524,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot write {args.out or 'output'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .circseq import (
     segment_census,
 )
 from .digraph import oracle_counts
-from .permutation import Orbit, Permutation, cycle_decomposition, parse_permutation, product_orbits
+from .permutation import Orbit, Permutation, cycle_decomposition, is_single_cycle, parse_permutation, product_orbits
 
 
 class ResourceLimitError(RuntimeError):
@@ -66,7 +66,7 @@ class FCyclicCrystal:
 
     @property
     def is_circular(self) -> bool:
-        return len(cycle_decomposition(self.pi)) == 1
+        return is_single_cycle(self.pi)
 
     @property
     def codimension(self) -> int:

@@ -310,6 +310,27 @@ def test_rank_cap_override(capsys):
     assert "gamma: 0 0 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--random", "3", "--max-s", "0"), "--max-s must be at least 1, got 0"),
+        (("verify", "--random", "3", "--max-entry", "-1"), "--max-entry must be at least 0, got -1"),
+        (("verify", "--random", "-1"), "--random must be at least 0, got -1"),
+        (("verify", "--slope-max", "-1"), "--slope-max must be at least 0, got -1"),
+        (("verify", "--r-max", "0"), "--r-max must be at least 1, got 0"),
+        (("verify", "--seq", "1,-1", "--m-max", "0"), "level must be at least 1"),
+        (("scan", "--family", "circular-fcrystal", "--r", "2", "--m-max", "2", "--slope-max", "-1"),
+         "--slope-max must be at least 0, got -1"),
+        (("scan", "--family", "circular-dieudonne", "--r", "0", "--m-max", "2"), "--r must be at least 1, got 0"),
+        (("gamma", "--r", "-1", "--perm", "1", "--slopes", "0", "--m-max", "2"), "--r must be at least 1, got -1"),
+    ],
+    ids=["max-s", "max-entry", "random", "verify-slope-max", "r-max", "seq-m-max", "scan-slope-max", "scan-r", "gamma-r"],
+)
+def test_bad_numeric_flag_is_invalid_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
 def test_level_cap(capsys):
     code, _, _ = run(capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", "17")
     assert code == 3

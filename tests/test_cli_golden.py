@@ -1,0 +1,179 @@
+"""Golden outputs of the command line: exit code, stdout, stderr and --out bytes.
+
+Each case runs ``main`` in-process from an empty working directory and
+compares everything it produced with ``tests/golden/<case>.json``.  The
+expected files were recorded once from the command line as it stood before
+its output path was rewritten; they are data, not generated by this test.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from fcrystal.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+C2 = ("--r", "2", "--perm", "(1 2)", "--slopes", "0,1")
+R8 = ("--r", "8", "--perm", "1 2 3 4 5 6 7 8", "--slopes", "0,0,0,0,0,0,0,0")
+R9 = ("--r", "9", "--perm", "1 2 3 4 5 6 7 8 9", "--slopes", "0,0,0,0,0,0,0,0,0")
+
+# (case name, argv, name of the --out file or None)
+CASES = [
+    # gamma
+    ("gamma-text", ("gamma", *C2, "--m-max", "3"), None),
+    ("gamma-json", ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0 4", "--m-max", "6", "--format", "json"), None),
+    ("gamma-csv", ("gamma", *C2, "--m-max", "2", "--format", "csv"), None),
+    ("gamma-text-ordinary", ("gamma", "--r", "3", "--perm", "1 2 3", "--slopes", "0,0,0", "--m-max", "2"), None),
+    ("gamma-text-rank-one", ("gamma", "--r", "1", "--perm", "1", "--slopes", "0", "--m-max", "1"), None),
+    ("gamma-text-fcrystal", ("gamma", "--r", "3", "--perm", "(1 2 3)", "--slopes", "0,2,5", "--m-max", "5"), None),
+    ("gamma-json-two-cycles", (
+        "gamma", "--r", "4", "--perm", "(1 2)(3 4)", "--slopes", "0,1,1,0", "--m-max", "4", "--format", "json",
+    ), None),
+    ("gamma-csv-out", (
+        "gamma", "--r", "3", "--perm", "(1 2 3)", "--slopes", "0,1,1", "--m-max", "5", "--format", "csv",
+        "--out", "g.csv",
+    ), "g.csv"),
+    ("gamma-json-out", ("gamma", *C2, "--m-max", "3", "--format", "json", "--out", "g.json"), "g.json"),
+    ("gamma-text-override", ("gamma", *R9, "--m-max", "2", "--override-limits"), None),
+    # endo, one level
+    ("endo-m-text", ("endo", *C2, "--m", "3"), None),
+    ("endo-m-text-prime", ("endo", *C2, "--m", "3", "--prime", "2"), None),
+    ("endo-m-json", ("endo", *C2, "--m", "3", "--format", "json"), None),
+    ("endo-m-json-prime", ("endo", *C2, "--m", "3", "--prime", "7", "--format", "json"), None),
+    ("endo-m-csv", ("endo", *C2, "--m", "2", "--format", "csv"), None),
+    ("endo-m-csv-prime", ("endo", *C2, "--m", "2", "--prime", "3", "--format", "csv"), None),
+    ("endo-m-text-big-prime-power", ("endo", *R8, "--m", "16", "--prime", "1000003"), None),
+    ("endo-m-json-big-prime-power", ("endo", *R8, "--m", "16", "--prime", "1000003", "--format", "json"), None),
+    ("endo-m-text-out", ("endo", *C2, "--m", "1", "--out", "b.txt"), "b.txt"),
+    # endo, a table of levels
+    ("endo-mmax-text", ("endo", *C2, "--m-max", "4"), None),
+    ("endo-mmax-text-prime", ("endo", *C2, "--m-max", "4", "--prime", "5"), None),
+    ("endo-mmax-json", ("endo", "--r", "1", "--perm", "1", "--slopes", "0", "--m-max", "4", "--format", "json"), None),
+    ("endo-mmax-json-prime", ("endo", *C2, "--m-max", "4", "--prime", "2", "--format", "json"), None),
+    ("endo-mmax-csv", ("endo", *C2, "--m-max", "4", "--format", "csv"), None),
+    ("endo-mmax-csv-prime", ("endo", *C2, "--m-max", "4", "--prime", "11", "--format", "csv"), None),
+    ("endo-mmax-text-big-prime-power", ("endo", *R8, "--m-max", "5", "--prime", "1000003"), None),
+    ("endo-mmax-csv-big-prime-power-out", (
+        "endo", *R8, "--m-max", "16", "--prime", "1000003", "--format", "csv", "--out", "pb.csv",
+    ), "pb.csv"),
+    # verify, one sequence
+    ("verify-seq-text", ("verify", "--seq", "3,0,-1,-2", "--m", "5"), None),
+    ("verify-seq-json", ("verify", "--seq", "3,-3", "--m", "5", "--format", "json"), None),
+    ("verify-seq-text-default-level", ("verify", "--seq", "2,-1,0,-1"), None),
+    ("verify-seq-text-all-zero", ("verify", "--seq", "0,0", "--m", "4"), None),
+    ("verify-seq-text-dump", ("verify", "--seq", "0,0", "--m", "2", "--dump-digraph"), None),
+    ("verify-seq-json-dump", ("verify", "--seq", "2,-1,-1", "--m", "3", "--dump-digraph", "--format", "json"), None),
+    ("verify-seq-text-dump-out", ("verify", "--seq", "1,-1", "--m", "2", "--dump-digraph", "--out", "v.dot"), "v.dot"),
+    # verify, sweeps
+    ("verify-sweep-text", ("verify",), None),
+    ("verify-sweep-json", ("verify", "--r-max", "2", "--slope-max", "2", "--m-max", "3", "--format", "json"), None),
+    ("verify-sweep-text-random", ("verify", "--r-max", "2", "--slope-max", "2", "--m-max", "3", "--random", "50"), None),
+    ("verify-sweep-json-random", (
+        "verify", "--r-max", "1", "--m-max", "5", "--random", "20", "--seed", "7", "--max-s", "5", "--max-entry", "3",
+        "--format", "json",
+    ), None),
+    ("verify-sweep-text-out", ("verify", "--r-max", "2", "--m-max", "2", "--out", "sweep.txt"), "sweep.txt"),
+    # scan
+    ("scan-csv", ("scan", "--family", "circular-dieudonne", "--r", "3", "--m-max", "3", "--format", "csv"), None),
+    ("scan-csv-out", (
+        "scan", "--family", "circular-dieudonne", "--r", "4", "--m-max", "4", "--format", "csv", "--out", "s.csv",
+    ), "s.csv"),
+    ("scan-csv-fcrystal", (
+        "scan", "--family", "all-fcrystal", "--r", "2", "--slope-max", "2", "--m-max", "3", "--format", "csv",
+    ), None),
+    ("scan-csv-some-checks", (
+        "scan", "--family", "all-dieudonne", "--r", "3", "--m-max", "3", "--check", "strict", "--check", "ratio",
+        "--format", "csv",
+    ), None),
+    ("scan-json", ("scan", "--family", "all-dieudonne", "--r", "2", "--m-max", "4", "--format", "json"), None),
+    ("scan-json-out", (
+        "scan", "--family", "all-dieudonne", "--r", "3", "--m-max", "3", "--format", "json", "--out", "s.json",
+    ), "s.json"),
+    ("scan-json-fcrystal", (
+        "scan", "--family", "circular-fcrystal", "--r", "2", "--slope-max", "4", "--m-max", "6", "--format", "json",
+    ), None),
+    ("scan-json-one-check", (
+        "scan", "--family", "circular-fcrystal", "--r", "3", "--m-max", "3", "--check", "minimal", "--format", "json",
+    ), None),
+    ("scan-text", ("scan", "--family", "circular-dieudonne", "--r", "2", "--m-max", "2"), None),
+    ("scan-text-fcrystal", ("scan", "--family", "circular-fcrystal", "--r", "4", "--slope-max", "2", "--m-max", "4"), None),
+    ("scan-text-workers", (
+        "scan", "--family", "all-fcrystal", "--r", "3", "--slope-max", "2", "--m-max", "3", "--workers", "2",
+    ), None),
+    ("scan-text-out", ("scan", "--family", "all-dieudonne", "--r", "2", "--m-max", "3", "--out", "s.txt"), "s.txt"),
+    # minimal
+    ("minimal-text-yes", ("minimal", *C2), None),
+    ("minimal-text-no", ("minimal", "--r", "4", "--perm", "(1 2 3 4)", "--slopes", "0,0,1,1"), None),
+    ("minimal-json", ("minimal", "--r", "4", "--perm", "(1 2 3 4)", "--slopes", "0,1,0,1", "--format", "json"), None),
+    ("minimal-json-out", (
+        "minimal", "--r", "3", "--perm", "(1 2)(3)", "--slopes", "0,1,1", "--format", "json", "--out", "min.json",
+    ), "min.json"),
+    # exit 2: invalid input
+    ("error-perm-outside-range", ("gamma", "--r", "2", "--perm", "(1 3)", "--slopes", "0,1", "--m-max", "2"), None),
+    ("error-perm-unbalanced", ("gamma", "--r", "2", "--perm", "(1 2", "--slopes", "0,1", "--m-max", "2"), None),
+    ("error-perm-repeated-image", ("endo", "--r", "2", "--perm", "1 1", "--slopes", "0,1", "--m", "2"), None),
+    ("error-perm-short-one-line", ("minimal", "--r", "3", "--perm", "2 1", "--slopes", "0,1,1"), None),
+    ("error-perm-point-twice", ("gamma", "--r", "2", "--perm", "(1)(1 2)", "--slopes", "0,1", "--m-max", "2"), None),
+    ("error-perm-empty-cycle", ("gamma", "--r", "2", "--perm", "()(1 2)", "--slopes", "0,1", "--m-max", "2"), None),
+    ("error-perm-bad-character", ("gamma", "--r", "2", "--perm", "(1 a)", "--slopes", "0,1", "--m-max", "2"), None),
+    ("error-perm-empty", ("gamma", "--r", "2", "--perm", " ", "--slopes", "0,1", "--m-max", "2"), None),
+    ("error-slopes-count", ("gamma", *C2[:4], "--slopes", "0,1,1", "--m-max", "2"), None),
+    ("error-slopes-empty", ("gamma", *C2[:4], "--slopes", ", ", "--m-max", "2"), None),
+    ("error-slopes-bad-integer", ("endo", *C2[:4], "--slopes", "0,x", "--m", "2"), None),
+    ("error-slopes-negative", ("gamma", *C2[:4], "--slopes", "0,-1", "--m-max", "2"), None),
+    ("error-slopes-before-perm", ("gamma", "--r", "2", "--perm", "(1 3)", "--slopes", "0", "--m-max", "2"), None),
+    ("error-perm-before-prime", ("endo", "--r", "2", "--perm", "(1 3)", "--slopes", "0,1", "--m", "2", "--prime", "1"), None),
+    ("error-gamma-level-zero", ("gamma", *C2, "--m-max", "0"), None),
+    ("error-endo-no-level", ("endo", *C2), None),
+    ("error-endo-both-levels", ("endo", *C2, "--m", "2", "--m-max", "3"), None),
+    ("error-endo-level-zero", ("endo", *C2, "--m", "0"), None),
+    ("error-endo-prime-one", ("endo", *C2, "--m", "2", "--prime", "1"), None),
+    ("error-endo-both-levels-before-cap", ("endo", *C2, "--m", "20", "--m-max", "30"), None),
+    ("error-minimal-not-dieudonne", ("minimal", "--r", "2", "--perm", "(1 2)", "--slopes", "0,2"), None),
+    ("error-verify-seq-empty", ("verify", "--seq", ""), None),
+    ("error-verify-seq-bad-integer", ("verify", "--seq", "1,2.5"), None),
+    ("error-verify-seq-level-zero", ("verify", "--seq", "1,-1", "--m", "0"), None),
+    ("error-verify-sweep-level-zero", ("verify", "--m-max", "0"), None),
+    ("error-scan-level-zero", ("scan", "--family", "all-dieudonne", "--r", "2", "--m-max", "0"), None),
+    ("error-out-missing-directory", ("gamma", *C2, "--m-max", "3", "--out", "missing/g.txt"), "missing/g.txt"),
+    ("error-scan-csv-out-missing-directory", (
+        "scan", "--family", "all-dieudonne", "--r", "2", "--m-max", "2", "--format", "csv", "--out", "missing/s.csv",
+    ), "missing/s.csv"),
+    # exit 3: resource limits
+    ("limit-gamma-rank", ("gamma", *R9, "--m-max", "2"), None),
+    ("limit-gamma-level", ("gamma", *C2, "--m-max", "17"), None),
+    ("limit-endo-level", ("endo", *C2, "--m", "17"), None),
+    ("limit-minimal-rank", ("minimal", *R9), None),
+    ("limit-verify-seq-level", ("verify", "--seq", "1,-1", "--m", "17"), None),
+    ("limit-verify-seq-budget", ("verify", "--seq", "1,1,1,1", "--m", "9", "--vertex-budget", "10"), None),
+    ("limit-verify-sweep-rank", ("verify", "--r-max", "9"), None),
+    ("limit-verify-sweep-budget", ("verify", "--r-max", "2", "--vertex-budget", "5"), None),
+    ("limit-scan-rank", ("scan", "--family", "circular-dieudonne", "--r", "9", "--m-max", "2"), None),
+]
+
+
+def run_case(argv, out, capsys) -> dict:
+    """Run one command line in the current directory and collect what it produced."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    path = Path(out) if out is not None else None
+    return {
+        "argv": list(argv),
+        "code": code,
+        "stdout": captured.out,
+        "stderr": captured.err,
+        "out": path.read_text() if path is not None and path.exists() else None,
+        "files": sorted(os.listdir(".")),
+    }
+
+
+@pytest.mark.parametrize("name, argv, out", CASES, ids=[name for name, _, _ in CASES])
+def test_golden(name, argv, out, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert run_case(argv, out, capsys) == expected
