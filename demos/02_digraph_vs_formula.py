@@ -41,7 +41,7 @@ def main() -> None:
 
     norm = normalize(SEQ, M)
     print(f"sign normal form: {norm}")
-    print(f"balanced-segment census: {dict(segment_census(norm, M).counts)}")
+    print(f"balanced-segment census: {segment_census(norm, M)}")
     print(f"closed forms: linear_count={linear_count(SEQ, M)} "
           f"circular_count={circular_count(SEQ, M)}")
     print()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from fcrystal import FCyclicCrystal, delta_monotonicity_report, gamma_table
+from fcrystal import FCyclicCrystal, gamma_table
 from fcrystal.scan import cycles_of_length_r
 
 
@@ -23,8 +23,7 @@ def main() -> None:
             if len(set(slopes)) == 1:
                 continue  # ordinary or slope-free: gamma is identically zero
             crystal = FCyclicCrystal(pi, slopes)
-            table = gamma_table(crystal, 4)
-            reportcard = delta_monotonicity_report(crystal, 4)
+            reportcard = gamma_table(crystal, 4).monotonicity()
             assert reportcard.nonincreasing and reportcard.strict_through_stabilization
             count += 1
     print(f"  checked {count} crystals, no violations")
@@ -34,7 +33,7 @@ def main() -> None:
     for e in (2, 4, 6):
         crystal = FCyclicCrystal.from_text(2, "(1 2)", (0, e))
         table = gamma_table(crystal, e + 2)
-        reportcard = delta_monotonicity_report(crystal, e + 2)
+        reportcard = table.monotonicity()
         print(f"  e={e}: gamma={table.gamma} delta={table.delta} "
               f"stabilization={table.stabilization} strict={reportcard.strict_through_stabilization}")
 

@@ -13,7 +13,6 @@ from .circseq import (
     CircularSeq,
     NormalizedSeq,
     PlusMinus,
-    SegmentCensus,
     circular_count,
     circular_level,
     first_reduction_step,
@@ -31,7 +30,6 @@ from .crystal import (
     ResourceLimitError,
     VerifyCheck,
     VerifyReport,
-    delta_monotonicity_report,
     endo_exponent,
     gamma,
     gamma_table,
@@ -80,7 +78,6 @@ __all__ = [
     "Permutation",
     "PlusMinus",
     "ResourceLimitError",
-    "SegmentCensus",
     "VerifyCheck",
     "VerifyReport",
     "build_level_digraph",
@@ -89,7 +86,6 @@ __all__ = [
     "classify_components",
     "cycle_decomposition",
     "cycle_string",
-    "delta_monotonicity_report",
     "endo_exponent",
     "first_reduction_step",
     "gamma",

@@ -17,7 +17,7 @@ and under dropping zero entries, which is what the two reduction helpers do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 CircularSeq = tuple[int, ...]
 
@@ -37,17 +37,6 @@ class PlusMinus:
 
 
 NormalizedSeq = Union[AllZero, PlusMinus]
-
-
-@dataclass(frozen=True)
-class SegmentCensus:
-    """Counts of balanced negative segments by level, for levels up to level_cap."""
-
-    counts: Mapping[int, int]
-    level_cap: int
-
-    def up_to(self, m: int) -> int:
-        return sum(count for level, count in self.counts.items() if level <= m)
 
 
 def _check_seq(seq: CircularSeq) -> None:
@@ -120,8 +109,8 @@ def normalize_full(seq: CircularSeq) -> NormalizedSeq:
     return PlusMinus(_expand_signs(seq))
 
 
-def segment_census(norm: NormalizedSeq, m: int) -> SegmentCensus:
-    """Count balanced negative segments of each level up to m.
+def segment_census(norm: NormalizedSeq, m: int) -> dict[int, int]:
+    """Count balanced negative segments of each level up to m: {level: count}.
 
     A segment starts at a -1 entry, ends at a +1 entry (possibly wrapping past
     the seam), sums to zero, and keeps every proper partial sum strictly
@@ -151,7 +140,7 @@ def segment_census(norm: NormalizedSeq, m: int) -> SegmentCensus:
                 if -low <= m:
                     counts[-low] = counts.get(-low, 0) + 1
                 break
-    return SegmentCensus(counts, m)
+    return counts
 
 
 def circular_level(norm: NormalizedSeq) -> Optional[int]:
@@ -194,4 +183,4 @@ def linear_count(seq: CircularSeq, m: int) -> int:
     norm = normalize(seq, m)
     if isinstance(norm, AllZero):
         return 0
-    return segment_census(norm, m).up_to(m)
+    return sum(segment_census(norm, m).values())

@@ -35,10 +35,11 @@ from dataclasses import fields
 from decimal import Decimal
 from typing import Optional, Sequence, Union
 
-from .circseq import AllZero, circular_count, linear_count
+from .circseq import AllZero, circular_count, circular_level, linear_count, normalize
 from .crystal import (
     DEFAULT_VERTEX_BUDGET,
     FCyclicCrystal,
+    OrbitData,
     ResourceLimitError,
     gamma_table,
     is_minimal,
@@ -47,7 +48,7 @@ from .crystal import (
 )
 from .digraph import build_level_digraph, oracle_counts, propagate_zeros, to_dot
 from .permutation import ParseError, cycle_string, parse_permutation
-from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, run_scan, summarize
+from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, run_scan, slope_bound, summarize
 
 MAX_R = 8
 MAX_M = 16
@@ -112,8 +113,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise
 
 
-def _orbit_json(data) -> dict:
-    norm = data.normalized
+def _orbit_view(data: OrbitData, m_max: int) -> dict:
+    """One orbit as gamma output shows it at level m_max, in text and json: the
+    sign form clamped at m_max (see circseq.normalize) with its circular level,
+    and the census up to m_max, which the clamp leaves as it is."""
+    norm = normalize(data.epsilon, m_max)
     return {
         "points": data.orbit.points,
         "epsilon": data.epsilon,
@@ -122,8 +126,8 @@ def _orbit_json(data) -> dict:
             if isinstance(norm, AllZero)
             else {"kind": "signs", "entries": norm.entries}
         ),
-        "census": {str(level): data.census.counts[level] for level in sorted(data.census.counts)},
-        "level": data.level,
+        "census": {str(level): data.census[level] for level in sorted(data.census) if level <= m_max},
+        "level": circular_level(norm),
     }
 
 
@@ -162,7 +166,7 @@ def cmd_gamma(args) -> Output:
             "stabilization": report.stabilization,
             "stabilization_is_isomorphism_number": report.stabilization_is_isomorphism_number,
             "ordinary": report.ordinary,
-            "orbits": [_orbit_json(d) for d in report.per_orbit],
+            "orbits": [_orbit_view(data, report.m_max) for data in report.orbits],
         }
     if args.format == "csv":
         lines = ["m,gamma,delta,b", f"0,{report.gamma[0]},,"]
@@ -179,10 +183,11 @@ def cmd_gamma(args) -> Output:
         f"stabilization: {report.stabilization}"
         + ("" if report.stabilization_is_isomorphism_number else " (level only; not an isomorphism number here)"),
     ]
-    for k, data in enumerate(report.per_orbit, start=1):
-        census = ",".join(f"{level}:{data.census.counts[level]}" for level in sorted(data.census.counts))
-        kind = " all-zero" if isinstance(data.normalized, AllZero) else ""
-        level = "none" if data.level is None else str(data.level)
+    for k, data in enumerate(report.orbits, start=1):
+        view = _orbit_view(data, report.m_max)
+        census = ",".join(f"{level}:{count}" for level, count in view["census"].items())
+        kind = " all-zero" if view["normalized"]["kind"] == "all-zero" else ""
+        level = "none" if view["level"] is None else str(view["level"])
         lines.append(
             f"orbit {k}: len={len(data.orbit)} eps={_seq_text(data.epsilon)} level={level} census={{{census}}}{kind}"
         )
@@ -233,6 +238,7 @@ def cmd_endo(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
+    _at_least(args, "--vertex-budget", 1)
     if args.seq is None:
         return _verify_sweep(args)
     seq = _parse_ints(args.seq, "--seq")
@@ -344,7 +350,8 @@ def cmd_scan(args) -> Output:
     _at_least(args, "--slope-max", 0)
     _check_limits(args.override_limits, args.r, args.m_max)
     checks = tuple(args.check) if args.check else CHECKS
-    records = run_scan(args.family, args.r, args.m_max, args.slope_max, checks)
+    slope_max = slope_bound(args.family, args.slope_max)
+    records = run_scan(args.family, args.r, args.m_max, slope_max, checks)
     summary = summarize(records)
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
     code = 0 if violations == 0 else 1
@@ -358,7 +365,7 @@ def cmd_scan(args) -> Output:
         return code, {
             "family": args.family,
             "r": args.r,
-            "slope_max": args.slope_max,
+            "slope_max": slope_max,
             "m_max": args.m_max,
             "checks": checks,
             "records": json_records,
@@ -394,7 +401,7 @@ def cmd_scan(args) -> Output:
         lines.append(summary_line)  # main writes it after the csv, to the other stream
         return code, lines
 
-    lines = [f"scan family={args.family} r={args.r} slope_max={args.slope_max} m_max={args.m_max}", summary_line]
+    lines = [f"scan family={args.family} r={args.r} slope_max={slope_max} m_max={args.m_max}", summary_line]
     if violations:
         for rec in records:
             if rec.violations:

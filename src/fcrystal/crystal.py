@@ -11,7 +11,10 @@ digraphs, one per orbit of pi acting on basis pairs:
   orbit contributes one edge per orbit position).
 
 The closed forms from circseq make both computable without building a single
-digraph; verify_formula_vs_oracle rebuilds the digraphs anyway and compares.
+digraph.  orbit_data walks the pair orbits once and keeps, per orbit, its
+segment census and circular level, exact at every level at once; gamma,
+endo_exponent and gamma_table all read those records.
+verify_formula_vs_oracle rebuilds the digraphs anyway and compares.
 """
 
 from __future__ import annotations
@@ -22,12 +25,9 @@ from typing import Optional
 
 from .circseq import (
     AllZero,
-    NormalizedSeq,
-    SegmentCensus,
     circular_level,
     circular_count,
     linear_count,
-    normalize,
     normalize_full,
     segment_census,
 )
@@ -83,12 +83,13 @@ class FCyclicCrystal:
 
 @dataclass(frozen=True)
 class OrbitData:
-    """One pair orbit with its slope-difference sequence and level-m combinatorics."""
+    """One pair orbit with its slope-difference sequence, its balanced-segment
+    census {level: count} and its circular level (None when the sequence does
+    not balance, 0 when it is all zero); exact at every level."""
 
     orbit: Orbit
     epsilon: tuple[int, ...]
-    normalized: NormalizedSeq
-    census: SegmentCensus
+    census: dict[int, int]
     level: Optional[int]
 
 
@@ -100,7 +101,8 @@ class GammaReport:
     is gamma(n) - gamma(n-1); b[n-1] is the component exponent at level n.
     stabilization is the least level past which gamma is constant; it equals the
     isomorphism number of the crystal when the Dieudonne flag is set, and is
-    reported without that interpretation otherwise.
+    reported without that interpretation otherwise.  orbits holds the per-orbit
+    records the tables were built from.
     """
 
     m_max: int
@@ -110,7 +112,7 @@ class GammaReport:
     stabilization: int
     stabilization_is_isomorphism_number: bool
     ordinary: Optional[bool]
-    per_orbit: tuple[OrbitData, ...]
+    orbits: tuple[OrbitData, ...]
 
     def monotonicity(self) -> DeltaReport:
         """Check the increments: never increasing, and strictly decreasing
@@ -178,40 +180,18 @@ def orbit_epsilon(crystal: FCyclicCrystal, orbit: Orbit) -> tuple[int, ...]:
     return tuple(e[i - 1] - e[j - 1] for i, j in orbit.points)
 
 
-def _level_report(orbit: Orbit, eps: tuple[int, ...], m: int) -> OrbitData:
-    norm = normalize(eps, m)
-    if isinstance(norm, AllZero):
-        return OrbitData(orbit, eps, norm, SegmentCensus({}, m), 0)
-    return OrbitData(orbit, eps, norm, segment_census(norm, m), circular_level(norm))
-
-
-def orbit_data(crystal: FCyclicCrystal, m: int) -> list[OrbitData]:
-    """Per-orbit difference sequences with their level-m normal forms and censuses."""
-    if m < 1:
-        raise ValueError("level must be at least 1")
-    return [_level_report(orbit, orbit_epsilon(crystal, orbit), m) for orbit in product_orbits(crystal.pi)]
-
-
-def _full_orbit_invariants(
-    crystal: FCyclicCrystal,
-) -> list[tuple[Orbit, tuple[int, ...], dict[int, int], Optional[int]]]:
-    """One walk of the pair orbits: each orbit with its difference sequence, its
-    segment census by level and its circular level.
-
-    Unclamped and uncapped, so the same data is exact at every level at once.
-    """
+def orbit_data(crystal: FCyclicCrystal) -> list[OrbitData]:
+    """One walk of the pair orbits, one exact record per orbit (unclamped and
+    uncapped, so it serves every level at once)."""
     out = []
     for orbit in product_orbits(crystal.pi):
         eps = orbit_epsilon(crystal, orbit)
         norm = normalize_full(eps)
         if isinstance(norm, AllZero):
-            counts: dict[int, int] = {}
-            level: Optional[int] = 0
+            out.append(OrbitData(orbit, eps, {}, 0))
         else:
-            cap = len(norm.entries)  # a segment level never exceeds half the length
-            counts = dict(segment_census(norm, cap).counts)
-            level = circular_level(norm)
-        out.append((orbit, eps, counts, level))
+            # a segment level never exceeds half the length
+            out.append(OrbitData(orbit, eps, segment_census(norm, len(norm.entries)), circular_level(norm)))
     return out
 
 
@@ -222,8 +202,8 @@ def gamma(crystal: FCyclicCrystal, m: int) -> int:
     if m == 0:
         return 0
     total = 0
-    for _orbit, _eps, counts, _level in _full_orbit_invariants(crystal):
-        total += sum(count for level, count in counts.items() if level <= m)
+    for data in orbit_data(crystal):
+        total += sum(count for level, count in data.census.items() if level <= m)
     return total
 
 
@@ -238,9 +218,9 @@ def endo_exponent(crystal: FCyclicCrystal, m: int) -> int:
     if m < 1:
         raise ValueError("level must be at least 1")
     total = 0
-    for orbit, _eps, _counts, level in _full_orbit_invariants(crystal):
-        if level is not None and level < m:
-            total += (m - level) * len(orbit)
+    for data in orbit_data(crystal):
+        if data.level is not None and data.level < m:
+            total += (m - data.level) * len(data.orbit)
     return total
 
 
@@ -248,12 +228,12 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
     """gamma(0..m_max), increments, b(1..m_max), and the stabilization level."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    invariants = _full_orbit_invariants(crystal)
+    orbits = orbit_data(crystal)
 
     delta = [0] * (m_max + 1)
     stabilization = 0
-    for _orbit, _eps, counts, _level in invariants:
-        for level, count in counts.items():
+    for data in orbits:
+        for level, count in data.census.items():
             if level > stabilization:
                 stabilization = level
             if level <= m_max:
@@ -266,9 +246,9 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
     b = []
     for n in range(1, m_max + 1):
         total = 0
-        for orbit, _eps, _counts, level in invariants:
-            if level is not None and level < n:
-                total += (n - level) * len(orbit)
+        for data in orbits:
+            if data.level is not None and data.level < n:
+                total += (n - data.level) * len(data.orbit)
         b.append(total)
 
     ordinary = (gammas[min(1, m_max)] == 0) if crystal.is_dieudonne else None
@@ -280,7 +260,7 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
         stabilization=stabilization,
         stabilization_is_isomorphism_number=crystal.is_dieudonne,
         ordinary=ordinary,
-        per_orbit=tuple(_level_report(orbit, eps, m_max) for orbit, eps, _counts, _level in invariants),
+        orbits=tuple(orbits),
     )
 
 
@@ -323,13 +303,6 @@ def verify_formula_vs_oracle(
                 )
             )
     return VerifyReport(tuple(checks))
-
-
-def delta_monotonicity_report(crystal: FCyclicCrystal, m_max: int) -> DeltaReport:
-    """Check the gamma increments: never increasing, and strictly decreasing
-    through the stabilization level.  m_max should be at least stabilization + 1
-    for the strict check to cover the full range."""
-    return gamma_table(crystal, m_max).monotonicity()
 
 
 def newton_slopes(crystal: FCyclicCrystal) -> tuple[Fraction, ...]:

@@ -79,12 +79,18 @@ def all_permutations(r: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+def slope_bound(family: str, slope_max: int) -> int:
+    """The largest slope the family's crystals take: 1 for the Dieudonne
+    families, whatever slope_max asks, and slope_max otherwise."""
+    return 1 if family.endswith("dieudonne") else slope_max
+
+
 def enumerate_family(family: str, r: int, slope_max: int = 1) -> Iterator[tuple[Permutation, tuple[int, ...]]]:
-    """Yield (permutation, slopes) pairs of the family in canonical order."""
+    """Yield (permutation, slopes) pairs of the family in canonical order,
+    slopes ranging over 0..slope_bound(family, slope_max)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    if family.endswith("dieudonne"):
-        slope_max = 1
+    slope_max = slope_bound(family, slope_max)
     perms = cycles_of_length_r(r) if family.startswith("circular") else all_permutations(r)
     for pi in perms:
         for slopes in itertools.product(range(slope_max + 1), repeat=r):

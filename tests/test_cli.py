@@ -238,6 +238,25 @@ def test_scan_workers_agree_with_serial(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_scan_reports_the_slope_bound_it_scanned(capsys, fmt):
+    # the Dieudonne families take slopes 0..1 whatever --slope-max asks
+    code, out, _ = run(
+        capsys, "scan", "--family", "circular-dieudonne", "--r", "2", "--m-max", "2", "--slope-max", "3",
+        "--format", fmt,
+    )
+    assert code == 0
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["slope_max"], payload["summary"]["records"]) == (1, 4)
+    else:
+        assert out.splitlines()[:2] == [
+            "scan family=circular-dieudonne r=2 slope_max=1 m_max=2",
+            "records=4 violations[nonincreasing]=0 violations[strict]=0 violations[increasing-to-stab]=0"
+            " violations[ratio]=0 violations[minimal]=0",
+        ]
+
+
 def test_scan_text_summary(capsys):
     code, out, _ = run(capsys, "scan", "--family", "circular-dieudonne", "--r", "2", "--m-max", "2")
     assert code == 0
@@ -323,8 +342,13 @@ def test_rank_cap_override(capsys):
          "--slope-max must be at least 0, got -1"),
         (("scan", "--family", "circular-dieudonne", "--r", "0", "--m-max", "2"), "--r must be at least 1, got 0"),
         (("gamma", "--r", "-1", "--perm", "1", "--slopes", "0", "--m-max", "2"), "--r must be at least 1, got -1"),
+        (("verify", "--vertex-budget", "0"), "--vertex-budget must be at least 1, got 0"),
+        (("verify", "--seq", "1,-1", "--m", "2", "--vertex-budget", "-1"), "--vertex-budget must be at least 1, got -1"),
     ],
-    ids=["max-s", "max-entry", "random", "verify-slope-max", "r-max", "seq-m-max", "scan-slope-max", "scan-r", "gamma-r"],
+    ids=[
+        "max-s", "max-entry", "random", "verify-slope-max", "r-max", "seq-m-max", "scan-slope-max", "scan-r", "gamma-r",
+        "sweep-vertex-budget", "seq-vertex-budget",
+    ],
 )
 def test_bad_numeric_flag_is_invalid_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -40,6 +40,18 @@ CASES = [
     ), "g.csv"),
     ("gamma-json-out", ("gamma", *C2, "--m-max", "3", "--format", "json", "--out", "g.json"), "g.json"),
     ("gamma-text-override", ("gamma", *R9, "--m-max", "2", "--override-limits"), None),
+    # per-orbit lines at m_max below an orbit's level: eps (-3,3) has level 3, shown
+    # as 2; the unbalanced eps (5,-3) shows as level 2 with a level-1 segment
+    ("gamma-text-clamped-level", ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,3", "--m-max", "1"), None),
+    ("gamma-json-clamped-level", (
+        "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,3", "--m-max", "1", "--format", "json",
+    ), None),
+    ("gamma-text-clamped-unbalanced", (
+        "gamma", "--r", "4", "--perm", "(1 2)(3 4)", "--slopes", "5,0,0,3", "--m-max", "1",
+    ), None),
+    ("gamma-json-clamped-unbalanced", (
+        "gamma", "--r", "4", "--perm", "(1 2)(3 4)", "--slopes", "5,0,0,3", "--m-max", "1", "--format", "json",
+    ), None),
     # endo, one level
     ("endo-m-text", ("endo", *C2, "--m", "3"), None),
     ("endo-m-text-prime", ("endo", *C2, "--m", "3", "--prime", "2"), None),

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrystal import (
-    AllZero,
     FCyclicCrystal,
+    OrbitData,
     Permutation,
     ResourceLimitError,
-    delta_monotonicity_report,
     endo_exponent,
     gamma,
     gamma_table,
@@ -87,15 +86,10 @@ def test_gamma_zero_level():
 
 def test_orbit_data_shape():
     c = crystal(2, "(1 2)", (0, 4))
-    data = orbit_data(c, 3)
-    assert len(data) == 2
-    assert data[0].epsilon == (0, 0)
-    assert isinstance(data[0].normalized, AllZero)
-    assert data[0].level == 0
-    assert data[1].epsilon == (-4, 4)
-    # clamped at m + 1 = 4: the true spread is preserved here
-    assert data[1].level == 4
-    assert dict(data[1].census.counts) == {1: 1, 2: 1, 3: 1}
+    orbit_zero, orbit_four = orbit_data(c)
+    assert (orbit_zero.epsilon, orbit_zero.census, orbit_zero.level) == ((0, 0), {}, 0)
+    # exact at every level: no clamp cuts the level or the census
+    assert orbit_four == OrbitData(orbit_four.orbit, (-4, 4), {1: 1, 2: 1, 3: 1, 4: 1}, 4)
 
 
 def test_gamma_table_report_fields():
@@ -107,7 +101,7 @@ def test_gamma_table_report_fields():
     assert table.stabilization == 1
     assert table.ordinary is False
     assert table.stabilization_is_isomorphism_number
-    assert len(table.per_orbit) == 2
+    assert table.orbits == tuple(orbit_data(c))
 
 
 def test_b_is_plain_integer_with_arbitrary_precision():
@@ -134,7 +128,7 @@ def test_delta_report_strict_case():
     c = crystal(4, "(1 2 3 4)", (0, 1, 1, 0))
     table = gamma_table(c, 4)
     assert table.gamma == (0, 3, 4, 4, 4)
-    report = delta_monotonicity_report(c, 4)
+    report = table.monotonicity()
     assert report.nonincreasing
     assert report.strict_through_stabilization
     assert report.first_violation is None
@@ -143,7 +137,7 @@ def test_delta_report_strict_case():
 def test_delta_report_constant_prefix_case():
     # the shifted family keeps a constant delta: nonincreasing but not strict
     c = crystal(2, "(1 2)", (0, 4))
-    report = delta_monotonicity_report(c, 6)
+    report = gamma_table(c, 6).monotonicity()
     assert report.nonincreasing
     assert not report.strict_through_stabilization
 
@@ -193,7 +187,6 @@ def test_gamma_agrees_with_table(c, m):
     table = gamma_table(c, m)
     assert table.gamma[m] == gamma(c, m)
     assert table.b[m - 1] == endo_exponent(c, m)
-    assert table.per_orbit == tuple(orbit_data(c, m))
 
 
 @given(

@@ -100,12 +100,8 @@ def test_clamping_is_harmless_at_its_level(seq, m):
     if isinstance(full, AllZero):
         assert clamped == full
         return
-    capped = dict(segment_census(clamped, m).counts)
-    exact = {
-        level: count
-        for level, count in segment_census(full, len(full.entries)).counts.items()
-        if level <= m
-    }
+    capped = segment_census(clamped, m)
+    exact = {level: count for level, count in segment_census(full, len(full.entries)).items() if level <= m}
     assert capped == exact
 
 
