@@ -6,7 +6,7 @@ zero linear, and circular components; this module computes the free linear count
 and the circular count combinatorially, without building the digraph:
 
 * free linear components are counted by a census of balanced negative segments,
-  one per segment of each level up to m;
+  matched like brackets in one linear pass, one per segment of each level up to m;
 * circular components exist only when the signed entries balance, and then number
   max(0, m - level) where the level is the spread of the running sums.
 
@@ -115,10 +115,11 @@ def segment_census(norm: NormalizedSeq, m: int) -> dict[int, int]:
     A segment starts at a -1 entry, ends at a +1 entry (possibly wrapping past
     the seam), sums to zero, and keeps every proper partial sum strictly
     negative; its level is the depth reached, i.e. minus the smallest partial
-    sum.  Each start entry opens at most one segment: the walk is cut at the
-    first return to zero.  A walk that has not returned within s steps never
-    returns, because +-1 steps cannot jump over zero and the sequence repeats
-    with a strictly negative carry from then on.
+    sum.  A segment is a matched bracket pair (-1 opens, +1 closes), and its
+    level is one more than the deepest pair matched inside it.  One stack pass
+    over two laps matches every pair that starts in the first lap and counts
+    those: a walk still open after one lap is below zero, and each further lap
+    repeats its steps lower down, so it never closes.
     """
     if m < 1:
         raise ValueError("level must be at least 1")
@@ -127,19 +128,18 @@ def segment_census(norm: NormalizedSeq, m: int) -> dict[int, int]:
     entries = norm.entries
     s = len(entries)
     counts: dict[int, int] = {}
-    for start in range(s):
-        if entries[start] != -1:
-            continue
-        total = 0
-        low = 0
-        for step in range(s):
-            total += entries[(start + step) % s]
-            if total < low:
-                low = total
-            if total == 0:
-                if -low <= m:
-                    counts[-low] = counts.get(-low, 0) + 1
-                break
+    starts: list[int] = []  # positions of the open -1 entries, innermost last
+    inner: list[int] = []  # deepest level matched so far inside each open start
+    for pos, e in enumerate(entries + entries):
+        if e < 0:
+            starts.append(pos)
+            inner.append(0)
+        elif starts:
+            level = inner.pop() + 1
+            if starts.pop() < s and level <= m:
+                counts[level] = counts.get(level, 0) + 1
+            if inner and inner[-1] < level:
+                inner[-1] = level
     return counts
 
 
@@ -152,19 +152,16 @@ def circular_level(norm: NormalizedSeq) -> Optional[int]:
     """
     if isinstance(norm, AllZero):
         return 0
-    entries = norm.entries
-    if sum(entries) != 0:
-        return None
     total = 0
     high = 0
     low = 0
-    for e in entries:
+    for e in norm.entries:
         total += e
         if total > high:
             high = total
-        if total < low:
+        elif total < low:
             low = total
-    return high - low
+    return high - low if total == 0 else None
 
 
 def circular_count(seq: CircularSeq, m: int) -> int:

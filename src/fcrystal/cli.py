@@ -25,6 +25,7 @@ failed --out write prints no summary.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import random
@@ -52,6 +53,7 @@ from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, run_scan, slop
 
 MAX_R = 8
 MAX_M = 16
+MAX_SIGNS = 10**6  # sign-word length summed over the pair orbits, see _check_limits
 SCHEMA = "fcrystal/1"
 
 Output = tuple[int, Union[dict, list[str]]]  # see "Output contract" above
@@ -72,13 +74,23 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> None:
+def _check_limits(
+    override_limits: bool, r: Optional[int], m: Optional[int], slopes: Sequence[int] = ()
+) -> None:
+    """Refuse inputs past the default caps.  The sign-word cap bounds the
+    census input before it is built: normalize_full expands the slope
+    difference of every ordered pair of basis vectors into |e_i - e_j| signs."""
     if override_limits:
         return
     if r is not None and r > MAX_R:
         raise ResourceLimitError(f"r={r} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
     if m is not None and m > MAX_M:
         raise ResourceLimitError(f"level {m} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
+    signs = sum(abs(a - b) for a in slopes for b in slopes)
+    if signs > MAX_SIGNS:
+        raise ResourceLimitError(
+            f"sign-word length {signs} exceeds the default cap {MAX_SIGNS}; pass --override-limits to proceed"
+        )
 
 
 def _at_least(args, flag: str, low: int) -> None:
@@ -101,6 +113,8 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    if os.path.isdir(out):  # refused before a temp file is made beside it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fcrystal-")
     try:
@@ -153,7 +167,7 @@ def _seq_text(values: Sequence[int]) -> str:
 
 def cmd_gamma(args) -> Output:
     crystal = _crystal(args)
-    _check_limits(args.override_limits, args.r, args.m_max)
+    _check_limits(args.override_limits, args.r, args.m_max, crystal.slopes)
     report = gamma_table(crystal, args.m_max)
 
     if args.format == "json":
@@ -205,7 +219,7 @@ def cmd_endo(args) -> Output:
         raise ValueError("pass only one of --m and --m-max")
     single = args.m is not None
     top = args.m if single else args.m_max
-    _check_limits(args.override_limits, args.r, top)
+    _check_limits(args.override_limits, args.r, top, crystal.slopes)
     report = gamma_table(crystal, top)
     levels = [top] if single else range(1, top + 1)
     b = [report.b[n - 1] for n in levels]
@@ -453,7 +467,7 @@ def _add_crystal_args(p: argparse.ArgumentParser) -> None:
 def _add_common_output(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write output to this file (atomic replace)")
-    p.add_argument("--override-limits", action="store_true", help="lift the default r and level caps")
+    p.add_argument("--override-limits", action="store_true", help="lift the default r, level and sign-word caps")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,13 @@ from fcrystal import (
 )
 
 sign_seqs = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=12).map(tuple)
+# Census inputs: free +-1 words, and words of long runs as normalize_full makes them.
+census_words = st.one_of(
+    st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=30).map(tuple),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=6)
+    .filter(any)
+    .map(lambda seq: normalize_full(tuple(seq)).entries),
+)
 small_seqs = st.lists(st.integers(-6, 6), min_size=1, max_size=10).map(tuple)
 
 
@@ -168,13 +175,13 @@ def test_census_rejects_all_zero_form():
         segment_census(AllZero(2), 3)
 
 
-@given(sign_seqs)
+@given(census_words)
 def test_census_matches_naive_enumeration(entries):
     s = len(entries)
     assert segment_census(PlusMinus(entries), s) == naive_segment_counts(entries)
 
 
-@given(sign_seqs)
+@given(census_words)
 def test_census_counts_nonincreasing_in_level(entries):
     counts = segment_census(PlusMinus(entries), len(entries))
     top = max(counts, default=0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from decimal import Decimal
 
 import pytest
@@ -26,6 +27,17 @@ def test_gamma_text(capsys):
     assert "gamma: 0 1 1 1" in out
     assert "stabilization: 1" in out
     assert "orbit 2:" in out
+
+
+def test_gamma_large_slope_is_fast(capsys):
+    # 32,000 signs in one orbit: the census must stay linear in the sign-word length
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,16000", "--m-max", "3")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "gamma: 0 1 2 3" in out
+    assert "stabilization: 16000" in out
+    assert elapsed < 1.0
 
 
 def test_gamma_json_fields(capsys):
@@ -360,6 +372,26 @@ def test_level_cap(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("level", [("--m-max", "3"), ("--m", "3")], ids=["gamma", "endo"])
+def test_sign_word_cap(capsys, level):
+    # refused from the slopes alone: expanding them would take about 10^12 list slots
+    command = "gamma" if level[0] == "--m-max" else "endo"
+    code, out, err = run(capsys, command, "--r", "2", "--perm", "(1 2)", "--slopes", "0,1000000000000", *level)
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource limit: sign-word length 2000000000000 exceeds the default cap 1000000;"
+        " pass --override-limits to proceed\n"
+    )
+
+
+def test_sign_word_cap_override(capsys):
+    argv = ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,500001", "--m-max", "2")
+    assert run(capsys, *argv)[0] == 3
+    code, out, _ = run(capsys, *argv, "--override-limits")
+    assert code == 0
+    assert "stabilization: 500001" in out
+
+
 # ------------------------------------------------------------ file output
 
 
@@ -407,3 +439,18 @@ def test_out_to_missing_directory_is_invalid_input(tmp_path, capsys):
     assert out == ""
     assert err == f"cannot write {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+def test_out_to_directory_creates_no_file(tmp_path, capsys, monkeypatch):
+    def no_temp_file(*args, **kwargs):
+        raise AssertionError("a temp file was made for a directory target")
+
+    monkeypatch.setattr("fcrystal.cli.tempfile.mkstemp", no_temp_file)
+    target = tmp_path / "reports"
+    target.mkdir()
+    code, out, err = run(
+        capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", "3", "--out", str(target)
+    )
+    assert (code, out, err) == (2, "", f"cannot write {target}: Is a directory\n")
+    assert sorted(os.listdir(tmp_path)) == ["reports"]
+    assert os.listdir(target) == []
