@@ -16,9 +16,11 @@ from .circseq import (
     circular_count,
     circular_level,
     first_reduction_step,
+    level_counts,
     linear_count,
     normalize,
     normalize_full,
+    run_census,
     second_reduction,
     segment_census,
 )
@@ -92,6 +94,7 @@ __all__ = [
     "gamma_table",
     "is_minimal",
     "is_single_cycle",
+    "level_counts",
     "linear_count",
     "newton_slopes",
     "normalize",
@@ -104,6 +107,7 @@ __all__ = [
     "parse_permutation",
     "product_orbits",
     "propagate_zeros",
+    "run_census",
     "second_reduction",
     "segment_census",
     "to_dot",

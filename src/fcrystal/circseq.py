@@ -6,12 +6,16 @@ zero linear, and circular components; this module computes the free linear count
 and the circular count combinatorially, without building the digraph:
 
 * free linear components are counted by a census of balanced negative segments,
-  matched like brackets in one linear pass, one per segment of each level up to m;
+  matched like brackets in one stack pass over the runs of the sequence, which
+  yields the segments as level ranges, exact at every level at once;
 * circular components exist only when the signed entries balance, and then number
   max(0, m - level) where the level is the spread of the running sums.
 
 Both counts are invariant under merging adjacent entries of the same strict sign
-and under dropping zero entries, which is what the two reduction helpers do.
+and under dropping zero entries, which is what the two reduction helpers do; the
+census reads each entry as a run of |e| signs, so its cost follows the number of
+entries, not their size.  The sign normal forms (normalize, normalize_full) spell
+those runs out sign by sign, for display and for the tests.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 CircularSeq = tuple[int, ...]
+Census = tuple[tuple[int, int], ...]  # (lo, hi): one segment at each level lo..hi
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,11 @@ NormalizedSeq = Union[AllZero, PlusMinus]
 def _check_seq(seq: CircularSeq) -> None:
     if len(seq) == 0:
         raise ValueError("a circular sequence must have at least one entry")
+
+
+def _check_level(m: int) -> None:
+    if m < 1:
+        raise ValueError("level must be at least 1")
 
 
 def first_reduction_step(seq: CircularSeq, t: int) -> CircularSeq:
@@ -93,8 +103,7 @@ def normalize(seq: CircularSeq, m: int) -> NormalizedSeq:
     circular level past m, exactly as a longer run would.
     """
     _check_seq(seq)
-    if m < 1:
-        raise ValueError("level must be at least 1")
+    _check_level(m)
     if all(e == 0 for e in seq):
         return AllZero(len(seq))
     bound = m + 1
@@ -102,45 +111,88 @@ def normalize(seq: CircularSeq, m: int) -> NormalizedSeq:
 
 
 def normalize_full(seq: CircularSeq) -> NormalizedSeq:
-    """Sign normal form without clamping; exact at every level at once."""
+    """Sign normal form without clamping; exact at every level at once.  It is
+    normalize at a level whose clamp exceeds every entry."""
     _check_seq(seq)
-    if all(e == 0 for e in seq):
-        return AllZero(len(seq))
-    return PlusMinus(_expand_signs(seq))
+    return normalize(seq, max(abs(e) for e in seq) or 1)
+
+
+def run_census(seq: CircularSeq) -> tuple[Census, Optional[int]]:
+    """Balanced negative segments as level ranges, and the circular level.
+
+    Entry e stands for a run of |e| signs; zeros are skipped.  A segment starts
+    at a -1 sign, ends at a +1 sign (possibly past the seam), sums to zero and
+    keeps every proper partial sum negative; its level is minus the smallest
+    partial sum.  It is a matched bracket pair, one level deeper than the
+    deepest pair inside it.  A negative run opens a block of nested starts, and
+    a positive run closes them from the innermost block out: closing k starts
+    of a block whose innermost start already encloses level `inner` makes one
+    segment at each level inner+1..inner+k.  Two laps close every segment that
+    starts in the first lap (a walk still open after one lap is below zero and
+    sinks further each lap), and only those are kept.  The level is that of
+    circular_level.
+    """
+    _check_seq(seq)
+    runs = [e for e in seq if e]
+    s = len(runs)
+    census: list[tuple[int, int]] = []
+    blocks: list[list[int]] = []  # open negative runs [run index, starts left, inner level], innermost last
+    for index, e in enumerate(runs + runs):
+        if e < 0:
+            blocks.append([index, -e, 0])
+            continue
+        while blocks:
+            block = blocks[-1]
+            run, left, inner = block
+            if e < left:
+                if run < s:
+                    census.append((inner + 1, inner + e))
+                block[1] = left - e
+                block[2] = inner + e
+                break
+            blocks.pop()
+            hi = inner + left
+            if run < s:
+                census.append((inner + 1, hi))
+            if blocks and blocks[-1][2] < hi:
+                blocks[-1][2] = hi
+            e -= left
+            if not e:
+                break
+    return tuple(census), _spread(runs)
+
+
+def level_counts(census: Census, m: int) -> dict[int, int]:
+    """The census read up to level m: {level: count}."""
+    counts: dict[int, int] = {}
+    for lo, hi in census:
+        for level in range(lo, min(hi, m) + 1):
+            counts[level] = counts.get(level, 0) + 1
+    return counts
+
+
+def _spread(seq: CircularSeq) -> Optional[int]:
+    total = 0
+    high = 0
+    low = 0
+    for e in seq:
+        total += e
+        if total > high:
+            high = total
+        elif total < low:
+            low = total
+    return high - low if total == 0 else None
 
 
 def segment_census(norm: NormalizedSeq, m: int) -> dict[int, int]:
     """Count balanced negative segments of each level up to m: {level: count}.
 
-    A segment starts at a -1 entry, ends at a +1 entry (possibly wrapping past
-    the seam), sums to zero, and keeps every proper partial sum strictly
-    negative; its level is the depth reached, i.e. minus the smallest partial
-    sum.  A segment is a matched bracket pair (-1 opens, +1 closes), and its
-    level is one more than the deepest pair matched inside it.  One stack pass
-    over two laps matches every pair that starts in the first lap and counts
-    those: a walk still open after one lap is below zero, and each further lap
-    repeats its steps lower down, so it never closes.
+    The run census of the sign word (see run_census), read up to level m.
     """
-    if m < 1:
-        raise ValueError("level must be at least 1")
+    _check_level(m)
     if not isinstance(norm, PlusMinus):
         raise ValueError("the census is defined for sign sequences, not the all-zero form")
-    entries = norm.entries
-    s = len(entries)
-    counts: dict[int, int] = {}
-    starts: list[int] = []  # positions of the open -1 entries, innermost last
-    inner: list[int] = []  # deepest level matched so far inside each open start
-    for pos, e in enumerate(entries + entries):
-        if e < 0:
-            starts.append(pos)
-            inner.append(0)
-        elif starts:
-            level = inner.pop() + 1
-            if starts.pop() < s and level <= m:
-                counts[level] = counts.get(level, 0) + 1
-            if inner and inner[-1] < level:
-                inner[-1] = level
-    return counts
+    return level_counts(run_census(norm.entries)[0], m)
 
 
 def circular_level(norm: NormalizedSeq) -> Optional[int]:
@@ -152,32 +204,18 @@ def circular_level(norm: NormalizedSeq) -> Optional[int]:
     """
     if isinstance(norm, AllZero):
         return 0
-    total = 0
-    high = 0
-    low = 0
-    for e in norm.entries:
-        total += e
-        if total > high:
-            high = total
-        elif total < low:
-            low = total
-    return high - low if total == 0 else None
+    return _spread(norm.entries)
 
 
 def circular_count(seq: CircularSeq, m: int) -> int:
     """Number of circular components of the level-m digraph, in closed form."""
-    norm = normalize(seq, m)
-    if isinstance(norm, AllZero):
-        return m
-    level = circular_level(norm)
-    if level is None:
-        return 0
-    return max(0, m - level)
+    level = run_census(seq)[1]
+    _check_level(m)
+    return 0 if level is None else max(0, m - level)
 
 
 def linear_count(seq: CircularSeq, m: int) -> int:
     """Number of free linear components of the level-m digraph, in closed form."""
-    norm = normalize(seq, m)
-    if isinstance(norm, AllZero):
-        return 0
-    return sum(segment_census(norm, m).values())
+    census = run_census(seq)[0]
+    _check_level(m)
+    return sum(level_counts(census, m).values())

@@ -36,7 +36,7 @@ from dataclasses import fields
 from decimal import Decimal
 from typing import Optional, Sequence, Union
 
-from .circseq import AllZero, circular_count, circular_level, linear_count, normalize
+from .circseq import AllZero, circular_count, circular_level, level_counts, linear_count, normalize
 from .crystal import (
     DEFAULT_VERTEX_BUDGET,
     FCyclicCrystal,
@@ -53,7 +53,6 @@ from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, run_scan, slop
 
 MAX_R = 8
 MAX_M = 16
-MAX_SIGNS = 10**6  # sign-word length summed over the pair orbits, see _check_limits
 SCHEMA = "fcrystal/1"
 
 Output = tuple[int, Union[dict, list[str]]]  # see "Output contract" above
@@ -74,23 +73,16 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_limits(
-    override_limits: bool, r: Optional[int], m: Optional[int], slopes: Sequence[int] = ()
-) -> None:
-    """Refuse inputs past the default caps.  The sign-word cap bounds the
-    census input before it is built: normalize_full expands the slope
-    difference of every ordered pair of basis vectors into |e_i - e_j| signs."""
+def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> None:
+    """Refuse a rank or level past the default caps.  Slope size needs no cap:
+    the closed forms cost one pass over the runs of each orbit, whatever the
+    slopes, and the oracle's digraphs grow with r and m only."""
     if override_limits:
         return
     if r is not None and r > MAX_R:
         raise ResourceLimitError(f"r={r} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
     if m is not None and m > MAX_M:
         raise ResourceLimitError(f"level {m} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
-    signs = sum(abs(a - b) for a in slopes for b in slopes)
-    if signs > MAX_SIGNS:
-        raise ResourceLimitError(
-            f"sign-word length {signs} exceeds the default cap {MAX_SIGNS}; pass --override-limits to proceed"
-        )
 
 
 def _at_least(args, flag: str, low: int) -> None:
@@ -113,6 +105,8 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    if not out:  # abspath("") is the working directory, whose parent would get the temp file
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
     if os.path.isdir(out):  # refused before a temp file is made beside it
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     directory = os.path.dirname(os.path.abspath(out))
@@ -140,7 +134,7 @@ def _orbit_view(data: OrbitData, m_max: int) -> dict:
             if isinstance(norm, AllZero)
             else {"kind": "signs", "entries": norm.entries}
         ),
-        "census": {str(level): data.census[level] for level in sorted(data.census) if level <= m_max},
+        "census": {str(level): count for level, count in sorted(level_counts(data.census, m_max).items())},
         "level": circular_level(norm),
     }
 
@@ -167,7 +161,7 @@ def _seq_text(values: Sequence[int]) -> str:
 
 def cmd_gamma(args) -> Output:
     crystal = _crystal(args)
-    _check_limits(args.override_limits, args.r, args.m_max, crystal.slopes)
+    _check_limits(args.override_limits, args.r, args.m_max)
     report = gamma_table(crystal, args.m_max)
 
     if args.format == "json":
@@ -219,7 +213,7 @@ def cmd_endo(args) -> Output:
         raise ValueError("pass only one of --m and --m-max")
     single = args.m is not None
     top = args.m if single else args.m_max
-    _check_limits(args.override_limits, args.r, top, crystal.slopes)
+    _check_limits(args.override_limits, args.r, top)
     report = gamma_table(crystal, top)
     levels = [top] if single else range(1, top + 1)
     b = [report.b[n - 1] for n in levels]
@@ -304,6 +298,10 @@ def _verify_sweep(args) -> Output:
     _at_least(args, "--max-s", 1)
     _at_least(args, "--max-entry", 0)
     _check_limits(args.override_limits, args.r_max, args.m_max)
+    if args.random and args.max_s * args.m_max > args.vertex_budget:
+        raise ResourceLimitError(
+            f"digraph would need {args.max_s * args.m_max} vertices, budget is {args.vertex_budget}"
+        )
     mismatches: list[dict] = []
     crystals = 0
     checks = 0
@@ -467,7 +465,7 @@ def _add_crystal_args(p: argparse.ArgumentParser) -> None:
 def _add_common_output(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write output to this file (atomic replace)")
-    p.add_argument("--override-limits", action="store_true", help="lift the default r, level and sign-word caps")
+    p.add_argument("--override-limits", action="store_true", help="lift the default r and level caps")
 
 
 def build_parser() -> argparse.ArgumentParser:

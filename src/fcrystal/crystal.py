@@ -11,10 +11,12 @@ digraphs, one per orbit of pi acting on basis pairs:
   orbit contributes one edge per orbit position).
 
 The closed forms from circseq make both computable without building a single
-digraph.  orbit_data walks the pair orbits once and keeps, per orbit, its
-segment census and circular level, exact at every level at once; gamma,
-endo_exponent and gamma_table all read those records.
-verify_formula_vs_oracle rebuilds the digraphs anyway and compares.
+digraph.  orbit_data walks the pair orbits once and keeps, per orbit, its run
+census (segment level ranges) and circular level, exact at every level at once
+and costing one stack pass over the orbit's runs, whatever the slope sizes;
+gamma, endo_exponent and gamma_table all read those records.
+verify_formula_vs_oracle reads the same records and rebuilds the digraphs
+anyway to compare.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .circseq import (
-    AllZero,
-    circular_level,
-    circular_count,
-    linear_count,
-    normalize_full,
-    segment_census,
-)
+from .circseq import Census, level_counts, run_census
 from .digraph import oracle_counts
 from .permutation import Orbit, Permutation, cycle_decomposition, is_single_cycle, parse_permutation, product_orbits
 
@@ -84,12 +79,13 @@ class FCyclicCrystal:
 @dataclass(frozen=True)
 class OrbitData:
     """One pair orbit with its slope-difference sequence, its balanced-segment
-    census {level: count} and its circular level (None when the sequence does
-    not balance, 0 when it is all zero); exact at every level."""
+    census as level ranges (see circseq.run_census) and its circular level (None
+    when the sequence does not balance, 0 when it is all zero); exact at every
+    level."""
 
     orbit: Orbit
     epsilon: tuple[int, ...]
-    census: dict[int, int]
+    census: Census
     level: Optional[int]
 
 
@@ -186,12 +182,7 @@ def orbit_data(crystal: FCyclicCrystal) -> list[OrbitData]:
     out = []
     for orbit in product_orbits(crystal.pi):
         eps = orbit_epsilon(crystal, orbit)
-        norm = normalize_full(eps)
-        if isinstance(norm, AllZero):
-            out.append(OrbitData(orbit, eps, {}, 0))
-        else:
-            # a segment level never exceeds half the length
-            out.append(OrbitData(orbit, eps, segment_census(norm, len(norm.entries)), circular_level(norm)))
+        out.append(OrbitData(orbit, eps, *run_census(eps)))
     return out
 
 
@@ -201,10 +192,7 @@ def gamma(crystal: FCyclicCrystal, m: int) -> int:
         raise ValueError("level must be nonnegative")
     if m == 0:
         return 0
-    total = 0
-    for data in orbit_data(crystal):
-        total += sum(count for level, count in data.census.items() if level <= m)
-    return total
+    return sum(sum(level_counts(data.census, m).values()) for data in orbit_data(crystal))
 
 
 def endo_exponent(crystal: FCyclicCrystal, m: int) -> int:
@@ -231,13 +219,10 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
     orbits = orbit_data(crystal)
 
     delta = [0] * (m_max + 1)
-    stabilization = 0
     for data in orbits:
-        for level, count in data.census.items():
-            if level > stabilization:
-                stabilization = level
-            if level <= m_max:
-                delta[level] += count
+        for level, count in level_counts(data.census, m_max).items():
+            delta[level] += count
+    stabilization = max((hi for data in orbits for _lo, hi in data.census), default=0)
 
     gammas = [0] * (m_max + 1)
     for n in range(1, m_max + 1):
@@ -271,33 +256,33 @@ def verify_formula_vs_oracle(
 ) -> VerifyReport:
     """Rebuild every orbit digraph at every level up to m_max and compare counts.
 
-    The closed-form counts and the literal component census must agree exactly;
-    any disagreement is returned rather than raised so callers can report it.
+    The closed-form counts, read from the orbit_data records gamma_table uses,
+    and the literal component census must agree exactly; any disagreement is
+    returned rather than raised so callers can report it.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    orbits = product_orbits(crystal.pi)
-    estimated = sum(len(o) for o in orbits) * m_max * (m_max + 1) // 2
+    orbits = orbit_data(crystal)
+    estimated = sum(len(data.orbit) for data in orbits) * m_max * (m_max + 1) // 2
     if estimated > vertex_budget:
         raise ResourceLimitError(
             f"verification needs about {estimated} digraph vertices, budget is {vertex_budget}"
         )
     checks: list[VerifyCheck] = []
-    for index, orbit in enumerate(orbits):
-        eps = orbit_epsilon(crystal, orbit)
+    for index, data in enumerate(orbits):
         for m in range(1, m_max + 1):
-            stats = oracle_counts(eps, m)
-            if stats.circular_edges != stats.circular * len(orbit):
+            stats = oracle_counts(data.epsilon, m)
+            if stats.circular_edges != stats.circular * len(data.orbit):
                 raise RuntimeError(
                     f"orbit {index}: circular components carry {stats.circular_edges} edges, "
-                    f"expected {stats.circular * len(orbit)}"
+                    f"expected {stats.circular * len(data.orbit)}"
                 )
             checks.append(
                 VerifyCheck(
                     orbit_index=index,
                     m=m,
-                    formula_linear=linear_count(eps, m),
-                    formula_circular=circular_count(eps, m),
+                    formula_linear=sum(level_counts(data.census, m).values()),
+                    formula_circular=0 if data.level is None else max(0, m - data.level),
                     oracle_linear=stats.free_linear,
                     oracle_circular=stats.circular,
                 )

@@ -8,7 +8,7 @@ functions under test.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrystal import (
@@ -17,9 +17,11 @@ from fcrystal import (
     circular_count,
     circular_level,
     first_reduction_step,
+    level_counts,
     linear_count,
     normalize,
     normalize_full,
+    run_census,
     second_reduction,
     segment_census,
 )
@@ -33,6 +35,8 @@ census_words = st.one_of(
     .map(lambda seq: normalize_full(tuple(seq)).entries),
 )
 small_seqs = st.lists(st.integers(-6, 6), min_size=1, max_size=10).map(tuple)
+# Run census inputs: few entries, long runs.
+long_run_seqs = st.lists(st.integers(-50, 50), min_size=1, max_size=8).filter(any).map(tuple)
 
 
 def naive_segment_counts(entries: tuple[int, ...]) -> dict[int, int]:
@@ -56,6 +60,28 @@ def naive_segment_counts(entries: tuple[int, ...]) -> dict[int, int]:
             level = -min(partial)
             counts[level] = counts.get(level, 0) + 1
             break
+    return counts
+
+
+def sign_word_census(entries: tuple[int, ...], m: int) -> dict[int, int]:
+    """The sign-by-sign stack pass the run census replaced, kept as a reference:
+    each -1 pushes its position, each +1 pops the innermost open start, and that
+    segment's level (one more than the deepest pair matched inside it) is passed
+    up to the enclosing start; two laps, first-lap starts and levels up to m."""
+    s = len(entries)
+    counts: dict[int, int] = {}
+    starts: list[int] = []
+    inner: list[int] = []
+    for pos, e in enumerate(entries + entries):
+        if e < 0:
+            starts.append(pos)
+            inner.append(0)
+        elif starts:
+            level = inner.pop() + 1
+            if starts.pop() < s and level <= m:
+                counts[level] = counts.get(level, 0) + 1
+            if inner and inner[-1] < level:
+                inner[-1] = level
     return counts
 
 
@@ -187,6 +213,31 @@ def test_census_counts_nonincreasing_in_level(entries):
     top = max(counts, default=0)
     for level in range(2, top + 1):
         assert counts.get(level, 0) <= counts.get(level - 1, 0)
+
+
+def test_run_census_examples():
+    assert run_census((-4, 4)) == (((1, 4),), 4)
+    assert run_census((0, 0)) == ((), 0)
+    assert run_census((3, 0, -1, -2)) == (((1, 2), (3, 3)), 3)
+    assert run_census((5,)) == ((), None)
+    assert run_census((-10**12, 10**12)) == (((1, 10**12),), 10**12)
+    assert level_counts(((1, 4), (2, 2)), 3) == {1: 1, 2: 2, 3: 1}
+
+
+@given(long_run_seqs)
+def test_run_census_matches_sign_word_census(seq):
+    # every level up to the word length, on the words normalize_full spells out
+    entries = normalize_full(seq).entries
+    census, level = run_census(seq)
+    assert level_counts(census, len(entries)) == sign_word_census(entries, len(entries))
+    assert level == (naive_circular_level(entries) if sum(seq) == 0 else None)
+
+
+@given(long_run_seqs)
+@settings(max_examples=40, deadline=None)  # the naive windows cost up to a second on 400 signs
+def test_run_census_matches_naive_enumeration(seq):
+    entries = normalize_full(seq).entries
+    assert level_counts(run_census(seq)[0], len(entries)) == naive_segment_counts(entries)
 
 
 # ------------------------------------------------------------ circular level

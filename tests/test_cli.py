@@ -30,14 +30,15 @@ def test_gamma_text(capsys):
 
 
 def test_gamma_large_slope_is_fast(capsys):
-    # 32,000 signs in one orbit: the census must stay linear in the sign-word length
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,16000", "--m-max", "3")
-    elapsed = time.perf_counter() - start
-    assert code == 0
-    assert "gamma: 0 1 2 3" in out
-    assert "stabilization: 16000" in out
-    assert elapsed < 1.0
+    # two runs in one orbit however large the slope: the census cost follows runs, not signs
+    for top in ("16000", "1000000000000"):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", f"0,{top}", "--m-max", "3")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert "gamma: 0 1 2 3" in out
+        assert f"stabilization: {top}" in out
+        assert elapsed < 1.0, top
 
 
 def test_gamma_json_fields(capsys):
@@ -374,22 +375,27 @@ def test_level_cap(capsys):
 
 @pytest.mark.parametrize("level", [("--m-max", "3"), ("--m", "3")], ids=["gamma", "endo"])
 def test_sign_word_cap(capsys, level):
-    # refused from the slopes alone: expanding them would take about 10^12 list slots
+    # slopes whose sign words would hold 2 * 10^12 signs are answered within the default caps
     command = "gamma" if level[0] == "--m-max" else "endo"
     code, out, err = run(capsys, command, "--r", "2", "--perm", "(1 2)", "--slopes", "0,1000000000000", *level)
-    assert (code, out) == (3, "")
-    assert err == (
-        "resource limit: sign-word length 2000000000000 exceeds the default cap 1000000;"
-        " pass --override-limits to proceed\n"
-    )
+    assert (code, err) == (0, "")
+    if command == "gamma":
+        assert "gamma: 0 1 2 3" in out
+        assert "stabilization: 1000000000000" in out
+    else:
+        assert out == "b(3) = 6\n"
 
 
 def test_sign_word_cap_override(capsys):
-    argv = ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,500001", "--m-max", "2")
-    assert run(capsys, *argv)[0] == 3
-    code, out, _ = run(capsys, *argv, "--override-limits")
+    code, out, _ = run(capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,500001", "--m-max", "2")
     assert code == 0
     assert "stabilization: 500001" in out
+
+
+def test_verify_random_sweep_checks_vertex_budget(capsys):
+    # the longest random sequence at the top level must fit, as for --seq
+    argv = ("verify", "--r-max", "1", "--m-max", "4", "--vertex-budget", "10", "--random", "3", "--max-s", "50")
+    assert run(capsys, *argv) == (3, "", "resource limit: digraph would need 200 vertices, budget is 10\n")
 
 
 # ------------------------------------------------------------ file output
@@ -454,3 +460,19 @@ def test_out_to_directory_creates_no_file(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (2, "", f"cannot write {target}: Is a directory\n")
     assert sorted(os.listdir(tmp_path)) == ["reports"]
     assert os.listdir(target) == []
+
+
+def test_out_empty_path_creates_no_file(tmp_path, capsys, monkeypatch):
+    def no_temp_file(*args, **kwargs):
+        raise AssertionError("a temp file was made for an empty path")
+
+    monkeypatch.setattr("fcrystal.cli.tempfile.mkstemp", no_temp_file)
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code, out, err = run(
+        capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", "3", "--out", ""
+    )
+    assert (code, out, err) == (2, "", "cannot write output: No such file or directory\n")
+    assert sorted(os.listdir(tmp_path)) == ["work"]
+    assert os.listdir(workdir) == []

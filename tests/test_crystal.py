@@ -14,10 +14,12 @@ from fcrystal import (
     OrbitData,
     Permutation,
     ResourceLimitError,
+    circular_count,
     endo_exponent,
     gamma,
     gamma_table,
     is_minimal,
+    linear_count,
     newton_slopes,
     orbit_data,
     verify_formula_vs_oracle,
@@ -87,9 +89,30 @@ def test_gamma_zero_level():
 def test_orbit_data_shape():
     c = crystal(2, "(1 2)", (0, 4))
     orbit_zero, orbit_four = orbit_data(c)
-    assert (orbit_zero.epsilon, orbit_zero.census, orbit_zero.level) == ((0, 0), {}, 0)
-    # exact at every level: no clamp cuts the level or the census
-    assert orbit_four == OrbitData(orbit_four.orbit, (-4, 4), {1: 1, 2: 1, 3: 1, 4: 1}, 4)
+    assert (orbit_zero.epsilon, orbit_zero.census, orbit_zero.level) == ((0, 0), (), 0)
+    # exact at every level: no clamp cuts the level or the census, one segment at each level 1..4
+    assert orbit_four == OrbitData(orbit_four.orbit, (-4, 4), ((1, 4),), 4)
+
+
+def test_computing_paths_expand_no_sign_word(monkeypatch):
+    # only the clamped display form (circseq.normalize) may spell runs out sign by sign
+    def no_expansion(values):
+        raise AssertionError("a sign word was expanded")
+
+    monkeypatch.setattr("fcrystal.circseq._expand_signs", no_expansion)
+    c = crystal(3, "(1 2 3)", (0, 10**12, 2))
+    # orbits eps (0,0,0), (-N, N-2, 2) and (N, 2-N, -2) with N = 10^12: one segment
+    # at each level 1..N in each nonzero orbit, both of circular level N
+    zero, down, up = orbit_data(c)
+    assert (zero.census, down.census, up.census) == ((), ((1, 10**12 - 2), (10**12 - 1, 10**12)), ((1, 2), (3, 10**12)))
+    assert (zero.level, down.level, up.level) == (0, 10**12, 10**12)
+    table = gamma_table(c, 4)
+    assert (table.gamma, table.b, table.stabilization) == ((0, 2, 4, 6, 8), (3, 6, 9, 12), 10**12)
+    assert gamma(c, 4) == 8
+    assert endo_exponent(c, 4) == 12
+    assert linear_count((-(10**12), 10**12), 3) == 3
+    assert circular_count((-(10**12), 10**12), 3) == 0
+    assert verify_formula_vs_oracle(c, 4).ok
 
 
 def test_gamma_table_report_fields():

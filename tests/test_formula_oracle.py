@@ -44,6 +44,19 @@ def test_formula_matches_oracle_randomized(seq, m):
     assert stats.circular == circular_count(seq, m)
 
 
+@given(
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6)), min_size=1, max_size=6).map(tuple),
+    st.integers(1, 6),
+)
+@settings(max_examples=300)
+def test_formula_matches_oracle_on_large_entries(seq, m):
+    # the oracle's digraph has s * m vertices whatever the entries, so it reaches
+    # magnitudes no expanded sign word could hold
+    stats = oracle_counts(seq, m)
+    assert stats.free_linear == linear_count(seq, m)
+    assert stats.circular == circular_count(seq, m)
+
+
 @given(seqs, levels)
 @settings(max_examples=300)
 def test_circular_components_have_one_edge_per_position(seq, m):
