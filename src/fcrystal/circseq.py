@@ -162,6 +162,16 @@ def run_census(seq: CircularSeq) -> tuple[Census, Optional[int]]:
     return tuple(census), _spread(runs)
 
 
+def linear_at(census: Census, m: int) -> int:
+    """Segments of the census at levels up to m: the free linear count at level m."""
+    return sum(max(0, min(hi, m) - lo + 1) for lo, hi in census)
+
+
+def circular_at(level: Optional[int], m: int) -> int:
+    """Circular count at level m of a sequence with this circular level."""
+    return 0 if level is None else max(0, m - level)
+
+
 def level_counts(census: Census, m: int) -> dict[int, int]:
     """The census read up to level m: {level: count}."""
     counts: dict[int, int] = {}
@@ -211,11 +221,11 @@ def circular_count(seq: CircularSeq, m: int) -> int:
     """Number of circular components of the level-m digraph, in closed form."""
     level = run_census(seq)[1]
     _check_level(m)
-    return 0 if level is None else max(0, m - level)
+    return circular_at(level, m)
 
 
 def linear_count(seq: CircularSeq, m: int) -> int:
     """Number of free linear components of the level-m digraph, in closed form."""
     census = run_census(seq)[0]
     _check_level(m)
-    return sum(level_counts(census, m).values())
+    return linear_at(census, m)

@@ -36,7 +36,7 @@ from dataclasses import fields
 from decimal import Decimal
 from typing import Optional, Sequence, Union
 
-from .circseq import AllZero, circular_count, circular_level, level_counts, linear_count, normalize
+from .circseq import AllZero, circular_at, circular_level, level_counts, linear_at, normalize, run_census
 from .crystal import (
     DEFAULT_VERTEX_BUDGET,
     FCyclicCrystal,
@@ -256,8 +256,9 @@ def cmd_verify(args) -> Output:
         raise ResourceLimitError(f"digraph would need {m * len(seq)} vertices, budget is {args.vertex_budget}")
 
     stats = oracle_counts(seq, m)
-    f_linear = linear_count(seq, m)
-    f_circular = circular_count(seq, m)
+    census, level = run_census(seq)
+    f_linear = linear_at(census, m)
+    f_circular = circular_at(level, m)
     match = f_linear == stats.free_linear and f_circular == stats.circular
     code = 0 if match else 1
     dump = to_dot(propagate_zeros(build_level_digraph(seq, m))) if args.dump_digraph else None
@@ -328,7 +329,8 @@ def _verify_sweep(args) -> Output:
         seq = tuple(rng.randint(-args.max_entry, args.max_entry) for _ in range(s))
         m = rng.randint(1, args.m_max)
         stats = oracle_counts(seq, m)
-        if linear_count(seq, m) != stats.free_linear or circular_count(seq, m) != stats.circular:
+        census, level = run_census(seq)
+        if linear_at(census, m) != stats.free_linear or circular_at(level, m) != stats.circular:
             mismatches.append({"seq": seq, "m": m})
         checks += 1
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .circseq import Census, level_counts, run_census
+from .circseq import Census, circular_at, linear_at, run_census
 from .digraph import oracle_counts
 from .permutation import Orbit, Permutation, cycle_decomposition, is_single_cycle, parse_permutation, product_orbits
 
@@ -192,7 +192,7 @@ def gamma(crystal: FCyclicCrystal, m: int) -> int:
         raise ValueError("level must be nonnegative")
     if m == 0:
         return 0
-    return sum(sum(level_counts(data.census, m).values()) for data in orbit_data(crystal))
+    return sum(linear_at(data.census, m) for data in orbit_data(crystal))
 
 
 def endo_exponent(crystal: FCyclicCrystal, m: int) -> int:
@@ -220,8 +220,9 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
 
     delta = [0] * (m_max + 1)
     for data in orbits:
-        for level, count in level_counts(data.census, m_max).items():
-            delta[level] += count
+        for lo, hi in data.census:
+            for level in range(lo, min(hi, m_max) + 1):
+                delta[level] += 1
     stabilization = max((hi for data in orbits for _lo, hi in data.census), default=0)
 
     gammas = [0] * (m_max + 1)
@@ -281,8 +282,8 @@ def verify_formula_vs_oracle(
                 VerifyCheck(
                     orbit_index=index,
                     m=m,
-                    formula_linear=sum(level_counts(data.census, m).values()),
-                    formula_circular=0 if data.level is None else max(0, m - data.level),
+                    formula_linear=linear_at(data.census, m),
+                    formula_circular=circular_at(data.level, m),
                     oracle_linear=stats.free_linear,
                     oracle_circular=stats.circular,
                 )

@@ -12,42 +12,48 @@ a = max(eps_t, 0) and b = max(0, -eps_{t+1}):
 * digit level l of the congruence, for max(a, b) <= l <= m - 1, matches source
   digit l - a with target digit l - b along an arc of weight a - b.
 
-Zero marks spread along arcs in both directions.  Every vertex has in- and
-out-degree at most one, so the graph is a disjoint union of simple paths and
-cycles; marked vertices always sit on paths.  Components are counted as
+Every vertex has in- and out-degree at most one, so the graph is a disjoint
+union of simple paths and cycles, and a marked vertex never lies between two
+arcs; the builder checks both as it goes.  Classification walks each path from
+its vertex with no predecessor to its end, and every vertex no path reaches
+lies on a cycle, walked once.  Components are counted as
 
 * circular: a cycle (a one-vertex loop counts),
 * zero linear: a path containing a marked vertex,
 * free linear: a path with no marked vertex.
 
 This module is the oracle half of the library: deliberately literal, used to
-cross-check the closed-form counts in circseq.
+cross-check the closed-form counts in circseq, and importing nothing from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .circseq import CircularSeq, _check_seq
-
+CircularSeq = tuple[int, ...]
 Vertex = tuple[int, int]
 Arc = tuple[Vertex, Vertex, int]
 
 
-@dataclass(frozen=True)
+@dataclass
 class LevelDigraph:
-    """Level-m digraph of a circular sequence of length s.
+    """Level-m digraph of a circular sequence of length s, held as flat lists.
 
-    Vertices are (digit, position) pairs with 0 <= digit < m and 1 <= position <= s.
-    zero_marks lists vertices forced to zero; edges are (source, target, weight) arcs.
+    Vertex (digit, position), with 0 <= digit < m and 1 <= position <= s, has
+    index (position - 1) * m + digit.  succ[v] and pred[v] are the index of its
+    successor and predecessor, or -1; weight[v] is the weight of the arc out of
+    v; mark[v] says v is forced to zero.  zero_marks and edges read the same
+    graph as (digit, position) pairs, the edges ordered by source vertex.
     """
 
     s: int
     m: int
-    zero_marks: frozenset[Vertex]
-    edges: tuple[Arc, ...]
+    succ: list[int]
+    pred: list[int]
+    weight: list[int]
+    mark: list[bool]
 
     def vertices(self) -> Iterator[Vertex]:
         for t in range(1, self.s + 1):
@@ -57,6 +63,19 @@ class LevelDigraph:
     @property
     def vertex_count(self) -> int:
         return self.m * self.s
+
+    def _vertex(self, v: int) -> Vertex:
+        return (v % self.m, v // self.m + 1)
+
+    @cached_property
+    def zero_marks(self) -> frozenset[Vertex]:
+        return frozenset(self._vertex(v) for v, marked in enumerate(self.mark) if marked)
+
+    @cached_property
+    def edges(self) -> tuple[Arc, ...]:
+        return tuple(
+            (self._vertex(v), self._vertex(u), self.weight[v]) for v, u in enumerate(self.succ) if u >= 0
+        )
 
 
 @dataclass(frozen=True)
@@ -147,113 +166,120 @@ def build_level_digraph(seq: CircularSeq, m: int) -> LevelDigraph:
     """Assemble the level-m digraph of a circular sequence.
 
     A single entry is its own cyclic successor: a lone zero gives m one-vertex
-    loops, a lone nonzero entry kills its whole column.
+    loops, a lone nonzero entry kills its whole column.  Raises RuntimeError if
+    the pair rule would give a vertex a second arc in or out, or mark a vertex
+    that has arcs both ways.
     """
-    _check_seq(seq)
+    if len(seq) == 0:
+        raise ValueError("a circular sequence must have at least one entry")
     if m < 1:
         raise ValueError("level must be at least 1")
     s = len(seq)
+    n = s * m
+    weight = [0] * n
+    mark = [False] * n
 
     if s == 1:
         if seq[0] == 0:
-            loops = tuple(((i, 1), (i, 1), 0) for i in range(m))
-            return LevelDigraph(1, m, frozenset(), loops)
-        return LevelDigraph(1, m, frozenset((i, 1) for i in range(m)), ())
+            return LevelDigraph(1, m, list(range(m)), list(range(m)), weight, mark)
+        return LevelDigraph(1, m, [-1] * m, [-1] * m, weight, [True] * m)
 
-    marks: set[Vertex] = set()
-    arcs: list[Arc] = []
-    for t in range(1, s + 1):
-        t_next = t % s + 1
-        left, right, pair_arcs = pair_edges(seq[t - 1], seq[t % s], m)
-        marks.update((i, t) for i in left)
-        marks.update((j, t_next) for j in right)
-        arcs.extend(((i, t), (j, t_next), w) for i, j, w in pair_arcs)
-    return LevelDigraph(s, m, frozenset(marks), tuple(arcs))
+    succ = [-1] * n
+    pred = [-1] * n
+    marked: list[int] = []
+    base = 0
+    for x, y in zip(seq, seq[1:] + seq[:1]):
+        base_next = (base + m) % n
+        left, right, pair_arcs = pair_edges(x, y, m)
+        if left:
+            marked.extend(base + i for i in left)
+        if right:
+            marked.extend(base_next + j for j in right)
+        for i, j, w in pair_arcs:
+            u = base + i
+            v = base_next + j
+            if succ[u] >= 0 or pred[v] >= 0:
+                t, t_next = base // m + 1, base_next // m + 1
+                raise RuntimeError(f"arc {i}:{t} -> {j}:{t_next} gives a vertex a second arc")
+            succ[u] = v
+            pred[v] = u
+            weight[u] = w
+        base = base_next
+    for v in marked:
+        mark[v] = True
+        if succ[v] >= 0 and pred[v] >= 0:
+            raise RuntimeError(f"zero mark at {v % m}:{v // m + 1} has degree 2: an arc in and an arc out")
+    return LevelDigraph(s, m, succ, pred, weight, mark)
 
 
 def propagate_zeros(g: LevelDigraph) -> LevelDigraph:
     """Spread zero marks along arcs in both directions.
 
-    A vertex marked during construction never has two neighbours, so marks can
-    only spread along paths; a mark with degree two would mean a marked cycle,
-    which the construction rules out, and is reported as a hard error.
+    build_level_digraph already refused a marked vertex with arcs both ways, so
+    a mark sits at the end of a path or alone, and spreading it marks its whole
+    path.
     """
-    adjacency: dict[Vertex, list[Vertex]] = {}
-    for src, dst, _w in g.edges:
-        adjacency.setdefault(src, []).append(dst)
-        adjacency.setdefault(dst, []).append(src)
-
-    for v in g.zero_marks:
-        if len(adjacency.get(v, ())) > 1:
-            raise RuntimeError(f"zero mark at {v} has degree 2; it would lie on a cycle")
-
-    marked = set(g.zero_marks)
-    stack = list(marked)
-    while stack:
-        v = stack.pop()
-        for u in adjacency.get(v, ()):
-            if u not in marked:
-                marked.add(u)
-                stack.append(u)
-    return LevelDigraph(g.s, g.m, frozenset(marked), g.edges)
+    succ, pred = g.succ, g.pred
+    mark = list(g.mark)
+    for v, marked in enumerate(g.mark):
+        if not marked:
+            continue
+        for step in (succ, pred):
+            u = step[v]
+            while u >= 0 and not mark[u]:
+                mark[u] = True
+                u = step[u]
+    return LevelDigraph(g.s, g.m, succ, pred, g.weight, mark)
 
 
 def classify_components(g: LevelDigraph) -> ComponentStats:
-    """Count components by kind.  Marks are read as component properties, so the
-    counts do not depend on whether propagate_zeros already ran."""
-    n = g.m * g.s
-    parent = list(range(n))
+    """Count components by kind.
 
-    def find(v: int) -> int:
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        while parent[v] != root:
-            parent[v], v = root, parent[v]
-        return root
-
-    def key(vertex: Vertex) -> int:
-        digit, pos = vertex
-        return (pos - 1) * g.m + digit
-
-    for src, dst, _w in g.edges:
-        a, b = find(key(src)), find(key(dst))
-        if a != b:
-            parent[a] = b
-
-    edge_count = [0] * n
-    for src, _dst, _w in g.edges:
-        edge_count[find(key(src))] += 1
-    mark_count = [0] * n
-    for v in g.zero_marks:
-        mark_count[find(key(v))] += 1
-    vertex_count = [0] * n
-    for v in range(n):
-        vertex_count[find(v)] += 1
-
-    free_linear = circular = circular_edges = zero_linear = 0
-    for root in range(n):
-        if vertex_count[root] == 0:
-            continue
-        vertices, edges, marks = vertex_count[root], edge_count[root], mark_count[root]
-        if edges == vertices:
-            if marks:
-                raise RuntimeError("circular component contains a zero mark")
-            circular += 1
-            circular_edges += edges
-        elif edges == vertices - 1:
-            if marks:
-                zero_linear += 1
-            else:
-                free_linear += 1
+    Each path is walked from its vertex with no predecessor to its end, and is
+    zero linear if any vertex on it is marked.  Every vertex left unvisited lies
+    on a cycle, walked once and counted with its edges; a mark there is an
+    error.  Marks are read as path properties, so the counts do not depend on
+    whether propagate_zeros already ran.
+    """
+    succ, pred, mark = g.succ, g.pred, g.mark
+    seen = [False] * len(succ)
+    free_linear = zero_linear = 0
+    for v in [v for v, p in enumerate(pred) if p < 0]:
+        zero = False
+        while v >= 0:
+            if seen[v]:
+                raise RuntimeError("component is neither a path nor a single cycle")
+            seen[v] = True
+            if mark[v]:
+                zero = True
+            v = succ[v]
+        if zero:
+            zero_linear += 1
         else:
-            raise RuntimeError("component is neither a path nor a single cycle")
+            free_linear += 1
+
+    circular = circular_edges = 0
+    for start in [v for v, visited in enumerate(seen) if not visited]:
+        if seen[start]:
+            continue
+        v = start
+        while True:
+            if mark[v]:
+                raise RuntimeError("circular component contains a zero mark")
+            seen[v] = True
+            circular_edges += 1
+            v = succ[v]
+            if v == start:
+                break
+            if v < 0 or seen[v]:
+                raise RuntimeError("component is neither a path nor a single cycle")
+        circular += 1
     return ComponentStats(free_linear, circular, circular_edges, zero_linear)
 
 
 def oracle_counts(seq: CircularSeq, m: int) -> ComponentStats:
-    """Build, propagate, classify: the literal component census of the level-m digraph."""
-    return classify_components(propagate_zeros(build_level_digraph(seq, m)))
+    """Build, classify: the literal component census of the level-m digraph."""
+    return classify_components(build_level_digraph(seq, m))
 
 
 def to_dot(g: LevelDigraph) -> str:

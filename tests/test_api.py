@@ -56,3 +56,16 @@ def test_perfbench_names_exist():
     # pair_edges' lru_cache statistics.
     assert callable(importlib.import_module("fcrystal.cli").main)
     assert callable(fcrystal.digraph.pair_edges.cache_info)
+
+
+def test_oracle_imports_nothing_from_closed_forms():
+    # the digraph oracle is the independent check of circseq, so it must not reuse its code
+    source = Path(fcrystal.digraph.__file__).read_text()
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+    assert imported and not [name for name in imported if "circseq" in name.split(".")]

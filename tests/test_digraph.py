@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fcrystal.digraph
 from fcrystal import (
+    LevelDigraph,
     build_level_digraph,
     classify_components,
     oracle_counts,
@@ -170,6 +172,46 @@ def test_classify_fully_zero_graph():
 def test_classify_without_propagation_gives_same_counts():
     g = build_level_digraph((2, 0, -1, 1), 4)
     assert classify_components(g) == classify_components(propagate_zeros(g))
+
+
+# ------------------------------------------------------------ structural checks
+
+
+def _rule(table):
+    """A pair rule read from {(eps_t, eps_next): (left, right, arcs)}; other pairs give nothing."""
+    return lambda x, y, m: table.get((x, y), ((), (), ()))
+
+
+@pytest.mark.parametrize(
+    "seq, m, table, message",
+    [
+        # two arcs out of one digit
+        ((1, 2), 2, {(1, 2): ((), (), ((0, 0, 0), (0, 1, 0)))}, "second arc"),
+        # two arcs into one digit
+        ((1, 2), 2, {(1, 2): ((), (), ((0, 0, 0), (1, 0, 0)))}, "second arc"),
+        # a mark on the middle vertex of the path 1 -> 2 -> 3
+        ((1, 2, 3), 1, {(1, 2): ((), (), ((0, 0, 0),)), (2, 3): ((0,), (), ((0, 0, 0),))}, "degree 2"),
+        # a mark on the cycle 1 -> 2 -> 1: refused while building or while classifying
+        ((1, 2), 1, {(1, 2): ((), (0,), ((0, 0, 0),)), (2, 1): ((), (), ((0, 0, 0),))}, None),
+    ],
+)
+def test_oracle_refuses_broken_pair_rules(monkeypatch, seq, m, table, message):
+    monkeypatch.setattr(fcrystal.digraph, "pair_edges", _rule(table))
+    with pytest.raises(RuntimeError, match=message):
+        oracle_counts(seq, m)
+
+
+def test_classify_refuses_marked_cycle():
+    g = LevelDigraph(2, 1, succ=[1, 0], pred=[1, 0], weight=[0, 0], mark=[False, True])
+    with pytest.raises(RuntimeError, match="circular component contains a zero mark"):
+        classify_components(g)
+
+
+def test_classify_refuses_inconsistent_lists():
+    # 0 -> 1 -> 1, but 1 records 0 as its only predecessor
+    g = LevelDigraph(1, 2, succ=[1, 1], pred=[-1, 0], weight=[0, 0], mark=[False, False])
+    with pytest.raises(RuntimeError, match="neither a path nor a single cycle"):
+        classify_components(g)
 
 
 # ------------------------------------------------------------ dot dump

@@ -36,6 +36,16 @@ def test_formula_matches_oracle_exhaustively():
                 assert stats.circular == circular_count(seq, m), (seq, m)
 
 
+def test_formula_matches_oracle_exhaustively_wider_entries():
+    # every sequence with up to five entries in [-4, 4], every level up to 7
+    for s in range(1, 6):
+        for seq in itertools.product(range(-4, 5), repeat=s):
+            for m in range(1, 8):
+                stats = oracle_counts(seq, m)
+                assert stats.free_linear == linear_count(seq, m), (seq, m)
+                assert stats.circular == circular_count(seq, m), (seq, m)
+
+
 @given(seqs, levels)
 @settings(max_examples=300)
 def test_formula_matches_oracle_randomized(seq, m):
