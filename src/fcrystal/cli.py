@@ -16,7 +16,9 @@ Output contract: each cmd_* function takes the parsed arguments and returns
 (exit code, output), where output is the json payload without "schema" and
 "command", or the text/csv lines.  A command builds only the format asked for
 and writes nothing.  main adds the header, renders, and writes once: to stdout,
-or to --out atomically via a temp file and rename.  The one other write is the
+or to --out atomically via a temp file and rename.  json is rendered by
+_json_text, byte-identical to json.dumps(indent=2).  main builds its argument
+parser on its first call and reuses it.  The one other write is the
 scan csv summary line, which main prints after the csv, to the stream the csv
 does not use (stderr when the csv goes to stdout, stdout with --out); so a
 failed --out write prints no summary.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import random
 import re
@@ -34,6 +35,8 @@ import sys
 import tempfile
 from dataclasses import fields
 from decimal import Decimal
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 from .circseq import AllZero, circular_at, circular_level, level_counts, linear_at, normalize, run_census
@@ -119,6 +122,46 @@ def _emit(text: str, out: Optional[str]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
+    keys, lists, tuples, str, int, bool and None; anything else raises TypeError.
+    A list of plain ints is one join, and a list of equal-length tuples of plain
+    ints (orbit points) is one row template, repeated and filled by one %."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        return "[\n" + inner + sep.join(map(str, value)) + "\n" + indent + "]"
+    if kinds == {tuple} and len(set(map(len, value))) == 1:
+        flat = tuple(chain.from_iterable(value))
+        if set(map(type, flat)) <= {int}:
+            deeper = inner + "  "
+            width = len(value[0])
+            row = "[\n" + deeper + (",\n" + deeper).join(["%d"] * width) + "\n" + inner + "]" if width else "[]"
+            return "[\n" + inner + sep.join([row] * len(value)) % flat + "\n" + indent + "]"
+    return "[\n" + inner + sep.join([_json_text(item, inner) for item in value]) + "\n" + indent + "]"
 
 
 def _orbit_view(data: OrbitData, m_max: int) -> dict:
@@ -524,13 +567,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built by the first main call, then reused
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code, output = args.func(args)
         summary = output.pop() if args.command == "scan" and args.format == "csv" else None
         if isinstance(output, dict):
-            text = json.dumps({"schema": SCHEMA, "command": args.command, **output}, indent=2) + "\n"
+            text = _json_text({"schema": SCHEMA, "command": args.command, **output}) + "\n"
         else:
             text = "\n".join(output) + "\n"
         _emit(text, args.out)

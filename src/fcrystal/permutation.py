@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import gcd
 
 
 class ParseError(ValueError):
@@ -156,32 +156,25 @@ def is_single_cycle(p: Permutation) -> bool:
 
 
 def product_orbits(p: Permutation) -> list[Orbit]:
-    """All orbits of the doubled action on pairs, sorted by smallest point.
+    """All orbits of the doubled action on pairs, sorted by smallest point, each
+    listed in cyclic order from that point.
 
-    The orbit of (i, j) has length lcm of the two cycle lengths through i and j,
-    and the orbit lengths sum to r*r.
+    Built from pairs of cycles (each cycle starts at its minimum, as in
+    cycle_decomposition).  Cycles A and B of lengths a and b give g = gcd(a, b)
+    orbits of length L = lcm(a, b), so the orbit lengths sum to r*r.  Orbit k
+    holds the pairs (A[s], B[t]) with t - s = k (mod g).  Its pairs that start
+    with A[0] are those with t = k (mod g), so its smallest point is
+    (A[0], min(B[k::g])); from there it is A repeated L/a times zipped with B,
+    rotated to that minimum, repeated L/b times.
     """
-    seen: set[tuple[int, int]] = set()
-    orbits: list[Orbit] = []
-    for i in range(1, p.size + 1):
-        for j in range(1, p.size + 1):
-            if (i, j) in seen:
-                continue
-            point = (i, j)
-            points: list[tuple[int, int]] = []
-            while point not in seen:
-                seen.add(point)
-                points.append(point)
-                point = (p(point[0]), p(point[1]))
-            orbits.append(Orbit(tuple(points)))
-    return orbits
-
-
-def orbit_length_check(p: Permutation, orbit: Orbit) -> bool:
-    """Cross-check: the orbit length equals the lcm of the containing cycle lengths."""
-    lengths: dict[int, int] = {}
-    for cycle in cycle_decomposition(p):
-        for i in cycle:
-            lengths[i] = len(cycle)
-    i, j = orbit.points[0]
-    return len(orbit) == lcm(lengths[i], lengths[j])
+    cycles = cycle_decomposition(p)
+    orbits: list[tuple[tuple[int, int], ...]] = []
+    for a_cycle in cycles:
+        for b_cycle in cycles:
+            g = gcd(len(a_cycle), len(b_cycle))
+            a_reps, b_reps = len(b_cycle) // g, len(a_cycle) // g
+            for k in range(g):
+                j = b_cycle.index(min(b_cycle[k::g])) if k else 0  # B[0] is the minimum of B
+                orbits.append(tuple(zip(a_cycle * a_reps, (b_cycle[j:] + b_cycle[:j]) * b_reps)))
+    # the first points are distinct, so sorting compares nothing past them
+    return [Orbit(points) for points in sorted(orbits)]

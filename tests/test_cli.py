@@ -9,6 +9,7 @@ from decimal import Decimal
 
 import pytest
 
+from fcrystal import cli
 from fcrystal.cli import main
 
 
@@ -274,6 +275,22 @@ def test_scan_text_summary(capsys):
     code, out, _ = run(capsys, "scan", "--family", "circular-dieudonne", "--r", "2", "--m-max", "2")
     assert code == 0
     assert "all checks passed" in out
+
+
+def test_reused_parser_leaks_no_flags(capsys, monkeypatch):
+    # main builds its parser once per process; a repeatable flag of one call
+    # must not reach the next call, which prints what a fresh parser prints
+    monkeypatch.setattr(cli, "_parser", None)
+    scan = ("scan", "--family", "all-dieudonne", "--r", "3", "--m-max", "3", "--format", "json")
+    _, ratio_only, _ = run(capsys, *scan, "--check", "ratio")
+    parser = cli._parser
+    _, reused, _ = run(capsys, *scan)
+    assert cli._parser is parser
+    monkeypatch.setattr(cli, "_parser", None)
+    _, fresh, _ = run(capsys, *scan)
+    assert json.loads(ratio_only)["checks"] == ["ratio"]
+    assert json.loads(fresh)["checks"] == ["nonincreasing", "strict", "increasing-to-stab", "ratio", "minimal"]
+    assert reused == fresh
 
 
 # ------------------------------------------------------------ minimal

@@ -21,6 +21,17 @@ GOLDEN = Path(__file__).parent / "golden"
 C2 = ("--r", "2", "--perm", "(1 2)", "--slopes", "0,1")
 R8 = ("--r", "8", "--perm", "1 2 3 4 5 6 7 8", "--slopes", "0,0,0,0,0,0,0,0")
 R9 = ("--r", "9", "--perm", "1 2 3 4 5 6 7 8 9", "--slopes", "0,0,0,0,0,0,0,0,0")
+# Cycles of lengths 6, 9 and 9 whose points are out of order, so the json pins
+# the order and rotation of orbits built from every pair of cycle lengths.
+R24 = (
+    "--r", "24", "--perm", "(18 10 17 19 6 23)(15 14 16 1 11 20 4 9 22)(24 21 3 2 7 5 13 12 8)",
+    "--slopes", "0,1,2,0,1,1,0,2,1,0,0,1,2,1,0,1,0,0,2,1,1,0,1,0",
+)
+# One 40-cycle stepping by 3 mod 41: 40 orbits of length 40.
+R40 = (
+    "--r", "40", "--perm", "(" + " ".join(str(k * 3 % 41) for k in range(1, 41)) + ")",
+    "--slopes", ",".join(str((k * k + k // 3) % 2) for k in range(40)),
+)
 
 # (case name, argv, name of the --out file or None)
 CASES = [
@@ -40,6 +51,8 @@ CASES = [
     ), "g.csv"),
     ("gamma-json-out", ("gamma", *C2, "--m-max", "3", "--format", "json", "--out", "g.json"), "g.json"),
     ("gamma-text-override", ("gamma", *R9, "--m-max", "2", "--override-limits"), None),
+    ("gamma-json-mixed-cycles-override", ("gamma", *R24, "--m-max", "3", "--format", "json", "--override-limits"), None),
+    ("gamma-json-forty-cycle-override", ("gamma", *R40, "--m-max", "4", "--format", "json", "--override-limits"), None),
     # per-orbit lines at m_max below an orbit's level: eps (-3,3) has level 3, shown
     # as 2; the unbalanced eps (5,-3) shows as level 2 with a level-1 segment
     ("gamma-text-clamped-level", ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,3", "--m-max", "1"), None),
@@ -106,6 +119,7 @@ CASES = [
     ("scan-json-out", (
         "scan", "--family", "all-dieudonne", "--r", "3", "--m-max", "3", "--format", "json", "--out", "s.json",
     ), "s.json"),
+    ("scan-json-all-dieudonne-r3", ("scan", "--family", "all-dieudonne", "--r", "3", "--m-max", "4", "--format", "json"), None),
     ("scan-json-fcrystal", (
         "scan", "--family", "circular-fcrystal", "--r", "2", "--slope-max", "4", "--m-max", "6", "--format", "json",
     ), None),

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_orbits as reference
 from fcrystal import (
     Orbit,
     ParseError,
@@ -18,11 +20,20 @@ from fcrystal import (
     parse_permutation,
     product_orbits,
 )
-from fcrystal.permutation import orbit_length_check
 
 permutations = st.integers(1, 7).flatmap(
     lambda r: st.permutations(list(range(1, r + 1))).map(lambda images: Permutation(tuple(images)))
 )
+
+
+def orbit_length_check(p: Permutation, orbit: Orbit) -> bool:
+    """Cross-check: the orbit length equals the lcm of the containing cycle lengths."""
+    lengths: dict[int, int] = {}
+    for cycle in cycle_decomposition(p):
+        for i in cycle:
+            lengths[i] = len(cycle)
+    i, j = orbit.points[0]
+    return len(orbit) == lcm(lengths[i], lengths[j])
 
 
 def test_parse_one_line_spaces():
@@ -154,3 +165,39 @@ def test_orbit_lengths_are_cycle_lcms(p):
     for orbit in product_orbits(p):
         i, j = orbit.points[0]
         assert len(orbit) == lcm(cycle_of[i], cycle_of[j])
+
+
+# ------------------------------------------- against the set walk it replaced
+
+
+def test_product_orbits_match_reference_exhaustively():
+    # every permutation of every rank up to 7 (5,913 permutations)
+    for r in range(1, 8):
+        for images in itertools.permutations(range(1, r + 1)):
+            p = Permutation(images)
+            assert product_orbits(p) == reference.product_orbits(p), images
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda r: st.permutations(list(range(1, r + 1))).map(lambda images: Permutation(tuple(images)))
+    )
+)
+@settings(max_examples=300)
+def test_product_orbits_match_reference_randomized(p):
+    assert product_orbits(p) == reference.product_orbits(p)
+
+
+@pytest.mark.parametrize(
+    "text,r",
+    [
+        # one 200-cycle, its points out of order: 200 orbits of length 200
+        ("(" + " ".join(str(k * 7 % 201) for k in range(1, 201)) + ")", 200),
+        # cycles of lengths 12 and 18 (gcd 6): six orbits of length 36 each way
+        ("(" + " ".join(map(str, range(1, 13))) + ")(" + " ".join(map(str, range(13, 31))) + ")", 30),
+    ],
+    ids=["200-cycle", "12-and-18-cycles"],
+)
+def test_product_orbits_match_reference_large(text, r):
+    p = parse_permutation(text, r)
+    assert product_orbits(p) == reference.product_orbits(p)
