@@ -40,6 +40,7 @@ from .crystal import (
     orbit_data,
     orbit_epsilon,
     verify_formula_vs_oracle,
+    verify_sequence,
 )
 from .digraph import (
     ComponentStats,
@@ -112,5 +113,6 @@ __all__ = [
     "segment_census",
     "to_dot",
     "verify_formula_vs_oracle",
+    "verify_sequence",
     "__version__",
 ]

@@ -9,8 +9,9 @@ Subcommands:
 * minimal  minimality verdict of a Dieudonne crystal, with its Newton slopes
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input (including
-an --out file that cannot be written), 3 resource limit hit.  Machine formats
-(json, csv) are byte deterministic for a given command line.
+an --out file that cannot be written), 3 resource limit hit (a rank, level or
+sweep crystal count past its default cap).  Machine formats (json, csv) are
+byte deterministic for a given command line.
 
 Output contract: each cmd_* function takes the parsed arguments and returns
 (exit code, output), where output is the json payload without "schema" and
@@ -39,7 +40,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
-from .circseq import AllZero, circular_at, circular_level, level_counts, linear_at, normalize, run_census
+from .circseq import AllZero, circular_level, level_counts, normalize
 from .crystal import (
     DEFAULT_VERTEX_BUDGET,
     FCyclicCrystal,
@@ -49,13 +50,17 @@ from .crystal import (
     is_minimal,
     newton_slopes,
     verify_formula_vs_oracle,
+    verify_sequence,
 )
-from .digraph import build_level_digraph, oracle_counts, propagate_zeros, to_dot
+from .digraph import build_level_digraph, propagate_zeros, to_dot
 from .permutation import ParseError, cycle_string, parse_permutation
-from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, run_scan, slope_bound, summarize
+from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, family_size, run_scan, slope_bound, summarize
 
 MAX_R = 8
 MAX_M = 16
+# Crystals per scan or verify sweep; admits every r <= MAX_R sweep at slope bound 1
+# (all-dieudonne r=8 has 10,321,920 crystals, verify --r-max 8 sums to 11,017,402).
+MAX_CRYSTALS = 2**24
 SCHEMA = "fcrystal/1"
 
 Output = tuple[int, Union[dict, list[str]]]  # see "Output contract" above
@@ -77,15 +82,26 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> None:
-    """Refuse a rank or level past the default caps.  Slope size needs no cap:
-    the closed forms cost one pass over the runs of each orbit, whatever the
-    slopes, and the oracle's digraphs grow with r and m only."""
+    """Refuse a rank or level past the default caps.  One crystal's slope size
+    needs no cap: the closed forms cost one pass over the runs of each orbit,
+    whatever the slopes, and the oracle's digraphs grow with r and m only."""
     if override_limits:
         return
     if r is not None and r > MAX_R:
         raise ResourceLimitError(f"r={r} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
     if m is not None and m > MAX_M:
         raise ResourceLimitError(f"level {m} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
+
+
+def _check_family_size(override_limits: bool, family: str, ranks: Sequence[int], slope_max: int) -> None:
+    """Refuse a sweep of more crystals than MAX_CRYSTALS; after _check_limits, so the ranks are small."""
+    if override_limits:
+        return
+    count = sum(family_size(family, r, slope_max) for r in ranks)
+    if count > MAX_CRYSTALS:
+        raise ResourceLimitError(
+            f"a sweep of {count} crystals exceeds the default cap {MAX_CRYSTALS}; pass --override-limits to proceed"
+        )
 
 
 def _at_least(args, flag: str, low: int) -> None:
@@ -195,6 +211,13 @@ _YESNO = {None: "n/a", True: "yes", False: "no"}
 _FLAG = {None: "", True: "true", False: "false"}
 
 
+def _csv_cell(value) -> str:
+    """One scan csv cell: verdicts through _FLAG, tuples joined by ';', the rest str."""
+    if value is None or value is True or value is False:
+        return _FLAG[value]
+    return ";".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def _seq_text(values: Sequence[int]) -> str:
     return "(" + ",".join(str(v) for v in values) + ")"
 
@@ -298,12 +321,8 @@ def cmd_verify(args) -> Output:
     if m * len(seq) > args.vertex_budget:
         raise ResourceLimitError(f"digraph would need {m * len(seq)} vertices, budget is {args.vertex_budget}")
 
-    stats = oracle_counts(seq, m)
-    census, level = run_census(seq)
-    f_linear = linear_at(census, m)
-    f_circular = circular_at(level, m)
-    match = f_linear == stats.free_linear and f_circular == stats.circular
-    code = 0 if match else 1
+    check, stats = verify_sequence(seq, m)
+    code = 0 if check.match else 1
     dump = to_dot(propagate_zeros(build_level_digraph(seq, m))) if args.dump_digraph else None
 
     if args.format == "json":
@@ -311,24 +330,24 @@ def cmd_verify(args) -> Output:
             "mode": "sequence",
             "seq": seq,
             "m": m,
-            "formula": {"linear": f_linear, "circular": f_circular},
+            "formula": {"linear": check.formula_linear, "circular": check.formula_circular},
             "oracle": {
                 "linear": stats.free_linear,
                 "circular": stats.circular,
                 "circular_edges": stats.circular_edges,
                 "zero_linear": stats.zero_linear,
             },
-            "match": match,
+            "match": check.match,
         }
         if dump is not None:
             payload["digraph_dot"] = dump
         return code, payload
     lines = [
         f"seq={_seq_text(seq)} m={m}",
-        f"formula: linear={f_linear} circular={f_circular}",
+        f"formula: linear={check.formula_linear} circular={check.formula_circular}",
         f"oracle:  linear={stats.free_linear} circular={stats.circular}"
         f" circular_edges={stats.circular_edges} zero_linear={stats.zero_linear}",
-        f"match: {_YESNO[match]}",
+        f"match: {_YESNO[check.match]}",
     ]
     if dump is not None:
         lines += dump.splitlines()
@@ -342,6 +361,7 @@ def _verify_sweep(args) -> Output:
     _at_least(args, "--max-s", 1)
     _at_least(args, "--max-entry", 0)
     _check_limits(args.override_limits, args.r_max, args.m_max)
+    _check_family_size(args.override_limits, "all-fcrystal", range(1, args.r_max + 1), args.slope_max)
     if args.random and args.max_s * args.m_max > args.vertex_budget:
         raise ResourceLimitError(
             f"digraph would need {args.max_s * args.m_max} vertices, budget is {args.vertex_budget}"
@@ -371,9 +391,7 @@ def _verify_sweep(args) -> Output:
         s = rng.randint(1, args.max_s)
         seq = tuple(rng.randint(-args.max_entry, args.max_entry) for _ in range(s))
         m = rng.randint(1, args.m_max)
-        stats = oracle_counts(seq, m)
-        census, level = run_census(seq)
-        if linear_at(census, m) != stats.free_linear or circular_at(level, m) != stats.circular:
+        if not verify_sequence(seq, m)[0].match:
             mismatches.append({"seq": seq, "m": m})
         checks += 1
 
@@ -406,6 +424,7 @@ def cmd_scan(args) -> Output:
     _at_least(args, "--r", 1)
     _at_least(args, "--slope-max", 0)
     _check_limits(args.override_limits, args.r, args.m_max)
+    _check_family_size(args.override_limits, args.family, [args.r], args.slope_max)
     checks = tuple(args.check) if args.check else CHECKS
     slope_max = slope_bound(args.family, args.slope_max)
     records = run_scan(args.family, args.r, args.m_max, slope_max, checks)
@@ -430,31 +449,16 @@ def cmd_scan(args) -> Output:
         }
     summary_line = " ".join(f"{k}={v}" for k, v in summary.items())
     if args.format == "csv":
-        lines = [",".join(field.name for field in fields(ScanRecord))]
-        # One explicit expression per row: this loop is most of a large csv scan's time.
+        names = [field.name for field in fields(ScanRecord)]
+        split = names.index("m_max")  # the cells from m_max on are the class's, rendered once per class
+        lines = [",".join(names)]
+        tails: dict[tuple, str] = {}
         for rec in records:
-            lines.append(
-                ",".join(
-                    [
-                        str(rec.r),
-                        '"' + rec.perm + '"',
-                        ";".join(str(v) for v in rec.slopes),
-                        str(rec.m_max),
-                        ";".join(str(v) for v in rec.gamma),
-                        ";".join(str(v) for v in rec.delta),
-                        ";".join(str(v) for v in rec.b),
-                        str(rec.stabilization),
-                        _FLAG[rec.dieudonne],
-                        _FLAG[rec.ordinary],
-                        _FLAG[rec.minimal],
-                        _FLAG[rec.nonincreasing],
-                        _FLAG[rec.strict],
-                        _FLAG[rec.increasing_to_stab],
-                        _FLAG[rec.ratio],
-                        _FLAG[rec.minimal_matches_stab],
-                    ]
-                )
-            )
+            key = tuple(vars(rec).values())[split:]
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = ",".join(map(_csv_cell, key))
+            lines.append(f'{rec.r},"{rec.perm}",{_csv_cell(rec.slopes)},{tail}')
         lines.append(summary_line)  # main writes it after the csv, to the other stream
         return code, lines
 
@@ -510,7 +514,7 @@ def _add_crystal_args(p: argparse.ArgumentParser) -> None:
 def _add_common_output(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write output to this file (atomic replace)")
-    p.add_argument("--override-limits", action="store_true", help="lift the default r and level caps")
+    p.add_argument("--override-limits", action="store_true", help="lift the default r, level and crystal-count caps")
 
 
 def build_parser() -> argparse.ArgumentParser:

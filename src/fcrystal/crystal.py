@@ -14,9 +14,11 @@ The closed forms from circseq make both computable without building a single
 digraph.  orbit_data walks the pair orbits once and keeps, per orbit, its run
 census (segment level ranges) and circular level, exact at every level at once
 and costing one stack pass over the orbit's runs, whatever the slope sizes;
-gamma, endo_exponent and gamma_table all read those records.
-verify_formula_vs_oracle reads the same records and rebuilds the digraphs
-anyway to compare.
+gamma, endo_exponent and gamma_table all read those records.  Formula and
+oracle meet in one place, _check, which builds every VerifyCheck and raises
+RuntimeError unless circular components carry circular * length edges:
+verify_formula_vs_oracle runs it per orbit record and level, and
+verify_sequence on one bare sequence, returning the oracle's stats as well.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .circseq import Census, circular_at, linear_at, run_census
-from .digraph import oracle_counts
+from .circseq import Census, CircularSeq, circular_at, linear_at, run_census
+from .digraph import ComponentStats, oracle_counts
 from .permutation import Orbit, Permutation, cycle_decomposition, is_single_cycle, parse_permutation, product_orbits
 
 
@@ -205,11 +207,7 @@ def endo_exponent(crystal: FCyclicCrystal, m: int) -> int:
     """
     if m < 1:
         raise ValueError("level must be at least 1")
-    total = 0
-    for data in orbit_data(crystal):
-        if data.level is not None and data.level < m:
-            total += (m - data.level) * len(data.orbit)
-    return total
+    return sum(circular_at(data.level, m) * len(data.orbit) for data in orbit_data(crystal))
 
 
 def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
@@ -229,25 +227,38 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
     for n in range(1, m_max + 1):
         gammas[n] = gammas[n - 1] + delta[n]
 
-    b = []
-    for n in range(1, m_max + 1):
-        total = 0
-        for data in orbits:
-            if data.level is not None and data.level < n:
-                total += (n - data.level) * len(data.orbit)
-        b.append(total)
+    b = tuple(sum(circular_at(data.level, n) * len(data.orbit) for data in orbits) for n in range(1, m_max + 1))
 
     ordinary = (gammas[min(1, m_max)] == 0) if crystal.is_dieudonne else None
     return GammaReport(
         m_max=m_max,
         gamma=tuple(gammas),
         delta=tuple(delta[1:]),
-        b=tuple(b),
+        b=b,
         stabilization=stabilization,
         stabilization_is_isomorphism_number=crystal.is_dieudonne,
         ordinary=ordinary,
         orbits=tuple(orbits),
     )
+
+
+def _check(index: int, seq: CircularSeq, m: int, census: Census, level: Optional[int]) -> tuple[VerifyCheck, ComponentStats]:
+    """The one formula-vs-oracle comparison: the literal oracle's counts for seq
+    at level m against linear_at/circular_at of its census and circular level."""
+    stats = oracle_counts(seq, m)
+    if stats.circular_edges != stats.circular * len(seq):
+        raise RuntimeError(
+            f"orbit {index}: circular components carry {stats.circular_edges} edges, "
+            f"expected {stats.circular * len(seq)}"
+        )
+    check = VerifyCheck(index, m, linear_at(census, m), circular_at(level, m), stats.free_linear, stats.circular)
+    return check, stats
+
+
+def verify_sequence(seq: CircularSeq, m: int) -> tuple[VerifyCheck, ComponentStats]:
+    """The closed-form counts of one circular sequence at level m against the
+    literal oracle's, as orbit 0, with the oracle's full ComponentStats."""
+    return _check(0, seq, m, *run_census(seq))
 
 
 def verify_formula_vs_oracle(
@@ -269,25 +280,11 @@ def verify_formula_vs_oracle(
         raise ResourceLimitError(
             f"verification needs about {estimated} digraph vertices, budget is {vertex_budget}"
         )
-    checks: list[VerifyCheck] = []
-    for index, data in enumerate(orbits):
-        for m in range(1, m_max + 1):
-            stats = oracle_counts(data.epsilon, m)
-            if stats.circular_edges != stats.circular * len(data.orbit):
-                raise RuntimeError(
-                    f"orbit {index}: circular components carry {stats.circular_edges} edges, "
-                    f"expected {stats.circular * len(data.orbit)}"
-                )
-            checks.append(
-                VerifyCheck(
-                    orbit_index=index,
-                    m=m,
-                    formula_linear=linear_at(data.census, m),
-                    formula_circular=circular_at(data.level, m),
-                    oracle_linear=stats.free_linear,
-                    oracle_circular=stats.circular,
-                )
-            )
+    checks = [
+        _check(index, data.epsilon, m, data.census, data.level)[0]
+        for index, data in enumerate(orbits)
+        for m in range(1, m_max + 1)
+    ]
     return VerifyReport(tuple(checks))
 
 

@@ -13,6 +13,7 @@ members (see run_scan).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -21,7 +22,15 @@ from .permutation import Permutation, cycle_decomposition, cycle_string
 
 FAMILIES = ("circular-dieudonne", "all-dieudonne", "circular-fcrystal", "all-fcrystal")
 
-CHECKS = ("nonincreasing", "strict", "increasing-to-stab", "ratio", "minimal")
+# Each property check's name and the ScanRecord field that holds its verdict.
+CHECK_FIELDS = {
+    "nonincreasing": "nonincreasing",
+    "strict": "strict",
+    "increasing-to-stab": "increasing_to_stab",
+    "ratio": "ratio",
+    "minimal": "minimal_matches_stab",
+}
+CHECKS = tuple(CHECK_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -51,17 +60,7 @@ class ScanRecord:
 
     @property
     def violations(self) -> list[str]:
-        out = []
-        for name, value in (
-            ("nonincreasing", self.nonincreasing),
-            ("strict", self.strict),
-            ("increasing-to-stab", self.increasing_to_stab),
-            ("ratio", self.ratio),
-            ("minimal", self.minimal_matches_stab),
-        ):
-            if value is False:
-                out.append(name)
-        return out
+        return [name for name, field in CHECK_FIELDS.items() if getattr(self, field) is False]
 
 
 def cycles_of_length_r(r: int) -> Iterator[Permutation]:
@@ -97,6 +96,12 @@ def enumerate_family(family: str, r: int, slope_max: int = 1) -> Iterator[tuple[
             yield pi, slopes
 
 
+def family_size(family: str, r: int, slope_max: int = 1) -> int:
+    """How many crystals enumerate_family yields: (r-1)! or r! permutations times (slope bound + 1)^r slopes."""
+    perms = math.factorial(r - 1 if family.startswith("circular") else r)
+    return perms * (slope_bound(family, slope_max) + 1) ** r
+
+
 def _ratio_holds(gamma: Sequence[int]) -> bool:
     # gamma(i) * j < gamma(j) * i for all i > j >= 1 with gamma(j) > 0.
     m_max = len(gamma) - 1
@@ -120,33 +125,27 @@ def scan_record(
     table = gamma_table(crystal, m_max)
     stab = table.stabilization
     dieudonne = crystal.is_dieudonne
-    circular = crystal.is_circular
     ordinary = table.ordinary
     minimal = is_minimal(crystal) if dieudonne else None
 
-    nonincreasing: Optional[bool] = None
-    strict: Optional[bool] = None
-    increasing: Optional[bool] = None
-    ratio: Optional[bool] = None
-    minimal_matches: Optional[bool] = None
-
+    verdict: dict[str, Optional[bool]] = dict.fromkeys(CHECKS)  # None: not applicable or not requested
     if "nonincreasing" in checks or "strict" in checks:
         report = table.monotonicity()
         if "nonincreasing" in checks:
-            nonincreasing = report.nonincreasing
+            verdict["nonincreasing"] = report.nonincreasing
         # The strict decrease only holds for circular nonordinary Dieudonne
         # crystals; elsewhere it is reported as not applicable.
-        if "strict" in checks and dieudonne and circular and ordinary is False:
-            strict = report.strict_through_stabilization if m_max >= stab + 1 else None
+        if "strict" in checks and dieudonne and crystal.is_circular and ordinary is False:
+            verdict["strict"] = report.strict_through_stabilization if m_max >= stab + 1 else None
     if "increasing-to-stab" in checks:
         bound = min(stab, m_max)
-        increasing = all(table.gamma[n] > table.gamma[n - 1] for n in range(1, bound + 1)) and all(
+        verdict["increasing-to-stab"] = all(table.gamma[n] > table.gamma[n - 1] for n in range(1, bound + 1)) and all(
             table.gamma[n] == table.gamma[bound] for n in range(bound, m_max + 1)
         )
     if "ratio" in checks and dieudonne and ordinary is False:
-        ratio = _ratio_holds(table.gamma)
+        verdict["ratio"] = _ratio_holds(table.gamma)
     if "minimal" in checks and dieudonne:
-        minimal_matches = minimal == (stab <= 1)
+        verdict["minimal"] = minimal == (stab <= 1)
 
     return ScanRecord(
         r=pi.size,
@@ -160,11 +159,7 @@ def scan_record(
         dieudonne=dieudonne,
         ordinary=ordinary,
         minimal=minimal,
-        nonincreasing=nonincreasing,
-        strict=strict,
-        increasing_to_stab=increasing,
-        ratio=ratio,
-        minimal_matches_stab=minimal_matches,
+        **{CHECK_FIELDS[name]: value for name, value in verdict.items()},
     )
 
 
@@ -214,9 +209,6 @@ def run_scan(
 def summarize(records: Sequence[ScanRecord]) -> dict[str, int]:
     """Violation counts per property over a scan, plus the record total."""
     summary = {"records": len(records)}
-    for name in ("nonincreasing", "strict", "increasing-to-stab", "ratio", "minimal"):
-        summary[f"violations[{name}]"] = 0
-    for record in records:
-        for name in record.violations:
-            summary[f"violations[{name}]"] += 1
+    for name, field in CHECK_FIELDS.items():
+        summary[f"violations[{name}]"] = sum(getattr(record, field) is False for record in records)
     return summary

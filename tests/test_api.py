@@ -69,3 +69,17 @@ def test_oracle_imports_nothing_from_closed_forms():
         elif isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
     assert imported and not [name for name in imported if "circseq" in name.split(".")]
+
+
+def test_cli_imports_no_closed_form_or_oracle_count():
+    # the formula-vs-oracle comparison lives in fcrystal.crystal (verify_sequence
+    # and verify_formula_vs_oracle); the cli only reports its checks
+    source = Path(importlib.import_module("fcrystal.cli").__file__).read_text()
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "verify_sequence" in imported
+    assert not {"run_census", "linear_at", "circular_at", "oracle_counts"} & set(imported)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -11,6 +12,7 @@ import pytest
 
 from fcrystal import cli
 from fcrystal.cli import main
+from fcrystal.scan import ScanRecord, run_scan, summarize
 
 
 def run(capsys, *argv):
@@ -196,6 +198,40 @@ def test_verify_sweep(capsys):
     assert out.rstrip().endswith("ok")
 
 
+def force_mismatch(monkeypatch) -> list:
+    """Make every verify_sequence check the cli reads disagree by one linear
+    component; returns the (seq, m) of each call."""
+    real = cli.verify_sequence
+    calls = []
+
+    def spy(seq, m):
+        calls.append((seq, m))
+        check, stats = real(seq, m)
+        return dataclasses.replace(check, formula_linear=check.formula_linear + 1), stats
+
+    monkeypatch.setattr(cli, "verify_sequence", spy)
+    return calls
+
+
+def test_verify_seq_reports_a_mismatch(capsys, monkeypatch):
+    calls = force_mismatch(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--seq", "3,0,-1,-2", "--m", "5")
+    assert code == 1
+    assert "formula: linear=4 circular=2" in out
+    assert "match: no" in out
+    assert calls == [((3, 0, -1, -2), 5)]
+
+
+def test_verify_random_sweep_reports_mismatches(capsys, monkeypatch):
+    calls = force_mismatch(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--r-max", "1", "--m-max", "3", "--random", "5", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["ok"] is False
+    assert len(calls) == 5
+    assert payload["mismatches"] == [{"seq": list(seq), "m": m} for seq, m in calls]
+
+
 def test_verify_budget_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--seq", "1,1,1,1", "--m", "9", "--vertex-budget", "10")
     assert code == 3
@@ -214,6 +250,56 @@ def test_scan_csv_and_summary(capsys):
     assert lines[0].startswith("r,perm,slopes,m_max,gamma,")
     assert len(lines) == 1 + 2 * 8  # two 3-cycles, eight slope vectors
     assert "violations[nonincreasing]=0" in err
+
+
+def scan_csv_by_hand(records) -> list[str]:
+    """The csv lines as scan wrote them before _csv_cell: one hand-unrolled
+    expression of all 16 fields per record, kept as the reference."""
+    flag = {None: "", True: "true", False: "false"}
+    lines = [",".join(field.name for field in dataclasses.fields(ScanRecord))]
+    for rec in records:
+        lines.append(
+            ",".join(
+                [
+                    str(rec.r),
+                    '"' + rec.perm + '"',
+                    ";".join(str(v) for v in rec.slopes),
+                    str(rec.m_max),
+                    ";".join(str(v) for v in rec.gamma),
+                    ";".join(str(v) for v in rec.delta),
+                    ";".join(str(v) for v in rec.b),
+                    str(rec.stabilization),
+                    flag[rec.dieudonne],
+                    flag[rec.ordinary],
+                    flag[rec.minimal],
+                    flag[rec.nonincreasing],
+                    flag[rec.strict],
+                    flag[rec.increasing_to_stab],
+                    flag[rec.ratio],
+                    flag[rec.minimal_matches_stab],
+                ]
+            )
+        )
+    return lines
+
+
+@pytest.mark.parametrize(
+    "family, r, slope_max",
+    [("circular-dieudonne", r, 1) for r in range(1, 6)]
+    + [("all-dieudonne", r, 1) for r in range(1, 6)]
+    + [("circular-fcrystal", r, s) for r in range(1, 6) for s in range(3)]
+    + [("all-fcrystal", r, s) for r in range(1, 4) for s in range(3)],
+)
+def test_scan_csv_matches_the_hand_written_rows(capsys, family, r, slope_max):
+    code, out, err = run(
+        capsys, "scan", "--family", family, "--r", str(r), "--slope-max", str(slope_max), "--m-max", "5",
+        "--format", "csv",
+    )
+    records = run_scan(family, r, 5, slope_max)
+    summary = summarize(records)
+    assert code == (1 if any(v for k, v in summary.items() if k != "records") else 0)
+    assert out == "\n".join(scan_csv_by_hand(records)) + "\n"
+    assert err == " ".join(f"{k}={v}" for k, v in summary.items()) + "\n"
 
 
 def test_scan_json_fields(capsys):
@@ -383,6 +469,48 @@ def test_rank_cap_override(capsys):
 def test_bad_numeric_flag_is_invalid_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
+class Enumerated(Exception):
+    """Raised in place of enumerating a family: the sweep got past every cap."""
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    def enumerate_family(*args, **kwargs):
+        raise Enumerated(args)
+
+    monkeypatch.setattr("fcrystal.scan.enumerate_family", enumerate_family)
+    monkeypatch.setattr("fcrystal.cli.enumerate_family", enumerate_family)
+
+
+CRYSTAL_CAP_REFUSED = [
+    (("scan", "--family", "circular-fcrystal", "--r", "3", "--slope-max", "100000", "--m-max", "2"), 2 * 100001**3),
+    (("scan", "--family", "all-fcrystal", "--r", "8", "--slope-max", "2", "--m-max", "2"), 40320 * 3**8),
+    (("verify", "--r-max", "3", "--slope-max", "1000"), 1 * 1001 + 2 * 1001**2 + 6 * 1001**3),
+]
+
+
+@pytest.mark.parametrize("argv, crystals", CRYSTAL_CAP_REFUSED, ids=["scan", "scan-rank-8", "verify"])
+def test_crystal_count_cap(capsys, no_enumeration, argv, crystals):
+    assert run(capsys, *argv) == (
+        3,
+        "",
+        f"resource limit: a sweep of {crystals} crystals exceeds the default cap 16777216;"
+        " pass --override-limits to proceed\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv + ("--override-limits",) for argv, _ in CRYSTAL_CAP_REFUSED]
+    + [("scan", "--family", family, "--r", "8", "--m-max", "2") for family in cli.FAMILIES]
+    + [("verify", "--r-max", "8")],
+)
+def test_crystal_count_cap_admits(capsys, no_enumeration, argv):
+    # every r <= 8 sweep at slope bound 1 is admitted, and --override-limits lifts the cap
+    with pytest.raises(Enumerated):
+        main(list(argv))
 
 
 def test_level_cap(capsys):

@@ -180,6 +180,11 @@ CASES = [
     ("limit-verify-sweep-rank", ("verify", "--r-max", "9"), None),
     ("limit-verify-sweep-budget", ("verify", "--r-max", "2", "--vertex-budget", "5"), None),
     ("limit-scan-rank", ("scan", "--family", "circular-dieudonne", "--r", "9", "--m-max", "2"), None),
+    # Recorded when the crystal-count cap came in; before it, both enumerated without end.
+    ("limit-scan-crystals", (
+        "scan", "--family", "circular-fcrystal", "--r", "3", "--slope-max", "100000", "--m-max", "2",
+    ), None),
+    ("limit-verify-sweep-crystals", ("verify", "--r-max", "3", "--slope-max", "1000"), None),
 ]
 
 

@@ -3,6 +3,7 @@ Newton slopes, and minimality."""
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,12 @@ from fcrystal import (
     is_minimal,
     linear_count,
     newton_slopes,
+    oracle_counts,
     orbit_data,
     verify_formula_vs_oracle,
+    verify_sequence,
 )
+from fcrystal.scan import enumerate_family
 
 dieudonne_crystals = st.integers(2, 5).flatmap(
     lambda r: st.tuples(
@@ -132,6 +136,49 @@ def test_b_is_plain_integer_with_arbitrary_precision():
     b = endo_exponent(c, 10**6)
     assert b == 10**6 * 36
     assert isinstance(b, int)
+
+
+def b_by_inline_loop(orbits, m):
+    # The loop endo_exponent and gamma_table each spelled out before b(m) became
+    # one sum of circular_at(level, m) * len(orbit); kept as the reference.
+    total = 0
+    for data in orbits:
+        if data.level is not None and data.level < m:
+            total += (m - data.level) * len(data.orbit)
+    return total
+
+
+def test_b_matches_the_inline_loop_on_all_small_crystals():
+    for r in range(1, 5):
+        for pi, slopes in enumerate_family("all-fcrystal", r, 2):
+            c = FCyclicCrystal(pi, slopes)
+            expected = tuple(b_by_inline_loop(orbit_data(c), m) for m in range(1, 9))
+            assert gamma_table(c, 8).b == expected, (pi, slopes)
+            assert tuple(endo_exponent(c, m) for m in range(1, 9)) == expected, (pi, slopes)
+
+
+def test_verify_sequence_pairs_formula_and_oracle():
+    check, stats = verify_sequence((3, 0, -1, -2), 5)
+    assert stats == oracle_counts((3, 0, -1, -2), 5)
+    assert (check.orbit_index, check.m, check.formula_linear, check.formula_circular) == (0, 5, 3, 2)
+    assert (check.oracle_linear, check.oracle_circular) == (stats.free_linear, stats.circular)
+    assert check.match
+
+
+def test_wrong_circular_edge_count_is_refused(monkeypatch):
+    # circular components must carry one edge per position; the one shared check
+    # refuses an oracle that says otherwise, for a bare sequence and for a crystal
+    real = oracle_counts
+
+    def off_by_one(seq, m):
+        stats = real(seq, m)
+        return dataclasses.replace(stats, circular_edges=stats.circular_edges + 1)
+
+    monkeypatch.setattr("fcrystal.crystal.oracle_counts", off_by_one)
+    with pytest.raises(RuntimeError, match="circular components carry"):
+        verify_sequence((0, 0), 2)
+    with pytest.raises(RuntimeError, match="circular components carry"):
+        verify_formula_vs_oracle(crystal(2, "(1 2)", (0, 1)), 2)
 
 
 def test_verify_report_on_small_crystals():
