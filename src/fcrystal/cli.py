@@ -18,10 +18,14 @@ Output contract: each cmd_* function takes the parsed arguments and returns
 "command", or the text/csv lines.  A command builds only the format asked for
 and writes nothing.  main adds the header, renders, and writes once: to stdout,
 or to --out atomically via a temp file and rename.  json is rendered by
-_json_text, byte-identical to json.dumps(indent=2).  main builds its argument
-parser on its first call and reuses it.  The one other write is the
-scan csv summary line, which main prints after the csv, to the stream the csv
-does not use (stderr when the csv goes to stdout, stdout with --out); so a
+_json_text, byte-identical to json.dumps(indent=2).  scan renders from the
+class-first walk's members and builds no per-crystal record: a class's csv
+cells and json members are rendered once, a crystal adds its own r, perm and
+slopes (json records reach main as _Rendered text from the same writer), and
+the summary weights each class's verdicts by its member count.  main builds
+its argument parser on its first call and reuses it.  The one other write is
+the scan csv summary line, which main prints after the csv, to the stream the
+csv does not use (stderr when the csv goes to stdout, stdout with --out); so a
 failed --out write prints no summary.
 """
 
@@ -40,7 +44,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
-from .circseq import AllZero, circular_level, level_counts, normalize
+from .circseq import circular_level, normalize
 from .crystal import (
     DEFAULT_VERTEX_BUDGET,
     FCyclicCrystal,
@@ -54,7 +58,9 @@ from .crystal import (
 )
 from .digraph import build_level_digraph, propagate_zeros, to_dot
 from .permutation import ParseError, cycle_string, parse_permutation
-from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, family_size, run_scan, slope_bound, summarize
+from .scan import (
+    CHECKS, FAMILIES, ScanRecord, enumerate_family, family_size, scan_members, slope_bound, summarize_members,
+)
 
 MAX_R = 8
 MAX_M = 16
@@ -140,6 +146,10 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise
 
 
+class _Rendered(str):
+    """json text that _json_text already rendered at its place in the tree; written as it is."""
+
+
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
     keys, lists, tuples, str, int, bool and None; anything else raises TypeError.
@@ -152,17 +162,13 @@ def _json_text(value, indent: str = "") -> str:
     if value is False:
         return "false"
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _Rendered else encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in value.items()]
-        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+        return _json_object(_json_members(value, inner), indent)
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
@@ -180,21 +186,48 @@ def _json_text(value, indent: str = "") -> str:
     return "[\n" + inner + sep.join([_json_text(item, inner) for item in value]) + "\n" + indent + "]"
 
 
+def _json_members(mapping: dict, inner: str) -> list[str]:
+    """A dict's members, '"key": value', as _json_text renders them inside an object whose members sit at inner."""
+    # encode_basestring_ascii raises TypeError on a key that is not a str
+    return [encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in mapping.items()]
+
+
+def _json_object(members: list[str], indent: str) -> str:
+    """An object at indent from its rendered members (see _json_members)."""
+    if not members:
+        return "{}"
+    inner = indent + "  "
+    return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
+
+
 def _orbit_view(data: OrbitData, m_max: int) -> dict:
     """One orbit as gamma output shows it at level m_max, in text and json: the
     sign form clamped at m_max (see circseq.normalize) with its circular level,
-    and the census up to m_max, which the clamp leaves as it is."""
-    norm = normalize(data.epsilon, m_max)
+    and the census up to m_max, which the clamp leaves as it is.  The sign form
+    is spelled out only for entries past +-1, and the level taken from the
+    clamped form only when the clamp cuts an entry; otherwise it is data.level."""
+    eps = data.epsilon
+    top = max(max(eps), -min(eps))
+    level = data.level
+    if top == 0:
+        normalized = {"kind": "all-zero", "length": len(eps)}
+    elif top == 1:
+        normalized = {"kind": "signs", "entries": tuple(filter(None, eps))}
+    else:
+        norm = normalize(eps, m_max)
+        normalized = {"kind": "signs", "entries": norm.entries}
+        if top > m_max + 1:
+            level = circular_level(norm)
+    counts = [0] * (m_max + 1)
+    for lo, hi in data.census:
+        for n in range(lo, min(hi, m_max) + 1):
+            counts[n] += 1
     return {
         "points": data.orbit.points,
-        "epsilon": data.epsilon,
-        "normalized": (
-            {"kind": "all-zero", "length": norm.original_length}
-            if isinstance(norm, AllZero)
-            else {"kind": "signs", "entries": norm.entries}
-        ),
-        "census": {str(level): count for level, count in sorted(level_counts(data.census, m_max).items())},
-        "level": circular_level(norm),
+        "epsilon": eps,
+        "normalized": normalized,
+        "census": {str(n): count for n, count in enumerate(counts) if count},
+        "level": level,
     }
 
 
@@ -427,46 +460,58 @@ def cmd_scan(args) -> Output:
     _check_family_size(args.override_limits, args.family, [args.r], args.slope_max)
     checks = tuple(args.check) if args.check else CHECKS
     slope_max = slope_bound(args.family, args.slope_max)
-    records = run_scan(args.family, args.r, args.m_max, slope_max, checks)
-    summary = summarize(records)
+    members = scan_members(args.family, args.r, args.m_max, slope_max, checks)
+    summary = summarize_members(members)
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
     code = 0 if violations == 0 else 1
+    names = [field.name for field in fields(ScanRecord)]  # the record fields in order, the csv columns
 
     if args.format == "json":
-        # vars(rec) is the record's fields in order, the csv columns; a copy is the
-        # cheapest dict.  m_max is stated once in the payload.
-        json_records = [vars(rec).copy() for rec in records]
-        for record in json_records:
-            del record["m_max"]
+        # A record is an object at depth 2 of the payload, its members at inner.
+        # Its members render once per permutation (r, perm), per slope vector
+        # (slopes) and per class (gamma onward); m_max is stated once in the payload.
+        inner = "      "
+        split = names.index("gamma")
+        heads: dict[str, list[str]] = {}
+        middles: dict[tuple[int, ...], list[str]] = {}
+        tails: dict[int, list[str]] = {}  # keyed by id(class record)
+        records = []
+        for perm, slopes, record in members:
+            head = heads.get(perm) or heads.setdefault(perm, _json_members({"r": args.r, "perm": perm}, inner))
+            middle = middles.get(slopes) or middles.setdefault(slopes, _json_members({"slopes": slopes}, inner))
+            tail = tails.get(id(record)) or tails.setdefault(
+                id(record), _json_members(dict(list(vars(record).items())[split:]), inner)
+            )
+            records.append(_Rendered(_json_object(head + middle + tail, "    ")))
         return code, {
             "family": args.family,
             "r": args.r,
             "slope_max": slope_max,
             "m_max": args.m_max,
             "checks": checks,
-            "records": json_records,
+            "records": records,
             "summary": summary,
         }
     summary_line = " ".join(f"{k}={v}" for k, v in summary.items())
     if args.format == "csv":
-        names = [field.name for field in fields(ScanRecord)]
         split = names.index("m_max")  # the cells from m_max on are the class's, rendered once per class
         lines = [",".join(names)]
-        tails: dict[tuple, str] = {}
-        for rec in records:
-            key = tuple(vars(rec).values())[split:]
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = ",".join(map(_csv_cell, key))
-            lines.append(f'{rec.r},"{rec.perm}",{_csv_cell(rec.slopes)},{tail}')
+        middles: dict[tuple[int, ...], str] = {}
+        tails: dict[int, str] = {}  # keyed by id(class record)
+        for perm, slopes, record in members:
+            middle = middles.get(slopes) or middles.setdefault(slopes, _csv_cell(slopes))
+            tail = tails.get(id(record)) or tails.setdefault(
+                id(record), ",".join(map(_csv_cell, list(vars(record).values())[split:]))
+            )
+            lines.append(f'{args.r},"{perm}",{middle},{tail}')
         lines.append(summary_line)  # main writes it after the csv, to the other stream
         return code, lines
 
     lines = [f"scan family={args.family} r={args.r} slope_max={slope_max} m_max={args.m_max}", summary_line]
     if violations:
-        for rec in records:
-            if rec.violations:
-                lines.append(f"VIOLATION perm={rec.perm} slopes={_seq_text(rec.slopes)}: {','.join(rec.violations)}")
+        for perm, slopes, record in members:
+            if record.violations:
+                lines.append(f"VIOLATION perm={perm} slopes={_seq_text(slopes)}: {','.join(record.violations)}")
     else:
         lines.append("all checks passed")
     return code, lines

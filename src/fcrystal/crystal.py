@@ -133,8 +133,12 @@ class GammaReport:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerifyCheck:
+    """One formula-vs-oracle comparison: orbit, level, and both sides' counts.
+    Not frozen: a verify sweep builds one per random sequence, and a frozen
+    dataclass's __init__ costs three times as much."""
+
     orbit_index: int
     m: int
     formula_linear: int
@@ -227,7 +231,12 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
     for n in range(1, m_max + 1):
         gammas[n] = gammas[n - 1] + delta[n]
 
-    b = tuple(sum(circular_at(data.level, n) * len(data.orbit) for data in orbits) for n in range(1, m_max + 1))
+    # b(n) depends only on the total orbit length at each circular level.
+    lengths: dict[int, int] = {}
+    for data in orbits:
+        if data.level is not None:
+            lengths[data.level] = lengths.get(data.level, 0) + len(data.orbit)
+    b = tuple(sum(circular_at(level, n) * length for level, length in lengths.items()) for n in range(1, m_max + 1))
 
     ordinary = (gammas[min(1, m_max)] == 0) if crystal.is_dieudonne else None
     return GammaReport(

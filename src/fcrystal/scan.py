@@ -5,16 +5,20 @@ tuple, slope vectors lexicographically), computes the gamma and b tables for
 each, and evaluates a set of expected properties.  Records come back in
 enumeration order, so scan output is reproducible byte for byte.
 
-Every invariant and verdict of a record is an isomorphism invariant, so a scan
-computes it once per isomorphism class and copies it to the class's other
-members (see run_scan).
+Every invariant and verdict of a record is an isomorphism invariant, so the
+walk is class-first (see scan_members): a crystal costs one lookup of its slope
+word, read in cycle order, and scan_record runs once per isomorphism class.
+Each member carries its class's record; run_scan expands the members into one
+record per crystal, and the cli renders each class's part once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .crystal import FCyclicCrystal, gamma_table, is_minimal
@@ -61,6 +65,10 @@ class ScanRecord:
     @property
     def violations(self) -> list[str]:
         return [name for name, field in CHECK_FIELDS.items() if getattr(self, field) is False]
+
+
+# One crystal of a scan walk: its perm (cycle form), its slopes, and its class's record.
+Member = tuple[str, tuple[int, ...], ScanRecord]
 
 
 def cycles_of_length_r(r: int) -> Iterator[Permutation]:
@@ -174,6 +182,49 @@ def _class_key(cycles: Sequence[tuple[int, ...]], slopes: tuple[int, ...]) -> tu
     return tuple(sorted(words))
 
 
+def scan_members(
+    family: str,
+    r: int,
+    m_max: int,
+    slope_max: int = 1,
+    checks: Sequence[str] = CHECKS,
+) -> list[Member]:
+    """Walk a family class-first: one (perm, slopes, class record) per crystal,
+    in enumeration order.
+
+    The class record is scan_record of the class's first member, and every
+    member of the class shares it.  A crystal's class is looked up by its slope
+    word read in cycle order, in a memo keyed by (cycle lengths, word), so
+    _class_key runs once per distinct key, not once per crystal.  The memos live
+    for this call only.
+    """
+    checks = tuple(checks)
+    by_class: dict[tuple[tuple[int, ...], ...], ScanRecord] = {}
+    by_word: dict[tuple[int, ...], dict] = {}  # cycle lengths -> {word: class record}
+    members: list[Member] = []
+    current = None
+    # The family lists each permutation, one object, with all its slope vectors in a row.
+    for pi, slopes in enumerate_family(family, r, slope_max):
+        if pi is not current:
+            current = pi
+            cycles = cycle_decomposition(pi)
+            perm = cycle_string(pi)
+            # At r = 1 the getter has one index and returns the bare slope, which
+            # names the word as well as a 1-tuple would.
+            word_of = itemgetter(*[i - 1 for cycle in cycles for i in cycle])
+            memo = by_word.setdefault(tuple(map(len, cycles)), {})
+        word = word_of(slopes)
+        record = memo.get(word)
+        if record is None:
+            key = _class_key(cycles, slopes)
+            record = by_class.get(key)
+            if record is None:
+                record = by_class[key] = scan_record(pi, slopes, m_max, checks)
+            memo[word] = record
+        members.append((perm, slopes, record))
+    return members
+
+
 def run_scan(
     family: str,
     r: int,
@@ -181,34 +232,29 @@ def run_scan(
     slope_max: int = 1,
     checks: Sequence[str] = CHECKS,
 ) -> list[ScanRecord]:
-    """Scan a whole family.  Records come back in enumeration order.
-
-    scan_record runs once per isomorphism class, on the class's first member;
-    every later member gets that record's invariants and verdicts with its own
-    r, perm and slopes.  The memo lives for this call only.
-    """
-    checks = tuple(checks)
-    by_class: dict[tuple[tuple[int, ...], ...], ScanRecord] = {}
-    records = []
-    # The family lists each permutation with all its slope vectors in a row.
-    for pi, members in itertools.groupby(enumerate_family(family, r, slope_max), key=lambda item: item[0]):
-        cycles = cycle_decomposition(pi)
-        perm = cycle_string(pi)
-        for _, slopes in members:
-            key = _class_key(cycles, slopes)
-            first = by_class.get(key)
-            if first is None:
-                record = by_class[key] = scan_record(pi, slopes, m_max, checks)
-            else:
-                # A direct build costs under half of dataclasses.replace.
-                record = ScanRecord(**{**vars(first), "r": pi.size, "perm": perm, "slopes": slopes})
-            records.append(record)
-    return records
+    """Scan a whole family: one record per crystal, in enumeration order.  Each
+    is its class record (see scan_members) with the crystal's own perm and slopes."""
+    return [
+        ScanRecord(**{**vars(record), "perm": perm, "slopes": slopes})
+        for perm, slopes, record in scan_members(family, r, m_max, slope_max, checks)
+    ]
 
 
-def summarize(records: Sequence[ScanRecord]) -> dict[str, int]:
-    """Violation counts per property over a scan, plus the record total."""
-    summary = {"records": len(records)}
+def summarize(records: Sequence[ScanRecord], counts: Optional[Sequence[int]] = None) -> dict[str, int]:
+    """Violation counts per property over a scan, plus the record total.  With
+    counts, records[i] stands for counts[i] crystals."""
+    if counts is None:
+        counts = [1] * len(records)
+    summary = {"records": sum(counts)}
     for name, field in CHECK_FIELDS.items():
-        summary[f"violations[{name}]"] = sum(getattr(record, field) is False for record in records)
+        summary[f"violations[{name}]"] = sum(n for record, n in zip(records, counts) if getattr(record, field) is False)
     return summary
+
+
+def summarize_members(members: Sequence[Member]) -> dict[str, int]:
+    """summarize of the expanded records, from each class record's verdicts
+    weighted by its member count."""
+    records = list(map(itemgetter(2), members))
+    counts = Counter(map(id, records))
+    by_id = dict(zip(map(id, records), records))
+    return summarize([by_id[key] for key in counts], list(counts.values()))

@@ -5,14 +5,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import random
 import time
 from decimal import Decimal
 
 import pytest
 
-from fcrystal import cli
+from fcrystal import FCyclicCrystal, Permutation, cli, orbit_data, scan
+from fcrystal.circseq import AllZero, circular_level, level_counts, normalize
 from fcrystal.cli import main
-from fcrystal.scan import ScanRecord, run_scan, summarize
+from fcrystal.scan import ScanRecord, enumerate_family, run_scan, summarize
 
 
 def run(capsys, *argv):
@@ -60,6 +62,43 @@ def test_gamma_json_fields(capsys):
     assert payload["ordinary"] is None
     assert payload["orbits"][0]["normalized"] == {"kind": "all-zero", "length": 2}
     assert payload["orbits"][1]["census"] == {"1": 1, "2": 1, "3": 1, "4": 1}
+
+
+def orbit_view_by_normalize(data, m_max) -> dict:
+    """_orbit_view as it was before it read OrbitData: normalize and level_counts
+    on every orbit; kept as the reference."""
+    norm = normalize(data.epsilon, m_max)
+    return {
+        "points": data.orbit.points,
+        "epsilon": data.epsilon,
+        "normalized": (
+            {"kind": "all-zero", "length": norm.original_length}
+            if isinstance(norm, AllZero)
+            else {"kind": "signs", "entries": norm.entries}
+        ),
+        "census": {str(level): count for level, count in sorted(level_counts(data.census, m_max).items())},
+        "level": circular_level(norm),
+    }
+
+
+def test_orbit_view_matches_normalize_on_every_orbit():
+    # small and large entries, clamped or not: every family crystal at r <= 3 with
+    # slopes up to 3, and random crystals up to r = 12 with slopes up to 40
+    crystals = [FCyclicCrystal(pi, slopes) for pi, slopes in enumerate_family("all-fcrystal", 3, 3)]
+    rng = random.Random(11)
+    for _ in range(300):
+        r = rng.randint(1, 12)
+        images = list(range(1, r + 1))
+        rng.shuffle(images)
+        slopes = tuple(rng.choice((0, 1, 2, 7, 40)) for _ in range(r))
+        crystals.append(FCyclicCrystal(Permutation(tuple(images)), slopes))
+    clamped = 0
+    for c in crystals:
+        for data in orbit_data(c):
+            for m_max in (1, 2, 3, 6):
+                clamped += max(map(abs, data.epsilon)) > m_max + 1 and data.level is not None
+                assert cli._orbit_view(data, m_max) == orbit_view_by_normalize(data, m_max), (c, m_max)
+    assert clamped
 
 
 def test_gamma_ordinary_crystal(capsys):
@@ -252,6 +291,15 @@ def test_scan_csv_and_summary(capsys):
     assert "violations[nonincreasing]=0" in err
 
 
+# Every family at r <= 5 (all-fcrystal at r <= 3), slope bounds up to 2.
+SCAN_FAMILIES = (
+    [("circular-dieudonne", r, 1) for r in range(1, 6)]
+    + [("all-dieudonne", r, 1) for r in range(1, 6)]
+    + [("circular-fcrystal", r, s) for r in range(1, 6) for s in range(3)]
+    + [("all-fcrystal", r, s) for r in range(1, 4) for s in range(3)]
+)
+
+
 def scan_csv_by_hand(records) -> list[str]:
     """The csv lines as scan wrote them before _csv_cell: one hand-unrolled
     expression of all 16 fields per record, kept as the reference."""
@@ -283,13 +331,7 @@ def scan_csv_by_hand(records) -> list[str]:
     return lines
 
 
-@pytest.mark.parametrize(
-    "family, r, slope_max",
-    [("circular-dieudonne", r, 1) for r in range(1, 6)]
-    + [("all-dieudonne", r, 1) for r in range(1, 6)]
-    + [("circular-fcrystal", r, s) for r in range(1, 6) for s in range(3)]
-    + [("all-fcrystal", r, s) for r in range(1, 4) for s in range(3)],
-)
+@pytest.mark.parametrize("family, r, slope_max", SCAN_FAMILIES)
 def test_scan_csv_matches_the_hand_written_rows(capsys, family, r, slope_max):
     code, out, err = run(
         capsys, "scan", "--family", family, "--r", str(r), "--slope-max", str(slope_max), "--m-max", "5",
@@ -300,6 +342,93 @@ def test_scan_csv_matches_the_hand_written_rows(capsys, family, r, slope_max):
     assert code == (1 if any(v for k, v in summary.items() if k != "records") else 0)
     assert out == "\n".join(scan_csv_by_hand(records)) + "\n"
     assert err == " ".join(f"{k}={v}" for k, v in summary.items()) + "\n"
+
+
+def scan_json_by_hand(family, r, slope_max, m_max, checks, records) -> str:
+    """The scan json as it was written before the class-first walk: one dict per
+    record, every value rendered, through json.dumps; kept as the reference."""
+    payload = {
+        "schema": cli.SCHEMA,
+        "command": "scan",
+        "family": family,
+        "r": r,
+        "slope_max": slope_max,
+        "m_max": m_max,
+        "checks": checks,
+        "records": [{k: v for k, v in vars(rec).items() if k != "m_max"} for rec in records],
+        "summary": summarize(records),
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def scan_text_by_hand(family, r, slope_max, m_max, records) -> str:
+    """The scan text as the per-record loop wrote it; kept as the reference."""
+    summary = summarize(records)
+    lines = [f"scan family={family} r={r} slope_max={slope_max} m_max={m_max}",
+             " ".join(f"{k}={v}" for k, v in summary.items())]
+    for rec in records:
+        if rec.violations:
+            slopes = "(" + ",".join(str(v) for v in rec.slopes) + ")"
+            lines.append(f"VIOLATION perm={rec.perm} slopes={slopes}: {','.join(rec.violations)}")
+    if len(lines) == 2:
+        lines.append("all checks passed")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family, r, slope_max", SCAN_FAMILIES)
+def test_scan_json_matches_the_per_record_payload(capsys, family, r, slope_max):
+    code, out, _ = run(
+        capsys, "scan", "--family", family, "--r", str(r), "--slope-max", str(slope_max), "--m-max", "5",
+        "--format", "json",
+    )
+    records = run_scan(family, r, 5, slope_max)
+    assert code == 0
+    assert out == scan_json_by_hand(family, r, slope_max, 5, list(cli.CHECKS), records)
+
+
+def test_scan_json_with_chosen_checks_matches_the_per_record_payload(capsys):
+    checks = ["strict", "ratio"]
+    code, out, _ = run(
+        capsys, "scan", "--family", "circular-fcrystal", "--r", "4", "--slope-max", "2", "--m-max", "4",
+        "--format", "json", "--check", "strict", "--check", "ratio",
+    )
+    records = run_scan("circular-fcrystal", 4, 4, 2, checks)
+    assert out == scan_json_by_hand("circular-fcrystal", 4, 2, 4, checks, records)
+
+
+@pytest.fixture
+def forced_violations(monkeypatch):
+    """No default-range scan finds a violation: mark every class that stabilizes
+    past level 0 as violating nonincreasing."""
+    real = scan.scan_record
+
+    def failing(pi, slopes, m_max, checks=cli.CHECKS):
+        record = real(pi, slopes, m_max, checks)
+        return dataclasses.replace(record, nonincreasing=False) if record.stabilization >= 1 else record
+
+    monkeypatch.setattr(scan, "scan_record", failing)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_scan_violations_name_every_member(capsys, forced_violations, fmt):
+    family, r, m_max = "all-dieudonne", 4, 4
+    code, out, err = run(capsys, "scan", "--family", family, "--r", str(r), "--m-max", str(m_max), "--format", fmt)
+    records = run_scan(family, r, m_max)
+    failing = [(rec.perm, rec.slopes) for rec in records if rec.nonincreasing is False]
+    classes = {id(record) for _, _, record in scan.scan_members(family, r, m_max) if record.nonincreasing is False}
+    assert len(set(failing)) == len(failing) > len(classes) > 1
+    assert code == 1
+    if fmt == "text":
+        assert out == scan_text_by_hand(family, r, 1, m_max, records)
+        assert len([line for line in out.splitlines() if line.startswith("VIOLATION")]) == len(failing)
+    elif fmt == "csv":
+        assert out == "\n".join(scan_csv_by_hand(records)) + "\n"
+        assert f"violations[nonincreasing]={len(failing)} " in err
+    else:
+        assert out == scan_json_by_hand(family, r, 1, m_max, list(cli.CHECKS), records)
+        payload = json.loads(out)
+        named = [(rec["perm"], tuple(rec["slopes"])) for rec in payload["records"] if rec["nonincreasing"] is False]
+        assert named == failing
 
 
 def test_scan_json_fields(capsys):

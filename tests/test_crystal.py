@@ -15,6 +15,7 @@ from fcrystal import (
     OrbitData,
     Permutation,
     ResourceLimitError,
+    VerifyCheck,
     circular_count,
     endo_exponent,
     gamma,
@@ -163,6 +164,17 @@ def test_verify_sequence_pairs_formula_and_oracle():
     assert (check.orbit_index, check.m, check.formula_linear, check.formula_circular) == (0, 5, 3, 2)
     assert (check.oracle_linear, check.oracle_circular) == (stats.free_linear, stats.circular)
     assert check.match
+
+
+def test_verify_check_keeps_its_fields_match_and_equality():
+    check, _ = verify_sequence((3, 0, -1, -2), 5)
+    assert [field.name for field in dataclasses.fields(check)] == [
+        "orbit_index", "m", "formula_linear", "formula_circular", "oracle_linear", "oracle_circular",
+    ]
+    assert check == VerifyCheck(0, 5, 3, 2, 3, 2)
+    off = dataclasses.replace(check, formula_circular=3)
+    assert off != check and not off.match
+    assert not dataclasses.replace(check, oracle_linear=2).match
 
 
 def test_wrong_circular_edge_count_is_refused(monkeypatch):
