@@ -36,6 +36,7 @@ import errno
 import os
 import random
 import re
+import stat
 import sys
 import tempfile
 from dataclasses import fields
@@ -53,8 +54,8 @@ from .crystal import (
     gamma_table,
     is_minimal,
     newton_slopes,
-    verify_formula_vs_oracle,
     verify_sequence,
+    verify_sweep,
 )
 from .digraph import build_level_digraph, propagate_zeros, to_dot
 from .permutation import ParseError, cycle_string, parse_permutation
@@ -126,6 +127,17 @@ def _crystal(args) -> FCyclicCrystal:
     return FCyclicCrystal(parse_permutation(args.perm, args.r), slopes)
 
 
+def _out_mode(out: str) -> int:
+    """The permission bits --out leaves: the existing target's, or those a plain
+    open() would give a new file under the umask (mkstemp's temp file has 0600)."""
+    try:
+        return stat.S_IMODE(os.stat(out).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0o077)  # reading the umask means setting it; restored at once
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -139,6 +151,7 @@ def _emit(text: str, out: Optional[str]) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, _out_mode(out))
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -394,30 +407,28 @@ def _verify_sweep(args) -> Output:
     _at_least(args, "--max-s", 1)
     _at_least(args, "--max-entry", 0)
     _check_limits(args.override_limits, args.r_max, args.m_max)
-    _check_family_size(args.override_limits, "all-fcrystal", range(1, args.r_max + 1), args.slope_max)
+    ranks = range(1, args.r_max + 1)
+    _check_family_size(args.override_limits, "all-fcrystal", ranks, args.slope_max)
     if args.random and args.max_s * args.m_max > args.vertex_budget:
         raise ResourceLimitError(
             f"digraph would need {args.max_s * args.m_max} vertices, budget is {args.vertex_budget}"
         )
-    mismatches: list[dict] = []
-    crystals = 0
-    checks = 0
-    for r in range(1, args.r_max + 1):
-        for pi, slopes in enumerate_family("all-fcrystal", r, args.slope_max):
-            report = verify_formula_vs_oracle(FCyclicCrystal(pi, slopes), args.m_max, args.vertex_budget)
-            crystals += 1
-            checks += len(report.checks)
-            for c in report.mismatches:
-                mismatches.append(
-                    {
-                        "perm": cycle_string(pi),
-                        "slopes": slopes,
-                        "orbit": c.orbit_index,
-                        "m": c.m,
-                        "formula": [c.formula_linear, c.formula_circular],
-                        "oracle": [c.oracle_linear, c.oracle_circular],
-                    }
-                )
+    crystals, checks, failed = verify_sweep(
+        (pair for r in ranks for pair in enumerate_family("all-fcrystal", r, args.slope_max)),
+        args.m_max,
+        args.vertex_budget,
+    )
+    mismatches = [
+        {
+            "perm": cycle_string(pi),
+            "slopes": slopes,
+            "orbit": c.orbit_index,
+            "m": c.m,
+            "formula": [c.formula_linear, c.formula_circular],
+            "oracle": [c.oracle_linear, c.oracle_circular],
+        }
+        for pi, slopes, c in failed
+    ]
 
     rng = random.Random(args.seed)
     for _ in range(args.random):

@@ -16,16 +16,20 @@ census (segment level ranges) and circular level, exact at every level at once
 and costing one stack pass over the orbit's runs, whatever the slope sizes;
 gamma, endo_exponent and gamma_table all read those records.  Formula and
 oracle meet in one place, _check, which builds every VerifyCheck and raises
-RuntimeError unless circular components carry circular * length edges:
-verify_formula_vs_oracle runs it per orbit record and level, and
-verify_sequence on one bare sequence, returning the oracle's stats as well.
+RuntimeError unless circular components carry circular * length edges.
+_orbit_checks runs it at every level of one orbit: verify_formula_vs_oracle
+calls it per orbit record of one crystal, and verify_sweep per distinct exact
+orbit sequence of a whole sweep, which builds each permutation's orbits once
+and reports every crystal's mismatches as the per-crystal loop would.
+verify_sequence runs _check on one bare sequence and returns the oracle's stats
+as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .circseq import Census, CircularSeq, circular_at, linear_at, run_census
 from .digraph import ComponentStats, oracle_counts
@@ -270,6 +274,22 @@ def verify_sequence(seq: CircularSeq, m: int) -> tuple[VerifyCheck, ComponentSta
     return _check(0, seq, m, *run_census(seq))
 
 
+def _check_vertex_budget(r: int, m_max: int, vertex_budget: int) -> None:
+    """Refuse to check a rank-r crystal at levels 1..m_max when its digraphs
+    would hold more than vertex_budget vertices in all: its orbit lengths sum
+    to r * r, and level m has m vertices per orbit position."""
+    estimated = r * r * m_max * (m_max + 1) // 2
+    if estimated > vertex_budget:
+        raise ResourceLimitError(
+            f"verification needs about {estimated} digraph vertices, budget is {vertex_budget}"
+        )
+
+
+def _orbit_checks(index: int, seq: CircularSeq, census: Census, level: Optional[int], m_max: int) -> list[VerifyCheck]:
+    """The checks of one orbit sequence at every level 1..m_max, in level order."""
+    return [_check(index, seq, m, census, level)[0] for m in range(1, m_max + 1)]
+
+
 def verify_formula_vs_oracle(
     crystal: FCyclicCrystal,
     m_max: int,
@@ -283,18 +303,54 @@ def verify_formula_vs_oracle(
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    orbits = orbit_data(crystal)
-    estimated = sum(len(data.orbit) for data in orbits) * m_max * (m_max + 1) // 2
-    if estimated > vertex_budget:
-        raise ResourceLimitError(
-            f"verification needs about {estimated} digraph vertices, budget is {vertex_budget}"
-        )
+    _check_vertex_budget(crystal.r, m_max, vertex_budget)
     checks = [
-        _check(index, data.epsilon, m, data.census, data.level)[0]
-        for index, data in enumerate(orbits)
-        for m in range(1, m_max + 1)
+        check
+        for index, data in enumerate(orbit_data(crystal))
+        for check in _orbit_checks(index, data.epsilon, data.census, data.level, m_max)
     ]
     return VerifyReport(tuple(checks))
+
+
+def verify_sweep(
+    pairs: Iterable[tuple[Permutation, tuple[int, ...]]],
+    m_max: int,
+    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+) -> tuple[int, int, list[tuple[Permutation, tuple[int, ...], VerifyCheck]]]:
+    """verify_formula_vs_oracle on each (permutation, slopes) crystal of pairs,
+    with each distinct exact orbit sequence sent to the oracle once per level.
+
+    Returns (crystals, checks, mismatches) as the per-crystal loop counts and
+    lists them: each mismatch is (pi, slopes, check) under the crystal's own
+    orbit index.  The refusals come at the same crystal too: the vertex budget
+    at a rank's first crystal, _check's RuntimeError at the first crystal that
+    holds the failing sequence.  A permutation's orbits are built once while
+    its crystals come in a row, and the memo of failing checks lives for one call.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    failing: dict[tuple[int, ...], list[VerifyCheck]] = {}
+    crystals = checks = 0
+    mismatches = []
+    last = None
+    for pi, slopes in pairs:
+        crystal = FCyclicCrystal(pi, slopes)
+        if pi != last:
+            _check_vertex_budget(crystal.r, m_max, vertex_budget)
+            orbits = [[(i - 1, j - 1) for i, j in orbit.points] for orbit in product_orbits(pi)]
+            last = pi
+        crystals += 1
+        checks += len(orbits) * m_max
+        for index, points in enumerate(orbits):
+            eps = tuple([slopes[i] - slopes[j] for i, j in points])
+            found = failing.get(eps)
+            if found is None:
+                found = failing[eps] = [
+                    check for check in _orbit_checks(index, eps, *run_census(eps), m_max) if not check.match
+                ]
+            if found:
+                mismatches.extend((pi, slopes, replace(check, orbit_index=index)) for check in found)
+    return crystals, checks, mismatches
 
 
 def newton_slopes(crystal: FCyclicCrystal) -> tuple[Fraction, ...]:

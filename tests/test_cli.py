@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import random
+import stat
 import time
 from decimal import Decimal
 
@@ -610,7 +611,8 @@ def no_enumeration(monkeypatch):
         raise Enumerated(args)
 
     monkeypatch.setattr("fcrystal.scan.enumerate_family", enumerate_family)
-    monkeypatch.setattr("fcrystal.cli.enumerate_family", enumerate_family)
+    for name in ("enumerate_family", "scan_members", "verify_sweep"):  # every way the cli reaches a family
+        monkeypatch.setattr(f"fcrystal.cli.{name}", enumerate_family)
 
 
 CRYSTAL_CAP_REFUSED = [
@@ -636,10 +638,35 @@ def test_crystal_count_cap(capsys, no_enumeration, argv, crystals):
     + [("scan", "--family", family, "--r", "8", "--m-max", "2") for family in cli.FAMILIES]
     + [("verify", "--r-max", "8")],
 )
-def test_crystal_count_cap_admits(capsys, no_enumeration, argv):
-    # every r <= 8 sweep at slope bound 1 is admitted, and --override-limits lifts the cap
-    with pytest.raises(Enumerated):
-        main(list(argv))
+def test_crystal_count_cap_admits(argv):
+    # every r <= 8 sweep at slope bound 1 is admitted, and --override-limits lifts
+    # the cap; asked of the cap itself, so a sweep it admits is never run here
+    args = cli.build_parser().parse_args(list(argv))
+    if args.command == "scan":
+        family, ranks = args.family, [args.r]
+    else:
+        family, ranks = "all-fcrystal", range(1, args.r_max + 1)
+    assert cli._check_family_size(args.override_limits, family, ranks, args.slope_max) is None
+
+
+@pytest.mark.parametrize(
+    "argv, crystals",
+    [
+        (("verify", "--r-max", "2"), 2 + 2 * 4),
+        (("scan", "--family", "all-dieudonne", "--r", "2", "--m-max", "2"), 2 * 4),
+    ],
+    ids=["verify", "scan"],
+)
+def test_override_limits_lifts_the_crystal_cap(capsys, monkeypatch, argv, crystals):
+    admitted = run(capsys, *argv)
+    assert admitted[0] == 0
+    monkeypatch.setattr(cli, "MAX_CRYSTALS", 1)
+    assert run(capsys, *argv) == (
+        3,
+        "",
+        f"resource limit: a sweep of {crystals} crystals exceeds the default cap 1; pass --override-limits to proceed\n",
+    )
+    assert run(capsys, *argv, "--override-limits") == admitted
 
 
 def test_level_cap(capsys):
@@ -696,6 +723,43 @@ def test_out_overwrites_existing_file(tmp_path, capsys):
     code, _, _ = run(capsys, "endo", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m", "1", "--out", str(target))
     assert code == 0
     assert target.read_text() == "b(1) = 2\n"
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+GAMMA_OUT = ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", "2", "--out")
+
+
+def test_out_new_file_follows_the_umask(tmp_path, capsys, umask_022):
+    target = tmp_path / "g.txt"
+    assert run(capsys, *GAMMA_OUT, str(target)) == (0, "", "")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
+
+
+def test_out_keeps_an_existing_files_mode(tmp_path, capsys, umask_022):
+    target = tmp_path / "g.txt"
+    target.write_text("old")
+    target.chmod(0o640)
+    assert run(capsys, *GAMMA_OUT, str(target)) == (0, "", "")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert target.read_text().startswith("crystal r=2")
+
+
+def test_out_failed_replace_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("fcrystal.cli.os.replace", refuse)
+    target = tmp_path / "g.txt"
+    assert run(capsys, *GAMMA_OUT, str(target)) == (2, "", f"cannot write {target}: Permission denied\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_scan_csv_to_file_prints_summary(tmp_path, capsys):
