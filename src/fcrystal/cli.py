@@ -17,12 +17,12 @@ Output contract: each cmd_* function takes the parsed arguments and returns
 (exit code, output), where output is the json payload without "schema" and
 "command", or the text/csv lines.  A command builds only the format asked for
 and writes nothing.  main adds the header, renders, and writes once: to stdout,
-or to --out atomically via a temp file and rename.  json is rendered by
-_json_text, byte-identical to json.dumps(indent=2).  scan renders from the
-class-first walk's members and builds no per-crystal record: a class's csv
-cells and json members are rendered once, a crystal adds its own r, perm and
-slopes (json records reach main as _Rendered text from the same writer), and
-the summary weights each class's verdicts by its member count.  main builds
+or to --out (see _emit).  json is rendered by _json_text, byte-identical to
+json.dumps(indent=2).  scan renders from the class table (scan.scan_table) and
+builds no per-crystal record: a crystal's row joins its permutation's head, its
+slope vector's cells and its class's cells, each rendered once (json records
+reach main as _Rendered text from the same writer), and the summary weights each
+class's verdicts by its count in the table.  main builds
 its argument parser on its first call and reuses it.  The one other write is
 the scan csv summary line, which main prints after the csv, to the stream the
 csv does not use (stderr when the csv goes to stdout, stdout with --out); so a
@@ -39,6 +39,7 @@ import re
 import stat
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import fields
 from decimal import Decimal
 from itertools import chain
@@ -59,9 +60,7 @@ from .crystal import (
 )
 from .digraph import build_level_digraph, propagate_zeros, to_dot
 from .permutation import ParseError, cycle_string, parse_permutation
-from .scan import (
-    CHECKS, FAMILIES, ScanRecord, enumerate_family, family_size, scan_members, slope_bound, summarize_members,
-)
+from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, family_size, scan_table, slope_bound, summarize
 
 MAX_R = 8
 MAX_M = 16
@@ -127,31 +126,33 @@ def _crystal(args) -> FCyclicCrystal:
     return FCyclicCrystal(parse_permutation(args.perm, args.r), slopes)
 
 
-def _out_mode(out: str) -> int:
-    """The permission bits --out leaves: the existing target's, or those a plain
-    open() would give a new file under the umask (mkstemp's temp file has 0600)."""
-    try:
-        return stat.S_IMODE(os.stat(out).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0o077)  # reading the umask means setting it; restored at once
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 def _emit(text: str, out: Optional[str]) -> None:
+    """Write text to stdout or to out: in place when out exists and is not a regular file (a FIFO
+    or a device, which a rename would replace; a directory fails there), else through a temp
+    file, given the target's mode or the umask's (mkstemp makes it 0600), renamed over out."""
     if out is None:
         sys.stdout.write(text)
         return
     if not out:  # abspath("") is the working directory, whose parent would get the temp file
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
-    if os.path.isdir(out):  # refused before a temp file is made beside it
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    try:
+        target = os.stat(out).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0o077)  # reading the umask means setting it; restored at once
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(target):
+            with open(out, "w") as handle:
+                handle.write(text)
+            return
+        mode = stat.S_IMODE(target)
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fcrystal-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        os.chmod(tmp, _out_mode(out))
+        os.chmod(tmp, mode)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):
@@ -471,29 +472,25 @@ def cmd_scan(args) -> Output:
     _check_family_size(args.override_limits, args.family, [args.r], args.slope_max)
     checks = tuple(args.check) if args.check else CHECKS
     slope_max = slope_bound(args.family, args.slope_max)
-    members = scan_members(args.family, args.r, args.m_max, slope_max, checks)
-    summary = summarize_members(members)
+    perms, slopes, classes, rows = scan_table(args.family, args.r, args.m_max, slope_max, checks)
+    counted = Counter(chain.from_iterable(rows))
+    summary = summarize(classes, [counted[index] for index in range(len(classes))])
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
     code = 0 if violations == 0 else 1
     names = [field.name for field in fields(ScanRecord)]  # the record fields in order, the csv columns
 
     if args.format == "json":
-        # A record is an object at depth 2 of the payload, its members at inner.
-        # Its members render once per permutation (r, perm), per slope vector
-        # (slopes) and per class (gamma onward); m_max is stated once in the payload.
+        # A record is an object at depth 2 of the payload, its members at inner, rendered once per permutation
+        # (r, perm), per slope vector (slopes) and per class (gamma onward); m_max is stated once in the payload.
         inner = "      "
+        sep = ",\n" + inner
         split = names.index("gamma")
-        heads: dict[str, list[str]] = {}
-        middles: dict[tuple[int, ...], list[str]] = {}
-        tails: dict[int, list[str]] = {}  # keyed by id(class record)
+        cells = [sep.join(_json_members({"slopes": vector}, inner)) for vector in slopes]
+        tails = [sep.join(_json_members(dict(list(vars(record).items())[split:]), inner)) for record in classes]
         records = []
-        for perm, slopes, record in members:
-            head = heads.get(perm) or heads.setdefault(perm, _json_members({"r": args.r, "perm": perm}, inner))
-            middle = middles.get(slopes) or middles.setdefault(slopes, _json_members({"slopes": slopes}, inner))
-            tail = tails.get(id(record)) or tails.setdefault(
-                id(record), _json_members(dict(list(vars(record).items())[split:]), inner)
-            )
-            records.append(_Rendered(_json_object(head + middle + tail, "    ")))
+        for perm, row in zip(perms, rows):
+            head = sep.join(_json_members({"r": args.r, "perm": perm}, inner))
+            records += [_Rendered(_json_object([head, cell, tails[index]], "    ")) for cell, index in zip(cells, row)]
         return code, {
             "family": args.family,
             "r": args.r,
@@ -506,23 +503,22 @@ def cmd_scan(args) -> Output:
     summary_line = " ".join(f"{k}={v}" for k, v in summary.items())
     if args.format == "csv":
         split = names.index("m_max")  # the cells from m_max on are the class's, rendered once per class
+        cells = [_csv_cell(vector) + "," for vector in slopes]
+        tails = [",".join(map(_csv_cell, list(vars(record).values())[split:])) for record in classes]
         lines = [",".join(names)]
-        middles: dict[tuple[int, ...], str] = {}
-        tails: dict[int, str] = {}  # keyed by id(class record)
-        for perm, slopes, record in members:
-            middle = middles.get(slopes) or middles.setdefault(slopes, _csv_cell(slopes))
-            tail = tails.get(id(record)) or tails.setdefault(
-                id(record), ",".join(map(_csv_cell, list(vars(record).values())[split:]))
-            )
-            lines.append(f'{args.r},"{perm}",{middle},{tail}')
+        for perm, row in zip(perms, rows):
+            head = f'{args.r},"{perm}",'
+            lines += [head + cell + tails[index] for cell, index in zip(cells, row)]
         lines.append(summary_line)  # main writes it after the csv, to the other stream
         return code, lines
 
     lines = [f"scan family={args.family} r={args.r} slope_max={slope_max} m_max={args.m_max}", summary_line]
     if violations:
-        for perm, slopes, record in members:
-            if record.violations:
-                lines.append(f"VIOLATION perm={perm} slopes={_seq_text(slopes)}: {','.join(record.violations)}")
+        named = [",".join(record.violations) for record in classes]
+        for perm, row in zip(perms, rows):
+            for vector, index in zip(slopes, row):
+                if named[index]:
+                    lines.append(f"VIOLATION perm={perm} slopes={_seq_text(vector)}: {named[index]}")
     else:
         lines.append("all checks passed")
     return code, lines
@@ -569,7 +565,7 @@ def _add_crystal_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_output(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
     p.add_argument("--format", choices=formats, default="text")
-    p.add_argument("--out", help="write output to this file (atomic replace)")
+    p.add_argument("--out", help="write output to this file (atomic replace; FIFOs and devices are written in place)")
     p.add_argument("--override-limits", action="store_true", help="lift the default r, level and crystal-count caps")
 
 

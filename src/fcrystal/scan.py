@@ -5,18 +5,17 @@ tuple, slope vectors lexicographically), computes the gamma and b tables for
 each, and evaluates a set of expected properties.  Records come back in
 enumeration order, so scan output is reproducible byte for byte.
 
-Every invariant and verdict of a record is an isomorphism invariant, so the
-walk is class-first (see scan_members): a crystal costs one lookup of its slope
-word, read in cycle order, and scan_record runs once per isomorphism class.
-Each member carries its class's record; run_scan expands the members into one
-record per crystal, and the cli renders each class's part once.
+Every invariant and verdict of a record is an isomorphism invariant, so a scan
+is one class table (see scan_table): one record per isomorphism class and one
+int class index per crystal.  A crystal costs one lookup of its slope word, read
+in cycle order, and scan_record runs once per class.  run_scan expands the table
+into one record per crystal; the cli renders each class's part once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
@@ -67,10 +66,6 @@ class ScanRecord:
         return [name for name, field in CHECK_FIELDS.items() if getattr(self, field) is False]
 
 
-# One crystal of a scan walk: its perm (cycle form), its slopes, and its class's record.
-Member = tuple[str, tuple[int, ...], ScanRecord]
-
-
 def cycles_of_length_r(r: int) -> Iterator[Permutation]:
     """All r-cycles on {1..r}, canonically: cycle (1, rest...) over permutations of 2..r."""
     for rest in itertools.permutations(range(2, r + 1)):
@@ -92,15 +87,28 @@ def slope_bound(family: str, slope_max: int) -> int:
     return 1 if family.endswith("dieudonne") else slope_max
 
 
-def enumerate_family(family: str, r: int, slope_max: int = 1) -> Iterator[tuple[Permutation, tuple[int, ...]]]:
-    """Yield (permutation, slopes) pairs of the family in canonical order,
-    slopes ranging over 0..slope_bound(family, slope_max)."""
+def _permutations(family: str, r: int) -> Iterator[Permutation]:
+    """The family's permutations in canonical order; the one check of a family name."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
-    slope_max = slope_bound(family, slope_max)
-    perms = cycles_of_length_r(r) if family.startswith("circular") else all_permutations(r)
-    for pi in perms:
-        for slopes in itertools.product(range(slope_max + 1), repeat=r):
+    return cycles_of_length_r(r) if family.startswith("circular") else all_permutations(r)
+
+
+def _slope_vectors(top: int, r: int) -> Iterator[tuple[int, ...]]:
+    """Length-r vectors over 0..top, lexicographically; lazy, where itertools.product copies range(top + 1) first."""
+    vectors: Iterator[tuple[int, ...]] = iter([()])
+    for _ in range(r):
+        vectors = (head + (s,) for head in vectors for s in range(top + 1))
+    return vectors
+
+
+def enumerate_family(family: str, r: int, slope_max: int = 1) -> Iterator[tuple[Permutation, tuple[int, ...]]]:
+    """Yield (permutation, slopes) pairs of the family in canonical order,
+    slopes ranging over 0..slope_bound(family, slope_max).  A stream: it holds
+    no list of permutations or slope vectors."""
+    top = slope_bound(family, slope_max)
+    for pi in _permutations(family, r):
+        for slopes in _slope_vectors(top, r):
             yield pi, slopes
 
 
@@ -182,47 +190,48 @@ def _class_key(cycles: Sequence[tuple[int, ...]], slopes: tuple[int, ...]) -> tu
     return tuple(sorted(words))
 
 
-def scan_members(
+def scan_table(
     family: str,
     r: int,
     m_max: int,
     slope_max: int = 1,
     checks: Sequence[str] = CHECKS,
-) -> list[Member]:
-    """Walk a family class-first: one (perm, slopes, class record) per crystal,
-    in enumeration order.
-
-    The class record is scan_record of the class's first member, and every
-    member of the class shares it.  A crystal's class is looked up by its slope
-    word read in cycle order, in a memo keyed by (cycle lengths, word), so
-    _class_key runs once per distinct key, not once per crystal.  The memos live
-    for this call only.
-    """
+) -> tuple[list[str], list[tuple[int, ...]], list[ScanRecord], list[list[int]]]:
+    """A family as one class table (perms, slopes, classes, rows): the cycle
+    strings and the slope vectors in enumeration order, one scan_record per
+    isomorphism class in order of first member, and rows[p][s], the index in
+    classes of crystal (perms[p], slopes[s]).  A crystal's class is looked up by
+    its slope word read in cycle order, in a memo keyed by (cycle lengths, word)
+    that lives for this call, so _class_key runs once per distinct key."""
     checks = tuple(checks)
-    by_class: dict[tuple[tuple[int, ...], ...], ScanRecord] = {}
-    by_word: dict[tuple[int, ...], dict] = {}  # cycle lengths -> {word: class record}
-    members: list[Member] = []
-    current = None
-    # The family lists each permutation, one object, with all its slope vectors in a row.
-    for pi, slopes in enumerate_family(family, r, slope_max):
-        if pi is not current:
-            current = pi
-            cycles = cycle_decomposition(pi)
-            perm = cycle_string(pi)
-            # At r = 1 the getter has one index and returns the bare slope, which
-            # names the word as well as a 1-tuple would.
-            word_of = itemgetter(*[i - 1 for cycle in cycles for i in cycle])
-            memo = by_word.setdefault(tuple(map(len, cycles)), {})
-        word = word_of(slopes)
-        record = memo.get(word)
-        if record is None:
-            key = _class_key(cycles, slopes)
-            record = by_class.get(key)
-            if record is None:
-                record = by_class[key] = scan_record(pi, slopes, m_max, checks)
-            memo[word] = record
-        members.append((perm, slopes, record))
-    return members
+    permutations = _permutations(family, r)
+    slopes = list(_slope_vectors(slope_bound(family, slope_max), r))
+    perms: list[str] = []
+    classes: list[ScanRecord] = []
+    rows: list[list[int]] = []
+    by_class: dict[tuple[tuple[int, ...], ...], int] = {}
+    by_word: dict[tuple[int, ...], dict] = {}  # cycle lengths -> {word: class index}
+    for pi in permutations:
+        cycles = cycle_decomposition(pi)
+        # At r = 1 the getter has one index and returns the bare slope, which
+        # names the word as well as a 1-tuple would.
+        word_of = itemgetter(*[i - 1 for cycle in cycles for i in cycle])
+        memo = by_word.setdefault(tuple(map(len, cycles)), {})
+        row = []
+        for vector in slopes:
+            word = word_of(vector)
+            index = memo.get(word)
+            if index is None:
+                key = _class_key(cycles, vector)
+                index = by_class.get(key)
+                if index is None:
+                    index = by_class[key] = len(classes)
+                    classes.append(scan_record(pi, vector, m_max, checks))
+                memo[word] = index
+            row.append(index)
+        perms.append(cycle_string(pi))
+        rows.append(row)
+    return perms, slopes, classes, rows
 
 
 def run_scan(
@@ -233,10 +242,12 @@ def run_scan(
     checks: Sequence[str] = CHECKS,
 ) -> list[ScanRecord]:
     """Scan a whole family: one record per crystal, in enumeration order.  Each
-    is its class record (see scan_members) with the crystal's own perm and slopes."""
+    is its class record (see scan_table) with the crystal's own perm and slopes."""
+    perms, slopes, classes, rows = scan_table(family, r, m_max, slope_max, checks)
     return [
-        ScanRecord(**{**vars(record), "perm": perm, "slopes": slopes})
-        for perm, slopes, record in scan_members(family, r, m_max, slope_max, checks)
+        ScanRecord(**{**vars(classes[index]), "perm": perm, "slopes": vector})
+        for perm, row in zip(perms, rows)
+        for vector, index in zip(slopes, row)
     ]
 
 
@@ -249,12 +260,3 @@ def summarize(records: Sequence[ScanRecord], counts: Optional[Sequence[int]] = N
     for name, field in CHECK_FIELDS.items():
         summary[f"violations[{name}]"] = sum(n for record, n in zip(records, counts) if getattr(record, field) is False)
     return summary
-
-
-def summarize_members(members: Sequence[Member]) -> dict[str, int]:
-    """summarize of the expanded records, from each class record's verdicts
-    weighted by its member count."""
-    records = list(map(itemgetter(2), members))
-    counts = Counter(map(id, records))
-    by_id = dict(zip(map(id, records), records))
-    return summarize([by_id[key] for key in counts], list(counts.values()))

@@ -416,7 +416,7 @@ def test_scan_violations_name_every_member(capsys, forced_violations, fmt):
     code, out, err = run(capsys, "scan", "--family", family, "--r", str(r), "--m-max", str(m_max), "--format", fmt)
     records = run_scan(family, r, m_max)
     failing = [(rec.perm, rec.slopes) for rec in records if rec.nonincreasing is False]
-    classes = {id(record) for _, _, record in scan.scan_members(family, r, m_max) if record.nonincreasing is False}
+    classes = [record for record in scan.scan_table(family, r, m_max)[2] if record.nonincreasing is False]
     assert len(set(failing)) == len(failing) > len(classes) > 1
     assert code == 1
     if fmt == "text":
@@ -611,7 +611,7 @@ def no_enumeration(monkeypatch):
         raise Enumerated(args)
 
     monkeypatch.setattr("fcrystal.scan.enumerate_family", enumerate_family)
-    for name in ("enumerate_family", "scan_members", "verify_sweep"):  # every way the cli reaches a family
+    for name in ("enumerate_family", "scan_table", "verify_sweep"):  # every way the cli reaches a family
         monkeypatch.setattr(f"fcrystal.cli.{name}", enumerate_family)
 
 
@@ -750,6 +750,21 @@ def test_out_keeps_an_existing_files_mode(tmp_path, capsys, umask_022):
     assert run(capsys, *GAMMA_OUT, str(target)) == (0, "", "")
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
     assert target.read_text().startswith("crystal r=2")
+
+
+def test_out_writes_a_fifo_in_place(tmp_path, capsys):
+    # a rename would put a regular file where the FIFO was, and its reader would get nothing
+    target = tmp_path / "pipe"
+    os.mkfifo(target)
+    reader = os.open(target, os.O_RDONLY | os.O_NONBLOCK)  # open first, so the writer's open does not block
+    try:
+        assert run(capsys, *GAMMA_OUT, str(target)) == (0, "", "")
+        received = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(target).st_mode)
+    assert received.decode() == run(capsys, *GAMMA_OUT[:-1])[1]
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_out_failed_replace_leaves_no_file(tmp_path, capsys, monkeypatch):

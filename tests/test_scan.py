@@ -1,20 +1,22 @@
-"""Family scans: the class-first walk behind run_scan against one scan_record per crystal."""
+"""Family scans: the class table behind run_scan against one scan_record per crystal."""
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import pytest
 
-from fcrystal import scan
+from fcrystal import cli, scan
 from fcrystal.permutation import cycle_decomposition
 from fcrystal.scan import (
     CHECKS,
     enumerate_family,
     family_size,
     run_scan,
-    scan_members,
     scan_record,
+    scan_table,
     summarize,
-    summarize_members,
 )
 
 FAMILIES = (
@@ -23,13 +25,23 @@ FAMILIES = (
     + [("all-fcrystal", r, 2) for r in range(1, 4)]
 )
 
-# Every family at r <= 5 (all-fcrystal at r <= 3), slope bounds up to 2.
+# The Dieudonne families at r <= 6, circular-fcrystal at r <= 5 and all-fcrystal
+# at r <= 4, slope bounds up to 2.
 SMALL_FAMILIES = (
-    [("circular-dieudonne", r, 1) for r in range(1, 6)]
-    + [("all-dieudonne", r, 1) for r in range(1, 6)]
+    [("circular-dieudonne", r, 1) for r in range(1, 7)]
+    + [("all-dieudonne", r, 1) for r in range(1, 7)]
     + [("circular-fcrystal", r, s) for r in range(1, 6) for s in range(3)]
-    + [("all-fcrystal", r, s) for r in range(1, 4) for s in range(3)]
+    + [("all-fcrystal", r, s) for r in range(1, 5) for s in range(3)]
 )
+
+
+def class_counts(classes, rows) -> list[int]:
+    """How many crystals of the table each class holds, counted from rows."""
+    counts = [0] * len(classes)
+    for row in rows:
+        for index in row:
+            counts[index] += 1
+    return counts
 
 
 @pytest.mark.parametrize("family,r,slope_max", FAMILIES)
@@ -47,8 +59,11 @@ def test_family_size_counts_the_enumeration(family, r, slope_max):
 
 @pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
 def test_class_summary_equals_the_per_crystal_summary(family, r, slope_max):
-    members = scan_members(family, r, 5, slope_max)
-    assert summarize_members(members) == summarize(run_scan(family, r, 5, slope_max))
+    _, _, classes, rows = scan_table(family, r, 5, slope_max)
+    counts = class_counts(classes, rows)
+    assert sum(counts) == family_size(family, r, slope_max)
+    assert min(counts) >= 1
+    assert summarize(classes, counts) == summarize(run_scan(family, r, 5, slope_max))
 
 
 @pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
@@ -61,22 +76,76 @@ def test_class_key_runs_once_per_cycle_word(monkeypatch, family, r, slope_max):
         return real(cycles, slopes)
 
     monkeypatch.setattr(scan, "_class_key", counting)
-    members = scan_members(family, r, 5, slope_max)
+    _, _, _, rows = scan_table(family, r, 5, slope_max)
     words = set()
     for pi, slopes in enumerate_family(family, r, slope_max):
         cycles = cycle_decomposition(pi)
         words.add((tuple(map(len, cycles)), tuple(slopes[i - 1] for cycle in cycles for i in cycle)))
     assert len(calls) == len(words)
-    assert len(members) == family_size(family, r, slope_max)
+    assert sum(map(len, rows)) == family_size(family, r, slope_max)
     if r > 2 and slope_max:
-        assert len(calls) < len(members)
+        assert len(calls) < family_size(family, r, slope_max)
+
+
+@pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
+def test_one_class_per_class_key(family, r, slope_max):
+    _, _, classes, rows = scan_table(family, r, 5, slope_max)
+    index_of = {}  # class key -> the class indices of its crystals
+    for (pi, vector), index in zip(enumerate_family(family, r, slope_max), (i for row in rows for i in row)):
+        index_of.setdefault(scan._class_key(cycle_decomposition(pi), vector), set()).add(index)
+    assert all(len(indices) == 1 for indices in index_of.values())
+    assert sorted(index for (index,) in index_of.values()) == list(range(len(classes)))
 
 
 def test_members_share_one_record_per_class():
-    members = scan_members("all-dieudonne", 4, 5)
-    records = {id(record): record for _, _, record in members}
-    classes = {scan._class_key(cycle_decomposition(pi), slopes) for pi, slopes in enumerate_family("all-dieudonne", 4)}
-    assert len(records) == len(classes)
-    assert [(perm, slopes) for perm, slopes, _ in members] == [
+    perms, slopes, classes, rows = scan_table("all-dieudonne", 4, 5)
+    keys = {scan._class_key(cycle_decomposition(pi), s) for pi, s in enumerate_family("all-dieudonne", 4)}
+    assert len(classes) == len(keys)
+    assert [len(row) for row in rows] == [len(slopes)] * len(perms)
+    assert [(perm, vector) for perm in perms for vector in slopes] == [
         (rec.perm, rec.slopes) for rec in run_scan("all-dieudonne", 4, 5)
     ]
+
+
+@pytest.mark.parametrize("top,r", [(top, r) for top in range(4) for r in range(7)])
+def test_slope_vectors_follow_itertools_product(top, r):
+    # the lazy enumeration against the itertools.product loop it replaced
+    assert list(scan._slope_vectors(top, r)) == list(itertools.product(range(top + 1), repeat=r))
+
+
+@pytest.mark.parametrize(
+    "walk", [lambda: next(enumerate_family("bogus", 2)), lambda: scan_table("bogus", 2, 3)],
+    ids=["enumerate_family", "scan_table"],
+)
+def test_unknown_family_is_refused(walk):
+    with pytest.raises(ValueError, match="unknown family 'bogus'"):
+        walk()
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, while call runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_enumerate_family_is_a_stream():
+    # 200,001 slope vectors: a list of them takes about 14 MB, and the tuple that
+    # itertools.product would copy range(200_001) into about 8 MB.
+    first = []
+    peak = traced_peak(lambda: first.append(next(enumerate_family("circular-fcrystal", 1, 200_000))))
+    assert first[0][1] == (0,)
+    assert peak < 2**20
+
+
+def test_summary_scan_memory_follows_classes(capsys):
+    # A text scan prints only its summary; it keeps one class index per crystal
+    # and no per-crystal record.
+    argv = ["scan", "--family", "circular-dieudonne", "--r", "7", "--m-max", "3"]
+    assert cli.main(argv) == 0  # warm-up: the parser and every lazily built table
+    peak = traced_peak(lambda: cli.main(argv))
+    capsys.readouterr()
+    assert peak < 32 * family_size("circular-dieudonne", 7)
