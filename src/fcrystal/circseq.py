@@ -21,7 +21,8 @@ those runs out sign by sign, for display and for the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from itertools import accumulate
+from typing import Iterable, Optional, Union
 
 CircularSeq = tuple[int, ...]
 Census = tuple[tuple[int, int], ...]  # (lo, hi): one segment at each level lo..hi
@@ -170,6 +171,19 @@ def linear_at(census: Census, m: int) -> int:
 def circular_at(level: Optional[int], m: int) -> int:
     """Circular count at level m of a sequence with this circular level."""
     return 0 if level is None else max(0, m - level)
+
+
+def census_levels(census: Iterable[tuple[int, int]], m: int) -> list[int]:
+    """Segments at each level 0..m of a census, or of several chained (index 0
+    is always 0): a difference array over the ranges, so the cost is one step
+    per range plus m, whatever the range lengths."""
+    diff = [0] * (m + 1)
+    for lo, hi in census:
+        if lo <= m:
+            diff[lo] += 1
+            if hi < m:
+                diff[hi + 1] -= 1
+    return list(accumulate(diff))
 
 
 def level_counts(census: Census, m: int) -> dict[int, int]:

@@ -9,16 +9,21 @@ Subcommands:
 * minimal  minimality verdict of a Dieudonne crystal, with its Newton slopes
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input (including
-an --out file that cannot be written), 3 resource limit hit (a rank, level or
-sweep crystal count past its default cap).  Machine formats (json, csv) are
-byte deterministic for a given command line.
+an --out file that cannot be written, and an integer not written [+-]?[0-9]+
+in ASCII), 3 resource limit hit (a rank, level or sweep crystal count past its
+default cap, or, even with --override-limits, a level past any per-level
+table).  Machine formats (json, csv) are byte deterministic for a given
+command line.
 
 Output contract: each cmd_* function takes the parsed arguments and returns
 (exit code, output), where output is the json payload without "schema" and
 "command", or the text/csv lines.  A command builds only the format asked for
 and writes nothing.  main adds the header, renders, and writes once: to stdout,
 or to --out (see _emit).  json is rendered by _json_text, byte-identical to
-json.dumps(indent=2).  scan renders from the class table (scan.scan_table) and
+json.dumps(indent=2); a gamma orbit's points reach it as the Orbit itself and
+are filled into one cached row template per orbit length from its two columns,
+so no tuple per point is built (the orbit's census is read once, by
+circseq.census_levels).  scan renders from the class table (scan.scan_table) and
 builds no per-crystal record: a crystal's row joins its permutation's head, its
 slope vector's cells and its class's cells, each rendered once (json records
 reach main as _Rendered text from the same writer), and the summary weights each
@@ -42,11 +47,12 @@ import tempfile
 from collections import Counter
 from dataclasses import fields
 from decimal import Decimal
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
-from .circseq import circular_level, normalize
+from .circseq import census_levels, circular_level, normalize
 from .crystal import (
     DEFAULT_VERTEX_BUDGET,
     FCyclicCrystal,
@@ -59,7 +65,7 @@ from .crystal import (
     verify_sweep,
 )
 from .digraph import build_level_digraph, propagate_zeros, to_dot
-from .permutation import ParseError, cycle_string, parse_permutation
+from .permutation import Orbit, ParseError, cycle_string, parse_permutation
 from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, family_size, scan_table, slope_bound, summarize
 
 MAX_R = 8
@@ -67,11 +73,25 @@ MAX_M = 16
 # Crystals per scan or verify sweep; admits every r <= MAX_R sweep at slope bound 1
 # (all-dieudonne r=8 has 10,321,920 crystals, verify --r-max 8 sums to 11,017,402).
 MAX_CRYSTALS = 2**24
+# Tables hold one 8-byte entry per level, so no level past this fits in the address space.
+MAX_TABLE_LEVEL = sys.maxsize // 8
 SCHEMA = "fcrystal/1"
 
 Output = tuple[int, Union[dict, list[str]]]  # see "Output contract" above
 
 _SPLIT = re.compile(r"[,\s]+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer written [+-]?[0-9]+ in ASCII: int() alone also reads "1_0" as
+    10 and takes non-ASCII digits.  The argparse type of every integer option."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "int"  # argparse names the type in its error: "invalid int value: '1_0'"
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -81,7 +101,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     out = []
     for p in parts:
         try:
-            out.append(int(p))
+            out.append(_integer(p))
         except ValueError:
             raise ValueError(f"bad integer {p!r} in {what}") from None
     return tuple(out)
@@ -90,7 +110,10 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> None:
     """Refuse a rank or level past the default caps.  One crystal's slope size
     needs no cap: the closed forms cost one pass over the runs of each orbit,
-    whatever the slopes, and the oracle's digraphs grow with r and m only."""
+    whatever the slopes, and the oracle's digraphs grow with r and m only.
+    A level past MAX_TABLE_LEVEL is refused even with override_limits."""
+    if m is not None and m > MAX_TABLE_LEVEL:
+        raise ResourceLimitError(f"level {m} needs a table of one entry per level, larger than this platform can address")
     if override_limits:
         return
     if r is not None and r > MAX_R:
@@ -166,9 +189,9 @@ class _Rendered(str):
 
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
-    keys, lists, tuples, str, int, bool and None; anything else raises TypeError.
-    A list of plain ints is one join, and a list of equal-length tuples of plain
-    ints (orbit points) is one row template, repeated and filled by one %."""
+    keys, lists, tuples, str, int, bool and None, where an Orbit stands for the
+    list of its points; anything else raises TypeError.  A list of plain ints, and
+    an Orbit's points, are each one template filled by one %."""
     if value is None:
         return "null"
     if value is True:
@@ -179,6 +202,11 @@ def _json_text(value, indent: str = "") -> str:
         return value if type(value) is _Rendered else encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
+    if type(value) is Orbit:
+        flat = [0] * (2 * len(value))
+        flat[::2] = value.first
+        flat[1::2] = value.second
+        return _points_template(len(value), indent) % tuple(flat)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
@@ -187,17 +215,20 @@ def _json_text(value, indent: str = "") -> str:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if not value:
         return "[]"
-    kinds = set(map(type, value))
-    if kinds == {int}:
-        return "[\n" + inner + sep.join(map(str, value)) + "\n" + indent + "]"
-    if kinds == {tuple} and len(set(map(len, value))) == 1:
-        flat = tuple(chain.from_iterable(value))
-        if set(map(type, flat)) <= {int}:
-            deeper = inner + "  "
-            width = len(value[0])
-            row = "[\n" + deeper + (",\n" + deeper).join(["%d"] * width) + "\n" + inner + "]" if width else "[]"
-            return "[\n" + inner + sep.join([row] * len(value)) % flat + "\n" + indent + "]"
+    if set(map(type, value)) == {int}:
+        return "[\n" + inner + sep.join(["%d"] * len(value)) % tuple(value) + "\n" + indent + "]"
     return "[\n" + inner + sep.join([_json_text(item, inner) for item in value]) + "\n" + indent + "]"
+
+
+@lru_cache(maxsize=16)
+def _points_template(length: int, indent: str) -> str:
+    """The json of `length` int pairs at indent, as _json_text renders a list of
+    2-tuples, with a %d for each int; cached, so the orbits of one length in a
+    render share one template."""
+    inner = indent + "  "
+    deeper = inner + "  "
+    row = "[\n" + deeper + "%d,\n" + deeper + "%d\n" + inner + "]"
+    return "[\n" + inner + (",\n" + inner).join([row] * length) + "\n" + indent + "]"
 
 
 def _json_members(mapping: dict, inner: str) -> list[str]:
@@ -232,12 +263,9 @@ def _orbit_view(data: OrbitData, m_max: int) -> dict:
         normalized = {"kind": "signs", "entries": norm.entries}
         if top > m_max + 1:
             level = circular_level(norm)
-    counts = [0] * (m_max + 1)
-    for lo, hi in data.census:
-        for n in range(lo, min(hi, m_max) + 1):
-            counts[n] += 1
+    counts = census_levels(data.census, m_max)
     return {
-        "points": data.orbit.points,
+        "points": data.orbit,  # rendered from its columns by _json_text
         "epsilon": eps,
         "normalized": normalized,
         "census": {str(n): count for n, count in enumerate(counts) if count},
@@ -558,7 +586,7 @@ def cmd_minimal(args) -> Output:
 
 
 def _add_crystal_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=int, required=True, help="rank, the number of basis vectors")
+    p.add_argument("--r", type=_integer, required=True, help="rank, the number of basis vectors")
     p.add_argument("--perm", required=True, help='permutation, cycle form "(1 2)" or one-line "2 1"')
     p.add_argument("--slopes", required=True, help='comma or space separated slopes, e.g. "0,1"')
 
@@ -575,41 +603,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma", help="automorphism dimension table")
     _add_crystal_args(p)
-    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--m-max", type=_integer, required=True)
     _add_common_output(p)
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("endo", help="endomorphism component exponent")
     _add_crystal_args(p)
-    p.add_argument("--m", type=int)
-    p.add_argument("--m-max", type=int)
-    p.add_argument("--prime", type=int, help="also print p^b for this prime")
+    p.add_argument("--m", type=_integer)
+    p.add_argument("--m-max", type=_integer)
+    p.add_argument("--prime", type=_integer, help="also print p^b for this prime")
     _add_common_output(p)
     p.set_defaults(func=cmd_endo)
 
     p = sub.add_parser("verify", help="closed-form counts vs the digraph census")
     p.add_argument("--seq", help="verify one circular sequence, e.g. \"3,0,-1,-2\"")
-    p.add_argument("--m", type=int, help="level for --seq mode")
-    p.add_argument("--r-max", type=int, default=3, help="sweep mode: all permutations up to this rank")
-    p.add_argument("--slope-max", type=int, default=1, help="sweep mode: slope entries range over 0..this")
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--random", type=int, default=0, help="extra random sequences to verify")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-s", type=int, default=10, help="random mode: longest sequence")
-    p.add_argument("--max-entry", type=int, default=6, help="random mode: largest entry magnitude")
-    p.add_argument("--vertex-budget", type=int, default=DEFAULT_VERTEX_BUDGET)
+    p.add_argument("--m", type=_integer, help="level for --seq mode")
+    p.add_argument("--r-max", type=_integer, default=3, help="sweep mode: all permutations up to this rank")
+    p.add_argument("--slope-max", type=_integer, default=1, help="sweep mode: slope entries range over 0..this")
+    p.add_argument("--m-max", type=_integer, default=4)
+    p.add_argument("--random", type=_integer, default=0, help="extra random sequences to verify")
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--max-s", type=_integer, default=10, help="random mode: longest sequence")
+    p.add_argument("--max-entry", type=_integer, default=6, help="random mode: largest entry magnitude")
+    p.add_argument("--vertex-budget", type=_integer, default=DEFAULT_VERTEX_BUDGET)
     p.add_argument("--dump-digraph", action="store_true", help="with --seq: dump the digraph in DOT format")
     _add_common_output(p, formats=("text", "json"))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan", help="sweep a family and check the expected properties")
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--slope-max", type=int, default=1, help="fcrystal families: slopes range over 0..this")
-    p.add_argument("--m-max", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--slope-max", type=_integer, default=1, help="fcrystal families: slopes range over 0..this")
+    p.add_argument("--m-max", type=_integer, required=True)
     p.add_argument("--check", action="append", choices=CHECKS, help="repeatable; default: all checks")
     p.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_integer, default=0,
         help="accepted and ignored: scans run serially, once per isomorphism class",
     )
     _add_common_output(p)

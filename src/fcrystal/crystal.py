@@ -14,13 +14,17 @@ The closed forms from circseq make both computable without building a single
 digraph.  orbit_data walks the pair orbits once and keeps, per orbit, its run
 census (segment level ranges) and circular level, exact at every level at once
 and costing one stack pass over the orbit's runs, whatever the slope sizes;
-gamma, endo_exponent and gamma_table all read those records.  Formula and
-oracle meet in one place, _check, which builds every VerifyCheck and raises
-RuntimeError unless circular components carry circular * length edges.
-_orbit_checks runs it at every level of one orbit: verify_formula_vs_oracle
-calls it per orbit record of one crystal, and verify_sweep per distinct exact
-orbit sequence of a whole sweep, which builds each permutation's orbits once
-and reports every crystal's mismatches as the per-crystal loop would.
+gamma, endo_exponent and gamma_table all read those records.  An orbit's
+epsilon is gathered down its two columns (see permutation.Orbit) with
+itemgetter and map, with no Python-level step per point, and gamma_table reads
+the census ranges of all orbits once, into a difference array
+(circseq.census_levels).  Formula and oracle meet in one place, _check, which
+builds every VerifyCheck and raises RuntimeError unless circular components
+carry circular * length edges.  _orbit_checks runs it at every level of one
+orbit: verify_formula_vs_oracle calls it per orbit record of one crystal, and
+verify_sweep per distinct exact orbit sequence of a whole sweep, which builds
+each permutation's orbits once, gathers each crystal's epsilons from their
+columns, and reports every crystal's mismatches as the per-crystal loop would.
 verify_sequence runs _check on one bare sequence and returns the oracle's stats
 as well.
 """
@@ -29,9 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, chain
+from operator import itemgetter, sub
 from typing import Iterable, Optional
 
-from .circseq import Census, CircularSeq, circular_at, linear_at, run_census
+from .circseq import Census, CircularSeq, census_levels, circular_at, linear_at, run_census
 from .digraph import ComponentStats, oracle_counts
 from .permutation import Orbit, Permutation, cycle_decomposition, is_single_cycle, parse_permutation, product_orbits
 
@@ -182,16 +188,24 @@ class DeltaReport:
 
 def orbit_epsilon(crystal: FCyclicCrystal, orbit: Orbit) -> tuple[int, ...]:
     """Slope differences E[i] - E[j] along the orbit."""
-    e = crystal.slopes
-    return tuple(e[i - 1] - e[j - 1] for i, j in orbit.points)
+    return _epsilon((0, *crystal.slopes), orbit)
+
+
+def _epsilon(e: tuple[int, ...], orbit: Orbit) -> tuple[int, ...]:
+    """orbit_epsilon from the slopes indexed from 1 (e[0] is a pad): both columns
+    gathered by itemgetter and subtracted by map, with no Python-level loop."""
+    if len(orbit) == 1:  # a one-index itemgetter returns the item, not a tuple
+        return (e[orbit.first[0]] - e[orbit.second[0]],)
+    return tuple(map(sub, itemgetter(*orbit.first)(e), itemgetter(*orbit.second)(e)))
 
 
 def orbit_data(crystal: FCyclicCrystal) -> list[OrbitData]:
     """One walk of the pair orbits, one exact record per orbit (unclamped and
     uncapped, so it serves every level at once)."""
+    e = (0, *crystal.slopes)
     out = []
     for orbit in product_orbits(crystal.pi):
-        eps = orbit_epsilon(crystal, orbit)
+        eps = _epsilon(e, orbit)
         out.append(OrbitData(orbit, eps, *run_census(eps)))
     return out
 
@@ -224,16 +238,9 @@ def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
         raise ValueError("m_max must be at least 1")
     orbits = orbit_data(crystal)
 
-    delta = [0] * (m_max + 1)
-    for data in orbits:
-        for lo, hi in data.census:
-            for level in range(lo, min(hi, m_max) + 1):
-                delta[level] += 1
+    delta = census_levels(chain.from_iterable(data.census for data in orbits), m_max)
     stabilization = max((hi for data in orbits for _lo, hi in data.census), default=0)
-
-    gammas = [0] * (m_max + 1)
-    for n in range(1, m_max + 1):
-        gammas[n] = gammas[n - 1] + delta[n]
+    gammas = list(accumulate(delta))  # delta[0] = 0 = gamma(0)
 
     # b(n) depends only on the total orbit length at each circular level.
     lengths: dict[int, int] = {}
@@ -337,12 +344,13 @@ def verify_sweep(
         crystal = FCyclicCrystal(pi, slopes)
         if pi != last:
             _check_vertex_budget(crystal.r, m_max, vertex_budget)
-            orbits = [[(i - 1, j - 1) for i, j in orbit.points] for orbit in product_orbits(pi)]
+            orbits = product_orbits(pi)
             last = pi
         crystals += 1
         checks += len(orbits) * m_max
-        for index, points in enumerate(orbits):
-            eps = tuple([slopes[i] - slopes[j] for i, j in points])
+        e = (0, *slopes)
+        for index, orbit in enumerate(orbits):
+            eps = _epsilon(e, orbit)
             found = failing.get(eps)
             if found is None:
                 found = failing[eps] = [

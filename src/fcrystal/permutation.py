@@ -1,4 +1,9 @@
-"""Permutations of {1..r}, their cycles, and orbits of the doubled action on pairs."""
+"""Permutations of {1..r}, their cycles, and orbits of the doubled action on pairs.
+
+A pair orbit is stored as its two columns, the i's and the j's of its pairs
+(i, j) in cyclic order, so building the r*r points of all orbits writes r*r ints
+into tuples and no tuple per point; Orbit.points zips the columns on demand.
+"""
 
 from __future__ import annotations
 
@@ -36,17 +41,23 @@ class Permutation:
         return cls(tuple(range(1, r + 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Orbit:
-    """One orbit of (i, j) -> (pi(i), pi(j)) on pairs, in cyclic order from its smallest point."""
+    """One orbit of (i, j) -> (pi(i), pi(j)) on pairs, in cyclic order from its
+    smallest point, as two columns: point k is (first[k], second[k])."""
 
-    points: tuple[tuple[int, int], ...]
+    first: tuple[int, ...]
+    second: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.first)
+
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.first, self.second))
 
 
-_TOKEN = re.compile(r"\(|\)|\d+|[\s,]+|.")
+_TOKEN = re.compile(r"\(|\)|[0-9]+|[\s,]+|.")
 
 
 def _tokenize(text: str) -> list[tuple[str, int, int]]:
@@ -56,7 +67,7 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
         tok = match.group()
         if tok in "()":
             tokens.append((tok, 0, match.start()))
-        elif tok[0].isdigit():
+        elif tok[0] in "0123456789":
             tokens.append(("num", int(tok), match.start()))
         elif tok[0] in ", \t\r\n":
             continue
@@ -164,17 +175,20 @@ def product_orbits(p: Permutation) -> list[Orbit]:
     orbits of length L = lcm(a, b), so the orbit lengths sum to r*r.  Orbit k
     holds the pairs (A[s], B[t]) with t - s = k (mod g).  Its pairs that start
     with A[0] are those with t = k (mod g), so its smallest point is
-    (A[0], min(B[k::g])); from there it is A repeated L/a times zipped with B,
+    (A[0], min(B[k::g])); from there its first column is A repeated L/a times,
+    one tuple shared by all g orbits of the pair, and its second column is B
     rotated to that minimum, repeated L/b times.
     """
     cycles = cycle_decomposition(p)
-    orbits: list[tuple[tuple[int, int], ...]] = []
+    orbits: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
     for a_cycle in cycles:
         for b_cycle in cycles:
             g = gcd(len(a_cycle), len(b_cycle))
-            a_reps, b_reps = len(b_cycle) // g, len(a_cycle) // g
+            first = a_cycle * (len(b_cycle) // g)
+            b_reps = len(a_cycle) // g
             for k in range(g):
-                j = b_cycle.index(min(b_cycle[k::g])) if k else 0  # B[0] is the minimum of B
-                orbits.append(tuple(zip(a_cycle * a_reps, (b_cycle[j:] + b_cycle[:j]) * b_reps)))
-    # the first points are distinct, so sorting compares nothing past them
-    return [Orbit(points) for points in sorted(orbits)]
+                low = min(b_cycle[k::g]) if k else b_cycle[0]  # B[0] is the minimum of B
+                j = b_cycle.index(low)
+                orbits.append((a_cycle[0], low, first, (b_cycle[j:] + b_cycle[:j]) * b_reps))
+    # the smallest points are distinct, so sorting compares nothing past them
+    return [Orbit(first, second) for _, _, first, second in sorted(orbits)]

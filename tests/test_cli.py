@@ -13,9 +13,9 @@ from decimal import Decimal
 import pytest
 
 from fcrystal import FCyclicCrystal, Permutation, cli, orbit_data, scan
-from fcrystal.circseq import AllZero, circular_level, level_counts, normalize
 from fcrystal.cli import main
 from fcrystal.scan import ScanRecord, enumerate_family, run_scan, summarize
+from reference_gamma import orbit_view as reference_orbit_view
 
 
 def run(capsys, *argv):
@@ -65,23 +65,6 @@ def test_gamma_json_fields(capsys):
     assert payload["orbits"][1]["census"] == {"1": 1, "2": 1, "3": 1, "4": 1}
 
 
-def orbit_view_by_normalize(data, m_max) -> dict:
-    """_orbit_view as it was before it read OrbitData: normalize and level_counts
-    on every orbit; kept as the reference."""
-    norm = normalize(data.epsilon, m_max)
-    return {
-        "points": data.orbit.points,
-        "epsilon": data.epsilon,
-        "normalized": (
-            {"kind": "all-zero", "length": norm.original_length}
-            if isinstance(norm, AllZero)
-            else {"kind": "signs", "entries": norm.entries}
-        ),
-        "census": {str(level): count for level, count in sorted(level_counts(data.census, m_max).items())},
-        "level": circular_level(norm),
-    }
-
-
 def test_orbit_view_matches_normalize_on_every_orbit():
     # small and large entries, clamped or not: every family crystal at r <= 3 with
     # slopes up to 3, and random crystals up to r = 12 with slopes up to 40
@@ -98,7 +81,11 @@ def test_orbit_view_matches_normalize_on_every_orbit():
         for data in orbit_data(c):
             for m_max in (1, 2, 3, 6):
                 clamped += max(map(abs, data.epsilon)) > m_max + 1 and data.level is not None
-                assert cli._orbit_view(data, m_max) == orbit_view_by_normalize(data, m_max), (c, m_max)
+                view = cli._orbit_view(data, m_max)
+                expected = reference_orbit_view(data.orbit.points, data.epsilon, data.census, m_max)
+                # every field, points read from the Orbit's columns, and the rendered json
+                assert {**view, "points": view["points"].points} == expected, (c, m_max)
+                assert cli._json_text(view) == json.dumps(expected, indent=2), (c, m_max)
     assert clamped
 
 
@@ -270,6 +257,27 @@ def test_verify_random_sweep_reports_mismatches(capsys, monkeypatch):
     assert payload["ok"] is False
     assert len(calls) == 5
     assert payload["mismatches"] == [{"seq": list(seq), "m": m} for seq, m in calls]
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "\u00b2", "0x1", "1.0", "+", "--1"])
+def test_integer_lists_take_ascii_digits_only(capsys, token):
+    # int() reads "1_0" as 10 and the Arabic-Indic and fullwidth digits as 1
+    argv = ("endo", "--r", "2", "--perm", "(1 2)", "--slopes", f"0,{token}", "--m", "2")
+    assert run(capsys, *argv) == (2, "", f"invalid input: bad integer {token!r} in --slopes\n")
+    assert run(capsys, "verify", "--seq", f"1,{token}") == (2, "", f"invalid input: bad integer {token!r} in --seq\n")
+
+
+def test_integer_lists_take_signs(capsys):
+    assert run(capsys, "verify", "--seq", "+1,-1", "--m", "2") == run(capsys, "verify", "--seq", "1,-1", "--m", "2")
+    assert run(capsys, "endo", "--r", "2", "--perm", "(1 2)", "--slopes", "+0,+1", "--m", "3")[:2] == (0, "b(3) = 10\n")
+
+
+@pytest.mark.parametrize("token", ["1_0", "\u0662", "x"])
+def test_integer_options_take_ascii_digits_only(capsys, token):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["endo", "--r", token, "--perm", "(1 2)", "--slopes", "0,1", "--m", "2"])
+    assert exit_info.value.code == 2
+    assert f"argument --r: invalid int value: {token!r}" in capsys.readouterr().err
 
 
 def test_verify_budget_exceeded(capsys):
@@ -672,6 +680,29 @@ def test_override_limits_lifts_the_crystal_cap(capsys, monkeypatch, argv, crysta
 def test_level_cap(capsys):
     code, _, _ = run(capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", "17")
     assert code == 3
+
+
+HUGE = str(10**20)  # past any per-level table: refused before anything is allocated
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", HUGE),
+        ("endo", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m", HUGE),
+        ("scan", "--family", "circular-dieudonne", "--r", "2", "--m-max", HUGE),
+        ("verify", "--seq", "1,-1", "--m", HUGE, "--vertex-budget", str(10**27)),
+        ("verify", "--r-max", "1", "--m-max", HUGE),
+    ],
+    ids=["gamma", "endo", "scan", "verify-seq", "verify-sweep"],
+)
+@pytest.mark.parametrize("override", [(), ("--override-limits",)], ids=["capped", "override"])
+def test_level_past_any_table_is_a_resource_limit(capsys, argv, override):
+    assert run(capsys, *argv, *override) == (
+        3,
+        "",
+        f"resource limit: level {HUGE} needs a table of one entry per level, larger than this platform can address\n",
+    )
 
 
 @pytest.mark.parametrize("level", [("--m-max", "3"), ("--m", "3")], ids=["gamma", "endo"])

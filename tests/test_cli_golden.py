@@ -151,6 +151,10 @@ CASES = [
     ("error-slopes-count", ("gamma", *C2[:4], "--slopes", "0,1,1", "--m-max", "2"), None),
     ("error-slopes-empty", ("gamma", *C2[:4], "--slopes", ", ", "--m-max", "2"), None),
     ("error-slopes-bad-integer", ("endo", *C2[:4], "--slopes", "0,x", "--m", "2"), None),
+    # int() would read these as 10 and 1
+    ("error-slopes-underscore-integer", ("endo", *C2[:4], "--slopes", "0,1_0", "--m", "2"), None),
+    ("error-slopes-non-ascii-digit", ("endo", *C2[:4], "--slopes", "0,\u0661", "--m", "2"), None),
+    ("error-perm-non-ascii-digit", ("gamma", "--r", "2", "--perm", "(1 \u0662)", "--slopes", "0,1", "--m-max", "2"), None),
     ("error-slopes-negative", ("gamma", *C2[:4], "--slopes", "0,-1", "--m-max", "2"), None),
     ("error-slopes-before-perm", ("gamma", "--r", "2", "--perm", "(1 3)", "--slopes", "0", "--m-max", "2"), None),
     ("error-perm-before-prime", ("endo", "--r", "2", "--perm", "(1 3)", "--slopes", "0,1", "--m", "2", "--prime", "1"), None),
@@ -174,6 +178,8 @@ CASES = [
     ("limit-gamma-rank", ("gamma", *R9, "--m-max", "2"), None),
     ("limit-gamma-level", ("gamma", *C2, "--m-max", "17"), None),
     ("limit-endo-level", ("endo", *C2, "--m", "17"), None),
+    # past any per-level table, so refused with --override-limits too
+    ("limit-gamma-level-past-tables", ("gamma", *C2, "--m-max", str(10**20), "--override-limits"), None),
     ("limit-minimal-rank", ("minimal", *R9), None),
     ("limit-verify-seq-level", ("verify", "--seq", "1,-1", "--m", "17"), None),
     ("limit-verify-seq-budget", ("verify", "--seq", "1,1,1,1", "--m", "9", "--vertex-budget", "10"), None),

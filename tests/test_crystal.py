@@ -4,6 +4,8 @@ Newton slopes, and minimality."""
 from __future__ import annotations
 
 import dataclasses
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from fcrystal import (
     verify_formula_vs_oracle,
     verify_sequence,
 )
+from fcrystal.permutation import parse_permutation
 from fcrystal.scan import enumerate_family
 
 dieudonne_crystals = st.integers(2, 5).flatmap(
@@ -297,3 +300,23 @@ def test_invariants_survive_relabeling(data, m):
     assert (a.gamma, a.delta, a.b, a.stabilization, a.ordinary) == (b.gamma, b.delta, b.b, b.stabilization, b.ordinary)
     if c.is_dieudonne:
         assert is_minimal(c) == is_minimal(d)
+
+
+def test_gamma_table_keeps_no_tuple_per_orbit_point():
+    # A 200-cycle with 0/1 slopes: 200 orbits of 200 points.  The report keeps
+    # each orbit's two columns (the first shared by all 200 orbits), its epsilon
+    # and its census; one 2-tuple per point would add 64 bytes a point.
+    cycle = "(" + " ".join(str(k * 7 % 201) for k in range(1, 201)) + ")"
+    crystal = FCyclicCrystal(parse_permutation(cycle, 200), tuple((k * k + k // 3) % 2 for k in range(200)))
+    gamma_table(crystal, 5)  # warm-up
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = gamma_table(crystal, 5)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, (data.orbit for data in report.orbits))) == 200 * 200
+    assert kept < 40 * 200 * 200

@@ -85,6 +85,16 @@ def test_parse_error_reports_position():
         parse_permutation("(1 2)(2 3)", 3)
 
 
+@pytest.mark.parametrize(
+    "text,bad,pos",
+    [("(1 \u0662)", "\u0662", 3), ("1 \u0662", "\u0662", 2), ("(1 \uff12)", "\uff12", 3), ("(1 2_0)", "_", 4)],
+)
+def test_parse_takes_ascii_digits_only(text, bad, pos):
+    # a \d+ token would read the Arabic-Indic and fullwidth digits as 2
+    with pytest.raises(ParseError, match=f"^unexpected character {bad!r} at position {pos}$"):
+        parse_permutation(text, 20)
+
+
 def test_images_must_be_bijection():
     with pytest.raises(ValueError):
         Permutation((1, 1))
