@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 a checked property failed, 2 invalid input (including
 an --out file that cannot be written, and an integer not written [+-]?[0-9]+
 in ASCII), 3 resource limit hit (a rank, level or sweep crystal count past its
 default cap, or, even with --override-limits, a level past any per-level
-table).  Machine formats (json, csv) are byte deterministic for a given
-command line.
+table or a sweep of more than sys.maxsize crystals).  Machine formats (json,
+csv) are byte deterministic for a given command line.
 
 Output contract: each cmd_* function takes the parsed arguments and returns
 (exit code, output), where output is the json payload without "schema" and
@@ -24,33 +24,35 @@ json.dumps(indent=2); a gamma orbit's points reach it as the Orbit itself and
 are filled into one cached row template per orbit length from its two columns,
 so no tuple per point is built (the orbit's census is read once, by
 circseq.census_levels).  scan renders from the class table (scan.scan_table) and
-builds no per-crystal record: a crystal's row joins its permutation's head, its
-slope vector's cells and its class's cells, each rendered once (json records
-reach main as _Rendered text from the same writer), and the summary weights each
-class's verdicts by its count in the table.  main builds
-its argument parser on its first call and reuses it.  The one other write is
-the scan csv summary line, which main prints after the csv, to the stream the
-csv does not use (stderr when the csv goes to stdout, stdout with --out); so a
-failed --out write prints no summary.
+builds no per-crystal record: a crystal's csv line or json record is one
+concatenation of its permutation's head, its slope vector's cells and its
+class's cells, each rendered once (the json records list reaches main as one
+_Rendered text from the same writer), the summary weights each class's verdicts
+by its count in the table, and a text scan reads the table's rows only to name
+violations.  main builds its argument parser on its first call and reuses it.
+The one other write is the scan csv summary line, which main prints after the
+csv, to the stream the csv does not use (stderr when the csv goes to stdout,
+stdout with --out); so a failed --out write prints no summary.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import itertools
+import math
 import os
 import random
 import re
 import stat
 import sys
 import tempfile
-from collections import Counter
 from dataclasses import fields
 from decimal import Decimal
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence, Union
+from operator import add
+from typing import Iterator, Optional, Sequence, Union
 
 from .circseq import census_levels, circular_level, normalize
 from .crystal import (
@@ -75,6 +77,8 @@ MAX_M = 16
 MAX_CRYSTALS = 2**24
 # Tables hold one 8-byte entry per level, so no level past this fits in the address space.
 MAX_TABLE_LEVEL = sys.maxsize // 8
+# Every rank past this has more than sys.maxsize permutations, r! or even (r-1)!.
+MAX_COUNTED_RANK = next(n for n in itertools.count(1) if math.factorial(n) > sys.maxsize)
 SCHEMA = "fcrystal/1"
 
 Output = tuple[int, Union[dict, list[str]]]  # see "Output contract" above
@@ -123,10 +127,18 @@ def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> 
 
 
 def _check_family_size(override_limits: bool, family: str, ranks: Sequence[int], slope_max: int) -> None:
-    """Refuse a sweep of more crystals than MAX_CRYSTALS; after _check_limits, so the ranks are small."""
+    """Refuse a sweep of more crystals than MAX_CRYSTALS, and, even with
+    override_limits, of more than sys.maxsize, which no count or index of a
+    sweep fits.  ranks ascend; past MAX_COUNTED_RANK a rank alone has more
+    permutations than that, so the count is formed only for ranks up to it."""
+    if ranks[-1] > MAX_COUNTED_RANK:
+        count = None
+    else:
+        count = sum(family_size(family, r, slope_max) for r in ranks)
+    if count is None or count > sys.maxsize:
+        raise ResourceLimitError(f"a sweep of more than {sys.maxsize} crystals is larger than this platform can enumerate")
     if override_limits:
         return
-    count = sum(family_size(family, r, slope_max) for r in ranks)
     if count > MAX_CRYSTALS:
         raise ResourceLimitError(
             f"a sweep of {count} crystals exceeds the default cap {MAX_CRYSTALS}; pass --override-limits to proceed"
@@ -183,8 +195,14 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise
 
 
-class _Rendered(str):
-    """json text that _json_text already rendered at its place in the tree; written as it is."""
+class _Rendered:
+    """json text that _json_text already rendered at its place in the tree; written as it is.
+    It holds the text rather than being a str, which would copy it."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -199,9 +217,11 @@ def _json_text(value, indent: str = "") -> str:
     if value is False:
         return "false"
     if isinstance(value, str):
-        return value if type(value) is _Rendered else encode_basestring_ascii(value)
+        return encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
+    if type(value) is _Rendered:
+        return value.text
     if type(value) is Orbit:
         flat = [0] * (2 * len(value))
         flat[::2] = value.first
@@ -429,6 +449,27 @@ def cmd_verify(args) -> Output:
     return code, lines
 
 
+def _random_draws(seed: int, n: int, max_s: int, max_entry: int, m_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The n (seq, m) pairs of a random sweep, each a length s in 1..max_s, then s
+    entries in -max_entry..max_entry, then a level in 1..m_max: the very draws
+    random.Random(seed).randint makes, from the same stream, without its layers."""
+    getrandbits = random.Random(seed).getrandbits
+
+    def below(bound: int) -> int:
+        # Random._randbelow: as many bits as bound has, drawn again while past it
+        k = bound.bit_length()
+        value = getrandbits(k)
+        while value >= bound:
+            value = getrandbits(k)
+        return value
+
+    width = 2 * max_entry + 1
+    for _ in range(n):
+        s = 1 + below(max_s)
+        seq = tuple([below(width) - max_entry for _ in range(s)])
+        yield seq, 1 + below(m_max)
+
+
 def _verify_sweep(args) -> Output:
     _at_least(args, "--r-max", 1)
     _at_least(args, "--slope-max", 0)
@@ -459,11 +500,7 @@ def _verify_sweep(args) -> Output:
         for pi, slopes, c in failed
     ]
 
-    rng = random.Random(args.seed)
-    for _ in range(args.random):
-        s = rng.randint(1, args.max_s)
-        seq = tuple(rng.randint(-args.max_entry, args.max_entry) for _ in range(s))
-        m = rng.randint(1, args.m_max)
+    for seq, m in _random_draws(args.seed, args.random, args.max_s, args.max_entry, args.m_max):
         if not verify_sequence(seq, m)[0].match:
             mismatches.append({"seq": seq, "m": m})
         checks += 1
@@ -500,32 +537,38 @@ def cmd_scan(args) -> Output:
     _check_family_size(args.override_limits, args.family, [args.r], args.slope_max)
     checks = tuple(args.check) if args.check else CHECKS
     slope_max = slope_bound(args.family, args.slope_max)
-    perms, slopes, classes, rows = scan_table(args.family, args.r, args.m_max, slope_max, checks)
-    counted = Counter(chain.from_iterable(rows))
-    summary = summarize(classes, [counted[index] for index in range(len(classes))])
+    perms, slopes, classes, counts, rows = scan_table(args.family, args.r, args.m_max, slope_max, checks)
+    summary = summarize(classes, counts)
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
     code = 0 if violations == 0 else 1
     names = [field.name for field in fields(ScanRecord)]  # the record fields in order, the csv columns
 
     if args.format == "json":
-        # A record is an object at depth 2 of the payload, its members at inner, rendered once per permutation
-        # (r, perm), per slope vector (slopes) and per class (gamma onward); m_max is stated once in the payload.
+        # A record is an object at depth 2 of the payload, its members at inner: its head (r, perm) is rendered
+        # once per permutation, its slopes once per slope vector and its tail (gamma onward) once per class, so
+        # a crystal costs one head + cell + tail; m_max is stated once in the payload.
         inner = "      "
         sep = ",\n" + inner
         split = names.index("gamma")
-        cells = [sep.join(_json_members({"slopes": vector}, inner)) for vector in slopes]
-        tails = [sep.join(_json_members(dict(list(vars(record).items())[split:]), inner)) for record in classes]
+        cells = [sep.join(_json_members({"slopes": vector}, inner)) + sep for vector in slopes]
+        tails = [
+            sep.join(_json_members(dict(list(vars(record).items())[split:]), inner)) + "\n    }" for record in classes
+        ]
         records = []
         for perm, row in zip(perms, rows):
-            head = sep.join(_json_members({"r": args.r, "perm": perm}, inner))
-            records += [_Rendered(_json_object([head, cell, tails[index]], "    ")) for cell, index in zip(cells, row)]
+            head = "{\n" + inner + sep.join(_json_members({"r": args.r, "perm": perm}, inner)) + sep
+            records += map(add, map(head.__add__, cells), map(tails.__getitem__, row))
+        # The list's brackets go on its first and last records (a scan has at least one crystal), so the
+        # json of the list, at depth 1, is one join and is not copied again.
+        records[0] = "[\n    " + records[0]
+        records[-1] += "\n  ]"
         return code, {
             "family": args.family,
             "r": args.r,
             "slope_max": slope_max,
             "m_max": args.m_max,
             "checks": checks,
-            "records": records,
+            "records": _Rendered(",\n    ".join(records)),
             "summary": summary,
         }
     summary_line = " ".join(f"{k}={v}" for k, v in summary.items())
@@ -536,7 +579,7 @@ def cmd_scan(args) -> Output:
         lines = [",".join(names)]
         for perm, row in zip(perms, rows):
             head = f'{args.r},"{perm}",'
-            lines += [head + cell + tails[index] for cell, index in zip(cells, row)]
+            lines += map(add, map(head.__add__, cells), map(tails.__getitem__, row))
         lines.append(summary_line)  # main writes it after the csv, to the other stream
         return code, lines
 

@@ -333,6 +333,8 @@ def verify_sweep(
     at a rank's first crystal, _check's RuntimeError at the first crystal that
     holds the failing sequence.  A permutation's orbits are built once while
     its crystals come in a row, and the memo of failing checks lives for one call.
+    A permutation's orbit columns are gathered by one pair of getters, so a
+    crystal's epsilons are one map(sub) over all its orbits, sliced per orbit.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -345,12 +347,19 @@ def verify_sweep(
         if pi != last:
             _check_vertex_budget(crystal.r, m_max, vertex_budget)
             orbits = product_orbits(pi)
+            # both getters end with the pad index 0, so they take two or more
+            # indices and return a tuple even at r = 1
+            firsts = itemgetter(*chain.from_iterable(orbit.first for orbit in orbits), 0)
+            seconds = itemgetter(*chain.from_iterable(orbit.second for orbit in orbits), 0)
+            ends = list(accumulate(map(len, orbits), initial=0))
+            spans = list(map(slice, ends, ends[1:]))
             last = pi
         crystals += 1
         checks += len(orbits) * m_max
         e = (0, *slopes)
-        for index, orbit in enumerate(orbits):
-            eps = _epsilon(e, orbit)
+        differences = tuple(map(sub, firsts(e), seconds(e)))
+        for index, span in enumerate(spans):
+            eps = differences[span]
             found = failing.get(eps)
             if found is None:
                 found = failing[eps] = [

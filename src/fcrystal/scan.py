@@ -6,10 +6,13 @@ each, and evaluates a set of expected properties.  Records come back in
 enumeration order, so scan output is reproducible byte for byte.
 
 Every invariant and verdict of a record is an isomorphism invariant, so a scan
-is one class table (see scan_table): one record per isomorphism class and one
-int class index per crystal.  A crystal costs one lookup of its slope word, read
-in cycle order, and scan_record runs once per class.  run_scan expands the table
-into one record per crystal; the cli renders each class's part once.
+is one class table (see scan_table): one record per isomorphism class, how many
+crystals it holds, and lazy rows of class indices.  The table costs cycle types,
+classes and permutations, not crystals: each cycle type's memo of slope words is
+filled once, scan_record runs once per class, and the counts follow from the
+cycle types.  A crystal's slope word is looked up only when its row is read, at
+C speed.  run_scan expands the table into one record per crystal; the cli
+renders each class's part once, and a text scan with no violation reads no row.
 """
 
 from __future__ import annotations
@@ -196,42 +199,57 @@ def scan_table(
     m_max: int,
     slope_max: int = 1,
     checks: Sequence[str] = CHECKS,
-) -> tuple[list[str], list[tuple[int, ...]], list[ScanRecord], list[list[int]]]:
-    """A family as one class table (perms, slopes, classes, rows): the cycle
-    strings and the slope vectors in enumeration order, one scan_record per
-    isomorphism class in order of first member, and rows[p][s], the index in
-    classes of crystal (perms[p], slopes[s]).  A crystal's class is looked up by
-    its slope word read in cycle order, in a memo keyed by (cycle lengths, word)
-    that lives for this call, so _class_key runs once per distinct key."""
+) -> tuple[list[str], list[tuple[int, ...]], list[ScanRecord], list[int], Iterator[Iterator[int]]]:
+    """A family as one class table (perms, slopes, classes, counts, rows): the
+    cycle strings and the slope vectors in enumeration order, one scan_record
+    per isomorphism class in order of first member, counts[c], how many crystals
+    class c holds, and rows, an iterator read once that yields one row per
+    permutation in order: an iterator over the class indices of crystals
+    (perms[p], slopes[s]) for each s, each looked up as it is read.
+
+    A crystal's class is named by its slope word read in cycle order, in a memo
+    keyed by (cycle lengths, word) that lives for this call.  The memo of a
+    cycle type is filled once, at its first permutation, so _class_key runs once
+    per distinct key and scan_record once per class, in enumeration order; the
+    counts come from the cycle types, and no per-crystal list is built."""
     checks = tuple(checks)
     permutations = _permutations(family, r)
     slopes = list(_slope_vectors(slope_bound(family, slope_max), r))
     perms: list[str] = []
     classes: list[ScanRecord] = []
-    rows: list[list[int]] = []
+    getters: list[itemgetter] = []
+    memos: list[dict] = []  # per permutation, its cycle type's memo
     by_class: dict[tuple[tuple[int, ...], ...], int] = {}
-    by_word: dict[tuple[int, ...], dict] = {}  # cycle lengths -> {word: class index}
+    by_type: dict[tuple[int, ...], dict] = {}  # cycle lengths -> {word: class index}
+    members: dict[tuple[int, ...], int] = {}  # cycle lengths -> permutations of that type
     for pi in permutations:
         cycles = cycle_decomposition(pi)
         # At r = 1 the getter has one index and returns the bare slope, which
         # names the word as well as a 1-tuple would.
         word_of = itemgetter(*[i - 1 for cycle in cycles for i in cycle])
-        memo = by_word.setdefault(tuple(map(len, cycles)), {})
-        row = []
-        for vector in slopes:
-            word = word_of(vector)
-            index = memo.get(word)
-            if index is None:
+        lengths = tuple(map(len, cycles))
+        memo = by_type.get(lengths)
+        if memo is None:
+            # word_of permutes coordinates, so the words of this permutation's
+            # crystals are every word of its type: no later permutation misses.
+            memo = by_type[lengths] = {}
+            for vector in slopes:
                 key = _class_key(cycles, vector)
                 index = by_class.get(key)
                 if index is None:
                     index = by_class[key] = len(classes)
                     classes.append(scan_record(pi, vector, m_max, checks))
-                memo[word] = index
-            row.append(index)
+                memo[word_of(vector)] = index
+        members[lengths] = members.get(lengths, 0) + 1
         perms.append(cycle_string(pi))
-        rows.append(row)
-    return perms, slopes, classes, rows
+        getters.append(word_of)
+        memos.append(memo)
+    counts = [0] * len(classes)
+    for lengths, memo in by_type.items():
+        for index in memo.values():
+            counts[index] += members[lengths]
+    rows = (map(memo.__getitem__, map(word_of, slopes)) for word_of, memo in zip(getters, memos))
+    return perms, slopes, classes, counts, rows
 
 
 def run_scan(
@@ -243,7 +261,7 @@ def run_scan(
 ) -> list[ScanRecord]:
     """Scan a whole family: one record per crystal, in enumeration order.  Each
     is its class record (see scan_table) with the crystal's own perm and slopes."""
-    perms, slopes, classes, rows = scan_table(family, r, m_max, slope_max, checks)
+    perms, slopes, classes, _, rows = scan_table(family, r, m_max, slope_max, checks)
     return [
         ScanRecord(**{**vars(classes[index]), "perm": perm, "slopes": vector})
         for perm, row in zip(perms, rows)

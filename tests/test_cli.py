@@ -7,6 +7,7 @@ import json
 import os
 import random
 import stat
+import sys
 import time
 from decimal import Decimal
 
@@ -257,6 +258,34 @@ def test_verify_random_sweep_reports_mismatches(capsys, monkeypatch):
     assert payload["ok"] is False
     assert len(calls) == 5
     assert payload["mismatches"] == [{"seq": list(seq), "m": m} for seq, m in calls]
+
+
+def randint_draws(seed, n, max_s, max_entry, m_max) -> list:
+    """The (seq, m) pairs of a random sweep as random.Random(seed).randint draws them."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        s = rng.randint(1, max_s)
+        seq = tuple(rng.randint(-max_entry, max_entry) for _ in range(s))
+        draws.append((seq, rng.randint(1, m_max)))
+    return draws
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3, 2**70 + 1])
+@pytest.mark.parametrize(
+    "max_s, max_entry, m_max",
+    [(12, 8, 10), (1, 8, 10), (12, 0, 10), (12, 8, 1), (1, 0, 1), (5, 2**40, 3)],
+    ids=["benchmark", "max-s-1", "max-entry-0", "m-max-1", "all-one", "wide-entries"],
+)
+def test_random_draws_follow_randint(seed, max_s, max_entry, m_max):
+    assert list(cli._random_draws(seed, 400, max_s, max_entry, m_max)) == randint_draws(seed, 400, max_s, max_entry, m_max)
+
+
+def test_random_sweep_checks_the_drawn_sequences(capsys, monkeypatch):
+    calls = force_mismatch(monkeypatch)
+    argv = ("--random", "30", "--seed", "5", "--max-s", "4", "--max-entry", "3")
+    assert run(capsys, "verify", "--r-max", "1", "--m-max", "6", *argv)[0] == 1
+    assert calls == randint_draws(5, 30, 4, 3, 6)
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11", "\u00b2", "0x1", "1.0", "+", "--1"])
@@ -702,6 +731,20 @@ def test_level_past_any_table_is_a_resource_limit(capsys, argv, override):
         3,
         "",
         f"resource limit: level {HUGE} needs a table of one entry per level, larger than this platform can address\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("scan", "--family", "all-dieudonne", "--r", HUGE, "--m-max", "2"), ("verify", "--r-max", HUGE)],
+    ids=["scan", "verify"],
+)
+def test_rank_past_any_sweep_is_a_resource_limit(capsys, no_enumeration, argv):
+    # refused before r! is formed or a rank is enumerated, even with --override-limits
+    assert run(capsys, *argv, "--override-limits") == (
+        3,
+        "",
+        f"resource limit: a sweep of more than {sys.maxsize} crystals is larger than this platform can enumerate\n",
     )
 
 

@@ -1,4 +1,5 @@
-"""Family scans: the class table behind run_scan against one scan_record per crystal."""
+"""Family scans: the class table behind run_scan against one scan_record per
+crystal, and against the per-crystal table loop it replaced (tests/reference_scan.py)."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import reference_scan
 from fcrystal import cli, scan
 from fcrystal.permutation import cycle_decomposition
 from fcrystal.scan import (
@@ -26,7 +28,7 @@ FAMILIES = (
 )
 
 # The Dieudonne families at r <= 6, circular-fcrystal at r <= 5 and all-fcrystal
-# at r <= 4, slope bounds up to 2.
+# at r <= 4, slope bounds up to 2; every family of FAMILIES is among them.
 SMALL_FAMILIES = (
     [("circular-dieudonne", r, 1) for r in range(1, 7)]
     + [("all-dieudonne", r, 1) for r in range(1, 7)]
@@ -58,9 +60,17 @@ def test_family_size_counts_the_enumeration(family, r, slope_max):
 
 
 @pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
+def test_table_equals_the_per_crystal_reference(family, r, slope_max):
+    perms, slopes, classes, counts, rows = scan_table(family, r, 5, slope_max)
+    expected_perms, expected_slopes, expected_classes, expected_rows = reference_scan.scan_table(family, r, 5, slope_max)
+    assert (perms, slopes, classes) == (expected_perms, expected_slopes, expected_classes)
+    assert [list(row) for row in rows] == expected_rows
+    assert counts == class_counts(expected_classes, expected_rows)
+
+
+@pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
 def test_class_summary_equals_the_per_crystal_summary(family, r, slope_max):
-    _, _, classes, rows = scan_table(family, r, 5, slope_max)
-    counts = class_counts(classes, rows)
+    _, _, classes, counts, _ = scan_table(family, r, 5, slope_max)
     assert sum(counts) == family_size(family, r, slope_max)
     assert min(counts) >= 1
     assert summarize(classes, counts) == summarize(run_scan(family, r, 5, slope_max))
@@ -76,20 +86,24 @@ def test_class_key_runs_once_per_cycle_word(monkeypatch, family, r, slope_max):
         return real(cycles, slopes)
 
     monkeypatch.setattr(scan, "_class_key", counting)
-    _, _, _, rows = scan_table(family, r, 5, slope_max)
+    _, _, _, _, rows = scan_table(family, r, 5, slope_max)
+    table_calls = calls[:]
+    calls.clear()
+    reference_scan.scan_table(family, r, 5, slope_max)
+    assert table_calls == calls  # the same keys, in the same order
     words = set()
     for pi, slopes in enumerate_family(family, r, slope_max):
         cycles = cycle_decomposition(pi)
         words.add((tuple(map(len, cycles)), tuple(slopes[i - 1] for cycle in cycles for i in cycle)))
     assert len(calls) == len(words)
-    assert sum(map(len, rows)) == family_size(family, r, slope_max)
+    assert sum(len(list(row)) for row in rows) == family_size(family, r, slope_max)
     if r > 2 and slope_max:
         assert len(calls) < family_size(family, r, slope_max)
 
 
 @pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
 def test_one_class_per_class_key(family, r, slope_max):
-    _, _, classes, rows = scan_table(family, r, 5, slope_max)
+    _, _, classes, _, rows = scan_table(family, r, 5, slope_max)
     index_of = {}  # class key -> the class indices of its crystals
     for (pi, vector), index in zip(enumerate_family(family, r, slope_max), (i for row in rows for i in row)):
         index_of.setdefault(scan._class_key(cycle_decomposition(pi), vector), set()).add(index)
@@ -98,10 +112,10 @@ def test_one_class_per_class_key(family, r, slope_max):
 
 
 def test_members_share_one_record_per_class():
-    perms, slopes, classes, rows = scan_table("all-dieudonne", 4, 5)
+    perms, slopes, classes, _, rows = scan_table("all-dieudonne", 4, 5)
     keys = {scan._class_key(cycle_decomposition(pi), s) for pi, s in enumerate_family("all-dieudonne", 4)}
     assert len(classes) == len(keys)
-    assert [len(row) for row in rows] == [len(slopes)] * len(perms)
+    assert [len(list(row)) for row in rows] == [len(slopes)] * len(perms)
     assert [(perm, vector) for perm in perms for vector in slopes] == [
         (rec.perm, rec.slopes) for rec in run_scan("all-dieudonne", 4, 5)
     ]
@@ -142,10 +156,20 @@ def test_enumerate_family_is_a_stream():
 
 
 def test_summary_scan_memory_follows_classes(capsys):
-    # A text scan prints only its summary; it keeps one class index per crystal
-    # and no per-crystal record.
+    # A text scan prints only its summary and keeps no per-crystal record.
     argv = ["scan", "--family", "circular-dieudonne", "--r", "7", "--m-max", "3"]
     assert cli.main(argv) == 0  # warm-up: the parser and every lazily built table
     peak = traced_peak(lambda: cli.main(argv))
     capsys.readouterr()
     assert peak < 32 * family_size("circular-dieudonne", 7)
+
+
+def test_summary_scan_reads_no_row(capsys):
+    # 1,290,240 crystals in 36 classes: a text scan with no violation holds per
+    # permutation its cycle string and word getter, and per crystal nothing; a
+    # list of one int class index per crystal would alone take 8 B a crystal.
+    argv = ["scan", "--family", "circular-dieudonne", "--r", "8", "--m-max", "3"]
+    assert cli.main(argv) == 0  # warm-up
+    peak = traced_peak(lambda: cli.main(argv))
+    assert capsys.readouterr().out.endswith("all checks passed\n")
+    assert peak < 4 * family_size("circular-dieudonne", 8)
