@@ -128,18 +128,22 @@ def run_census(seq: CircularSeq) -> tuple[Census, Optional[int]]:
     deepest pair inside it.  A negative run opens a block of nested starts, and
     a positive run closes them from the innermost block out: closing k starts
     of a block whose innermost start already encloses level `inner` makes one
-    segment at each level inner+1..inner+k.  Two laps close every segment that
-    starts in the first lap (a walk still open after one lap is below zero and
-    sinks further each lap), and only those are kept.  The level is that of
-    circular_level.
+    segment at each level inner+1..inner+k.  Only segments that start in the
+    first lap are kept.  A second lap closes every one of them (a walk still
+    open after it is below zero and sinks further each lap), and it ends at its
+    first negative run with an empty stack: the blocks of the first lap lie at
+    the bottom of the stack, so none of them is open then, and no later run
+    could add a range.  The level is that of circular_level.
     """
     _check_seq(seq)
-    runs = [e for e in seq if e]
+    runs = list(filter(None, seq))
     s = len(runs)
     census: list[tuple[int, int]] = []
     blocks: list[list[int]] = []  # open negative runs [run index, starts left, inner level], innermost last
     for index, e in enumerate(runs + runs):
         if e < 0:
+            if index >= s and not blocks:
+                break
             blocks.append([index, -e, 0])
             continue
         while blocks:

@@ -19,10 +19,14 @@ Output contract: each cmd_* function takes the parsed arguments and returns
 (exit code, output), where output is the json payload without "schema" and
 "command", or the text/csv lines.  A command builds only the format asked for
 and writes nothing.  main adds the header, renders, and writes once: to stdout,
-or to --out (see _emit).  json is rendered by _json_text, byte-identical to
-json.dumps(indent=2); a gamma orbit's points reach it as the Orbit itself and
-are filled into one cached row template per orbit length from its two columns,
-so no tuple per point is built (the orbit's census is read once, by
+or to --out (see _emit), the text and its last newline as two chunks, so
+adding the newline copies nothing.  json is rendered by _json_text,
+byte-identical to json.dumps(indent=2), as one join of the pieces it appends
+down the tree, so no level copies the text below it.  A list of plain ints is
+one join of texts from a bounded int table.  A gamma orbit's points reach it
+as the Orbit itself and are rendered from its two columns, interleaving a left
+piece per i and a right piece per j from label tables made once per render, so
+no tuple and no % formatting per point (the orbit's census is read once, by
 circseq.census_levels).  scan renders from the class table (scan.scan_table) and
 builds no per-crystal record: a crystal's csv line or json record is one
 concatenation of its permutation's head, its slope vector's cells and its
@@ -49,7 +53,6 @@ import sys
 import tempfile
 from dataclasses import fields
 from decimal import Decimal
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import add
 from typing import Iterator, Optional, Sequence, Union
@@ -161,12 +164,14 @@ def _crystal(args) -> FCyclicCrystal:
     return FCyclicCrystal(parse_permutation(args.perm, args.r), slopes)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    """Write text to stdout or to out: in place when out exists and is not a regular file (a FIFO
-    or a device, which a rename would replace; a directory fails there), else through a temp
-    file, given the target's mode or the umask's (mkstemp makes it 0600), renamed over out."""
+def _emit(chunks: Sequence[str], out: Optional[str]) -> None:
+    """Write the text chunks in order (so a large text is not copied to add its
+    last newline) to stdout or to out: in place when out exists and is not a
+    regular file (a FIFO or a device, which a rename would replace; a directory
+    fails there), else through a temp file, given the target's mode or the
+    umask's (mkstemp makes it 0600), renamed over out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     if not out:  # abspath("") is the working directory, whose parent would get the temp file
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
@@ -179,14 +184,14 @@ def _emit(text: str, out: Optional[str]) -> None:
     else:
         if not stat.S_ISREG(target):
             with open(out, "w") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
             return
         mode = stat.S_IMODE(target)
     directory = os.path.dirname(os.path.abspath(out))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fcrystal-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.chmod(tmp, mode)
         os.replace(tmp, out)
     except BaseException:
@@ -205,64 +210,125 @@ class _Rendered:
         self.text = text
 
 
+class _IntTexts(dict):
+    """int -> its json text, kept for the ints in -1024..1024 on first use (so
+    import builds nothing) and made afresh for any other, so the table never
+    holds more than 2049 texts."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: int) -> str:
+        text = int.__repr__(value)
+        if -1024 <= value <= 1024:
+            self[value] = text
+        return text
+
+
+_INT_TEXT = _IntTexts().__getitem__
+
+
+class _Labels(dict):
+    """label -> head + label + tail, made on first lookup: the text pieces of
+    one Orbit column at one indent, kept for one render (see _orbit_parts)."""
+
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head: str, tail: str) -> None:
+        self.head = head
+        self.tail = tail
+
+    def __missing__(self, label: int) -> str:
+        text = self[label] = self.head + int.__repr__(label) + self.tail
+        return text
+
+
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
     keys, lists, tuples, str, int, bool and None, where an Orbit stands for the
-    list of its points; anything else raises TypeError.  A list of plain ints, and
-    an Orbit's points, are each one template filled by one %."""
+    list of its points; anything else raises TypeError.  The text is one join of
+    the pieces _json_write appends, so no part of it is copied on its way up the
+    tree."""
+    out: list[str] = []
+    _json_write(value, indent, out, {})
+    return "".join(out)
+
+
+def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
+    """Append the json of value at indent to out.  A list of plain ints is one
+    join of texts from a bounded int table; an Orbit's points are label pieces
+    from pieces[indent], made once per render (see _orbit_parts)."""
     if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if type(value) is _Rendered:
-        return value.text
-    if type(value) is Orbit:
-        flat = [0] * (2 * len(value))
-        flat[::2] = value.first
-        flat[1::2] = value.second
-        return _points_template(len(value), indent) % tuple(flat)
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        return _json_object(_json_members(value, inner), indent)
-    if not isinstance(value, (list, tuple)):
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif type(value) is _Rendered:
+        out.append(value.text)
+    elif type(value) is Orbit:
+        out += _orbit_parts(value, indent, pieces)
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_write(item, inner, out, pieces)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif not isinstance(value, (list, tuple)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not value:
-        return "[]"
-    if set(map(type, value)) == {int}:
-        return "[\n" + inner + sep.join(["%d"] * len(value)) % tuple(value) + "\n" + indent + "]"
-    return "[\n" + inner + sep.join([_json_text(item, inner) for item in value]) + "\n" + indent + "]"
+    elif not value:
+        out.append("[]")
+    elif set(map(type, value)) == {int}:
+        inner = indent + "  "
+        out += "[\n" + inner, (",\n" + inner).join(map(_INT_TEXT, value)), "\n" + indent + "]"
+    else:
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_write(item, inner, out, pieces)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
 
 
-@lru_cache(maxsize=16)
-def _points_template(length: int, indent: str) -> str:
-    """The json of `length` int pairs at indent, as _json_text renders a list of
-    2-tuples, with a %d for each int; cached, so the orbits of one length in a
-    render share one template."""
-    inner = indent + "  "
-    deeper = inner + "  "
-    row = "[\n" + deeper + "%d,\n" + deeper + "%d\n" + inner + "]"
-    return "[\n" + inner + (",\n" + inner).join([row] * length) + "\n" + indent + "]"
+def _orbit_parts(orbit: Orbit, indent: str, pieces: dict) -> list[str]:
+    """An Orbit's points at indent as text pieces, laid out as _json_text lays
+    out a list of int pairs.  Point (i, j) is a left piece of i (the separator,
+    the open bracket and i) and a right piece of j (j and the close bracket);
+    pieces[indent] holds both label tables, made once per render, and the first
+    point's separator ',' becomes the list's '['."""
+    if not orbit:
+        return ["[]"]
+    labels = pieces.get(indent)
+    if labels is None:
+        inner = indent + "  "
+        deeper = inner + "  "
+        labels = pieces[indent] = (
+            _Labels(",\n" + inner + "[\n" + deeper, ",\n" + deeper).__getitem__,
+            _Labels("", "\n" + inner + "]").__getitem__,
+        )
+    left, right = labels
+    parts = [""] * (2 * len(orbit))
+    parts[::2] = map(left, orbit.first)
+    parts[1::2] = map(right, orbit.second)
+    parts[0] = "[" + parts[0][1:]
+    parts.append("\n" + indent + "]")
+    return parts
 
 
 def _json_members(mapping: dict, inner: str) -> list[str]:
     """A dict's members, '"key": value', as _json_text renders them inside an object whose members sit at inner."""
     # encode_basestring_ascii raises TypeError on a key that is not a str
     return [encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in mapping.items()]
-
-
-def _json_object(members: list[str], indent: str) -> str:
-    """An object at indent from its rendered members (see _json_members)."""
-    if not members:
-        return "{}"
-    inner = indent + "  "
-    return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
 
 
 def _orbit_view(data: OrbitData, m_max: int) -> dict:
@@ -706,10 +772,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, output = args.func(args)
         summary = output.pop() if args.command == "scan" and args.format == "csv" else None
         if isinstance(output, dict):
-            text = _json_text({"schema": SCHEMA, "command": args.command, **output}) + "\n"
+            text = _json_text({"schema": SCHEMA, "command": args.command, **output})
         else:
-            text = "\n".join(output) + "\n"
-        _emit(text, args.out)
+            text = "\n".join(output)
+        _emit((text, "\n"), args.out)
         if summary is not None:
             (sys.stderr if args.out is None else sys.stdout).write(summary + "\n")
     except ResourceLimitError as exc:

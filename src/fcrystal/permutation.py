@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable
 
 
 class ParseError(ValueError):
@@ -158,7 +159,12 @@ def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
 
 def cycle_string(p: Permutation) -> str:
     """Cycle form with fixed points written out, e.g. "(1 2)(3)". Re-parses to the same permutation."""
-    return "".join("(" + " ".join(str(i) for i in cycle) + ")" for cycle in cycle_decomposition(p))
+    return cycles_text(cycle_decomposition(p))
+
+
+def cycles_text(cycles: Iterable[tuple[int, ...]]) -> str:
+    """cycle_string from a permutation's cycles as cycle_decomposition lists them."""
+    return "".join(["(" + " ".join(map(str, cycle)) + ")" for cycle in cycles])
 
 
 def is_single_cycle(p: Permutation) -> bool:

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .crystal import FCyclicCrystal, gamma_table, is_minimal
-from .permutation import Permutation, cycle_decomposition, cycle_string
+from .permutation import Permutation, cycle_decomposition, cycle_string, cycles_text
 
 FAMILIES = ("circular-dieudonne", "all-dieudonne", "circular-fcrystal", "all-fcrystal")
 
@@ -138,8 +138,10 @@ def scan_record(
     slopes: tuple[int, ...],
     m_max: int,
     checks: Sequence[str] = CHECKS,
+    perm: Optional[str] = None,
 ) -> ScanRecord:
-    """Compute one crystal's tables and evaluate the requested property checks."""
+    """Compute one crystal's tables and evaluate the requested property checks.
+    perm is pi's cycle string when the caller has it (see cycle_string)."""
     crystal = FCyclicCrystal(pi, slopes)
     table = gamma_table(crystal, m_max)
     stab = table.stabilization
@@ -168,7 +170,7 @@ def scan_record(
 
     return ScanRecord(
         r=pi.size,
-        perm=cycle_string(pi),
+        perm=cycle_string(pi) if perm is None else perm,
         slopes=slopes,
         m_max=m_max,
         gamma=table.gamma,
@@ -224,6 +226,7 @@ def scan_table(
     members: dict[tuple[int, ...], int] = {}  # cycle lengths -> permutations of that type
     for pi in permutations:
         cycles = cycle_decomposition(pi)
+        perm = cycles_text(cycles)
         # At r = 1 the getter has one index and returns the bare slope, which
         # names the word as well as a 1-tuple would.
         word_of = itemgetter(*[i - 1 for cycle in cycles for i in cycle])
@@ -238,10 +241,10 @@ def scan_table(
                 index = by_class.get(key)
                 if index is None:
                     index = by_class[key] = len(classes)
-                    classes.append(scan_record(pi, vector, m_max, checks))
+                    classes.append(scan_record(pi, vector, m_max, checks, perm=perm))
                 memo[word_of(vector)] = index
         members[lengths] = members.get(lengths, 0) + 1
-        perms.append(cycle_string(pi))
+        perms.append(perm)
         getters.append(word_of)
         memos.append(memo)
     counts = [0] * len(classes)

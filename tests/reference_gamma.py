@@ -1,6 +1,7 @@
 """`fcrystal gamma` output built the way it was before pair orbits were stored
 as columns: the reference pair walk, epsilon point by point, level_counts on
-each orbit's census, the sign form from normalize, and json.dumps(indent=2).
+each orbit's census (the two-lap run census of reference_census.py), the sign
+form from normalize, and json.dumps(indent=2).
 Kept here as the differential reference for the gamma command.
 """
 
@@ -10,7 +11,8 @@ import json
 
 import reference_orbits as reference
 from fcrystal import FCyclicCrystal
-from fcrystal.circseq import AllZero, circular_at, circular_level, level_counts, normalize, run_census
+from fcrystal.circseq import AllZero, circular_at, circular_level, level_counts, normalize
+from reference_census import run_census
 from fcrystal.permutation import cycle_string
 
 

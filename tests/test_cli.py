@@ -440,8 +440,8 @@ def forced_violations(monkeypatch):
     past level 0 as violating nonincreasing."""
     real = scan.scan_record
 
-    def failing(pi, slopes, m_max, checks=cli.CHECKS):
-        record = real(pi, slopes, m_max, checks)
+    def failing(pi, slopes, m_max, checks=cli.CHECKS, perm=None):
+        record = real(pi, slopes, m_max, checks, perm)
         return dataclasses.replace(record, nonincreasing=False) if record.stabilization >= 1 else record
 
     monkeypatch.setattr(scan, "scan_record", failing)

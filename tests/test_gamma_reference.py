@@ -1,7 +1,7 @@
 """`fcrystal gamma` json and text against the path it replaced (see
-reference_gamma.py): the same bytes on large cycles, on mixed cycle lengths
-with fixed points, and on random crystals with small and clamped slopes, at
-every level bound 1..6."""
+reference_gamma.py): the same bytes on large cycles, one with slopes of
+10**23, on mixed cycle lengths with fixed points, and on random crystals with
+small and clamped slopes, at every level bound 1..6."""
 
 from __future__ import annotations
 
@@ -40,13 +40,19 @@ def large_crystals() -> list[FCyclicCrystal]:
     cycle = "(" + " ".join(str(k * 7 % 201) for k in range(1, 201)) + ")"
     # cycles of lengths 12 and 18 (gcd 6) and four fixed points, with slopes up to 40
     mixed = "(" + " ".join(map(str, range(1, 13))) + ")(" + " ".join(map(str, range(13, 31))) + ")"
+    # another 200-cycle, with slopes 0, 1 and 10**23: epsilon entries far past
+    # the json int table, and clamped sign forms
+    huge = "(" + " ".join(str(k * 13 % 201) for k in range(1, 201)) + ")"
     return [
         FCyclicCrystal(parse_permutation(cycle, 200), tuple((k * k + k // 3) % 2 for k in range(200))),
         FCyclicCrystal(parse_permutation(mixed, 34), tuple(SLOPES[k * k % 5] for k in range(34))),
+        FCyclicCrystal(parse_permutation(huge, 200), tuple((0, 1, 10**23)[k * k % 7 % 3] for k in range(200))),
     ]
 
 
-@pytest.mark.parametrize("index", [0, 1], ids=["200-cycle", "12-and-18-cycles-and-fixed-points"])
+@pytest.mark.parametrize(
+    "index", [0, 1, 2], ids=["200-cycle", "12-and-18-cycles-and-fixed-points", "200-cycle-slope-10**23"]
+)
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_gamma_matches_old_path_on_large_permutations(capsys, index, fmt):
     crystal = large_crystals()[index]

@@ -1,17 +1,22 @@
 """The json writer of the command line against json.dumps(indent=2): the same
-bytes on every tree of dicts, lists, tuples, str, int, bool and None, and a
-TypeError on anything else."""
+bytes on every tree of dicts, lists, tuples, str, int, bool and None, on an
+Orbit against the list of its points, and a TypeError on anything else."""
 
 from __future__ import annotations
 
+import gc
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fcrystal import cli
 from fcrystal.cli import _json_text
+from fcrystal.permutation import Orbit
 
 # non-ASCII, quote, backslash, control characters and a lone surrogate, besides any character
 characters = st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7fé \U0001f600\ud800/'), st.characters())
@@ -81,3 +86,88 @@ def test_matches_json_dumps_on_fast_path_edges(tree):
 def test_refuses_other_types(tree):
     with pytest.raises(TypeError):
         _json_text(tree)
+
+
+# Orbits of 1-6 points, labels from 1 up to past the int table's -1024..1024.
+labels = st.one_of(st.integers(1, 9), st.integers(1, 2000), st.integers(1, 10**30))
+orbits = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.tuples(*[labels] * n), st.tuples(*[labels] * n)).map(lambda columns: Orbit(*columns))
+)
+INDENTS = ["", "  ", "      "]
+
+
+def reindented(text: str, indent: str) -> str:
+    return text.replace("\n", "\n" + indent)
+
+
+@given(orbits)
+@settings(max_examples=300)
+def test_orbit_matches_json_dumps_of_its_points(orbit):
+    for indent in INDENTS:
+        assert _json_text(orbit, indent) == reindented(json.dumps(orbit.points, indent=2), indent)
+
+
+@pytest.mark.parametrize("indent", INDENTS)
+@pytest.mark.parametrize(
+    "orbit",
+    [Orbit((1,), (1,)), Orbit((3,), (1025,)), Orbit((2000, 1), (1, 10**30)), Orbit((), ())],
+    ids=["one-point", "one-point-past-table", "labels-past-table", "empty"],
+)
+def test_orbit_edges(orbit, indent):
+    assert _json_text(orbit, indent) == reindented(json.dumps(orbit.points, indent=2), indent)
+
+
+@given(st.lists(orbits, min_size=1, max_size=4))
+@settings(max_examples=100)
+def test_orbits_share_label_pieces_within_one_render(group):
+    # one render holds one label table per indent: orbits at two depths, and
+    # the same orbit twice
+    tree = {"orbits": [{"points": orbit} for orbit in group], "deeper": [[group[0]]], "again": group[0]}
+    expected = {
+        "orbits": [{"points": orbit.points} for orbit in group],
+        "deeper": [[group[0].points]],
+        "again": group[0].points,
+    }
+    assert _json_text(tree) == json.dumps(expected, indent=2)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[10**30, -(10**30)], [-1025, 1025, -1024, 1024], [0, -1025, 10**30, 7], [2**63, -(2**63) - 1]],
+)
+def test_int_lists_past_the_table(values):
+    table = cli._INT_TEXT.__self__
+    for indent in INDENTS:
+        assert _json_text(values, indent) == reindented(json.dumps(values, indent=2), indent)
+    # ints outside -1024..1024 are rendered, never kept
+    assert all(-1024 <= value <= 1024 for value in table)
+    assert len(table) <= 2049
+
+
+def test_render_keeps_nothing_that_grows_with_rank():
+    # Label pieces live for one render: rendering a rank-300 gamma payload
+    # (300 orbits of 300 points) twice leaves almost nothing behind.
+    rng = random.Random(300)
+    order = list(range(1, 301))
+    rng.shuffle(order)
+    argv = [
+        "gamma", "--r", "300", "--perm", "(" + " ".join(map(str, order)) + ")",
+        "--slopes", ",".join(str(rng.randint(0, 1)) for _ in range(300)),
+        "--m-max", "3", "--override-limits", "--format", "json",
+    ]
+    _, payload = cli.cmd_gamma(cli.build_parser().parse_args(argv))
+    # every int of the payload enters the bounded int table here, through a
+    # render without the orbits' points
+    _json_text({**payload, "orbits": [{**view, "points": []} for view in payload["orbits"]]})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _json_text(payload)
+        gc.collect()
+        _json_text(payload)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096, retained
