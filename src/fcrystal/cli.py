@@ -14,30 +14,30 @@ in ASCII), 3 resource limit hit (a rank, level or sweep crystal count past its
 default cap, or, even with --override-limits, a level past any per-level
 table or a sweep of more than sys.maxsize crystals).  Machine formats (json,
 csv) are byte deterministic for a given command line.
-
-Output contract: each cmd_* function takes the parsed arguments and returns
-(exit code, output), where output is the json payload without "schema" and
-"command", or the text/csv lines.  A command builds only the format asked for
-and writes nothing.  main adds the header, renders, and writes once: to stdout,
-or to --out (see _emit), the text and its last newline as two chunks, so
-adding the newline copies nothing.  json is rendered by _json_text,
-byte-identical to json.dumps(indent=2), as one join of the pieces it appends
-down the tree, so no level copies the text below it.  A list of plain ints is
-one join of texts from a bounded int table.  A gamma orbit's points reach it
-as the Orbit itself and are rendered from its two columns, interleaving a left
-piece per i and a right piece per j from label tables made once per render, so
-no tuple and no % formatting per point (the orbit's census is read once, by
-circseq.census_levels).  scan renders from the class table (scan.scan_table) and
-builds no per-crystal record: a crystal's csv line or json record is one
-concatenation of its permutation's head, its slope vector's cells and its
-class's cells, each rendered once (the json records list reaches main as one
-_Rendered text from the same writer), the summary weights each class's verdicts
-by its count in the table, and a text scan reads the table's rows only to name
-violations.  main builds its argument parser on its first call and reuses it.
-The one other write is the scan csv summary line, which main prints after the
-csv, to the stream the csv does not use (stderr when the csv goes to stdout,
-stdout with --out); so a failed --out write prints no summary.
 """
+
+# Output contract: each cmd_* function takes the parsed arguments and returns
+# (exit code, output), where output is the json payload without "schema" and
+# "command", or the text/csv lines.  A command builds only the format asked for
+# and writes nothing.  main adds the header, renders, and writes once: to stdout,
+# or to --out (see _emit), the text and its last newline as two chunks, so
+# adding the newline copies nothing.  json is rendered by _json_text,
+# byte-identical to json.dumps(indent=2), as one join of the pieces it appends
+# down the tree, so no level copies the text below it.  A list of plain ints is
+# one join of texts from a bounded int table.  A gamma orbit's points reach it
+# as the Orbit itself and are rendered from its two columns, interleaving a left
+# piece per i and a right piece per j from label tables made once per render, so
+# no tuple and no % formatting per point (the orbit's census is read once, by
+# circseq.census_levels).  scan renders from the class table (scan.scan_table) and
+# builds no per-crystal record: a crystal's csv line or json record is one
+# concatenation of its permutation's head, its slope vector's cells and its
+# class's cells, each rendered once (the json records list reaches main as one
+# _Rendered text from the same writer), the summary weights each class's verdicts
+# by its count in the table, and a text scan reads the table's rows only to name
+# violations.  main builds its argument parser on its first call and reuses it.
+# The one other write is the scan csv summary line, which main prints after the
+# csv, to the stream the csv does not use (stderr when the csv goes to stdout,
+# stdout with --out); so a failed --out write prints no summary.
 
 from __future__ import annotations
 
@@ -146,6 +146,12 @@ def _check_family_size(override_limits: bool, family: str, ranks: Sequence[int],
         raise ResourceLimitError(
             f"a sweep of {count} crystals exceeds the default cap {MAX_CRYSTALS}; pass --override-limits to proceed"
         )
+
+
+def _check_vertices(vertices: int, budget: int) -> None:
+    """Refuse a digraph of more vertices than --vertex-budget allows."""
+    if vertices > budget:
+        raise ResourceLimitError(f"digraph would need {vertices} vertices, budget is {budget}")
 
 
 def _at_least(args, flag: str, low: int) -> None:
@@ -479,8 +485,7 @@ def cmd_verify(args) -> Output:
     seq = _parse_ints(args.seq, "--seq")
     m = args.m if args.m is not None else args.m_max
     _check_limits(args.override_limits, None, m)
-    if m * len(seq) > args.vertex_budget:
-        raise ResourceLimitError(f"digraph would need {m * len(seq)} vertices, budget is {args.vertex_budget}")
+    _check_vertices(m * len(seq), args.vertex_budget)
 
     check, stats = verify_sequence(seq, m)
     code = 0 if check.match else 1
@@ -545,10 +550,8 @@ def _verify_sweep(args) -> Output:
     _check_limits(args.override_limits, args.r_max, args.m_max)
     ranks = range(1, args.r_max + 1)
     _check_family_size(args.override_limits, "all-fcrystal", ranks, args.slope_max)
-    if args.random and args.max_s * args.m_max > args.vertex_budget:
-        raise ResourceLimitError(
-            f"digraph would need {args.max_s * args.m_max} vertices, budget is {args.vertex_budget}"
-        )
+    if args.random:
+        _check_vertices(args.max_s * args.m_max, args.vertex_budget)
     crystals, checks, failed = verify_sweep(
         (pair for r in ranks for pair in enumerate_family("all-fcrystal", r, args.slope_max)),
         args.m_max,

@@ -88,13 +88,15 @@ class ComponentStats:
     zero_linear: int
 
 
-@lru_cache(maxsize=None)
+# Bounded, so a long random sweep of wide entries holds at most about 16 MB of
+# it; the 2,890 keys of entries within +-8 at levels up to 10 all fit.
+@lru_cache(maxsize=2**15)
 def pair_edges(eps_t: int, eps_next: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     """Marks and arcs contributed by one adjacent pair, from the digit-matching rule.
 
     Returns (left_zeros, right_zeros, arcs): digits of column t forced to zero,
     digits of column t+1 forced to zero, and (source_digit, target_digit, weight)
-    triples.  Pure and cached; pair_edges_case_table is the case-by-case oracle.
+    triples.  Pure, with a bounded cache; pair_edges_case_table is the case-by-case oracle.
     """
     if m < 1:
         raise ValueError("level must be at least 1")

@@ -11,8 +11,9 @@ crystals it holds, and lazy rows of class indices.  The table costs cycle types,
 classes and permutations, not crystals: each cycle type's memo of slope words is
 filled once, scan_record runs once per class, and the counts follow from the
 cycle types.  A crystal's slope word is looked up only when its row is read, at
-C speed.  run_scan expands the table into one record per crystal; the cli
-renders each class's part once, and a text scan with no violation reads no row.
+C speed.  scan_table is the one scan path: the cli renders each class's part
+once, and a text scan with no violation reads no row.  scan_record over
+enumerate_family is the per-crystal definition the table is tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .crystal import FCyclicCrystal, gamma_table, is_minimal
-from .permutation import Permutation, cycle_decomposition, cycle_string, cycles_text
+from .permutation import Permutation, cycle_decomposition, cycles_text
 
 FAMILIES = ("circular-dieudonne", "all-dieudonne", "circular-fcrystal", "all-fcrystal")
 
@@ -138,10 +139,11 @@ def scan_record(
     slopes: tuple[int, ...],
     m_max: int,
     checks: Sequence[str] = CHECKS,
-    perm: Optional[str] = None,
 ) -> ScanRecord:
     """Compute one crystal's tables and evaluate the requested property checks.
-    perm is pi's cycle string when the caller has it (see cycle_string)."""
+    One cycle_decomposition of pi gives both the record's cycle string and the
+    circular test of the strict check."""
+    cycles = cycle_decomposition(pi)
     crystal = FCyclicCrystal(pi, slopes)
     table = gamma_table(crystal, m_max)
     stab = table.stabilization
@@ -156,7 +158,7 @@ def scan_record(
             verdict["nonincreasing"] = report.nonincreasing
         # The strict decrease only holds for circular nonordinary Dieudonne
         # crystals; elsewhere it is reported as not applicable.
-        if "strict" in checks and dieudonne and crystal.is_circular and ordinary is False:
+        if "strict" in checks and dieudonne and len(cycles) == 1 and ordinary is False:
             verdict["strict"] = report.strict_through_stabilization if m_max >= stab + 1 else None
     if "increasing-to-stab" in checks:
         bound = min(stab, m_max)
@@ -170,7 +172,7 @@ def scan_record(
 
     return ScanRecord(
         r=pi.size,
-        perm=cycle_string(pi) if perm is None else perm,
+        perm=cycles_text(cycles),
         slopes=slopes,
         m_max=m_max,
         gamma=table.gamma,
@@ -241,7 +243,7 @@ def scan_table(
                 index = by_class.get(key)
                 if index is None:
                     index = by_class[key] = len(classes)
-                    classes.append(scan_record(pi, vector, m_max, checks, perm=perm))
+                    classes.append(scan_record(pi, vector, m_max, checks))
                 memo[word_of(vector)] = index
         members[lengths] = members.get(lengths, 0) + 1
         perms.append(perm)
@@ -253,23 +255,6 @@ def scan_table(
             counts[index] += members[lengths]
     rows = (map(memo.__getitem__, map(word_of, slopes)) for word_of, memo in zip(getters, memos))
     return perms, slopes, classes, counts, rows
-
-
-def run_scan(
-    family: str,
-    r: int,
-    m_max: int,
-    slope_max: int = 1,
-    checks: Sequence[str] = CHECKS,
-) -> list[ScanRecord]:
-    """Scan a whole family: one record per crystal, in enumeration order.  Each
-    is its class record (see scan_table) with the crystal's own perm and slopes."""
-    perms, slopes, classes, _, rows = scan_table(family, r, m_max, slope_max, checks)
-    return [
-        ScanRecord(**{**vars(classes[index]), "perm": perm, "slopes": vector})
-        for perm, row in zip(perms, rows)
-        for vector, index in zip(slopes, row)
-    ]
 
 
 def summarize(records: Sequence[ScanRecord], counts: Optional[Sequence[int]] = None) -> dict[str, int]:

@@ -1,7 +1,8 @@
 """The scan class table as it was before one memo fill per cycle type: every
 crystal's slope word looked up in its cycle type's memo, one int class index
 per crystal kept in rows.  Kept here as the differential reference for
-fcrystal.scan.scan_table, with its return value (perms, slopes, classes, rows).
+fcrystal.scan.scan_table, with its return value (perms, slopes, classes, rows),
+beside records, the per-crystal definition: one scan_record per crystal.
 """
 
 from __future__ import annotations
@@ -43,3 +44,10 @@ def scan_table(family, r, m_max, slope_max=1, checks=scan.CHECKS):
         perms.append(cycle_string(pi))
         rows.append(row)
     return perms, slopes, classes, rows
+
+
+def records(family, r, m_max, slope_max=1, checks=scan.CHECKS):
+    """One scan_record per crystal of the family, in enumeration order: the
+    definition scan.scan_table's classes, counts and rows must expand to.
+    scan_record is called through the scan module, so a patched one applies."""
+    return [scan.scan_record(pi, slopes, m_max, checks) for pi, slopes in scan.enumerate_family(family, r, slope_max)]

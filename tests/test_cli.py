@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import random
+import re
 import stat
 import sys
 import time
@@ -15,8 +17,10 @@ import pytest
 
 from fcrystal import FCyclicCrystal, Permutation, cli, orbit_data, scan
 from fcrystal.cli import main
-from fcrystal.scan import ScanRecord, enumerate_family, run_scan, summarize
+from fcrystal.permutation import cycle_decomposition
+from fcrystal.scan import ScanRecord, enumerate_family, summarize
 from reference_gamma import orbit_view as reference_orbit_view
+from reference_scan import records as per_crystal_records
 
 
 def run(capsys, *argv):
@@ -309,6 +313,18 @@ def test_integer_options_take_ascii_digits_only(capsys, token):
     assert f"argument --r: invalid int value: {token!r}" in capsys.readouterr().err
 
 
+def test_help_shows_only_user_facing_text(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("gamma", "endo", "verify", "scan", "minimal"):
+        assert f"\n* {command} " in out
+    for code in ("0 success", "1 a checked property failed", "2 invalid input", "3 resource limit hit"):
+        assert code in out
+    assert re.findall(r"(?<![\w-])_\w+", out) == []  # no private name, such as _emit
+
+
 def test_verify_budget_exceeded(capsys):
     code, _, err = run(capsys, "verify", "--seq", "1,1,1,1", "--m", "9", "--vertex-budget", "10")
     assert code == 3
@@ -336,6 +352,13 @@ SCAN_FAMILIES = (
     + [("circular-fcrystal", r, s) for r in range(1, 6) for s in range(3)]
     + [("all-fcrystal", r, s) for r in range(1, 4) for s in range(3)]
 )
+
+
+@functools.lru_cache(maxsize=None)
+def scan_family_records(family, r, slope_max):
+    """The per-crystal records of a SCAN_FAMILIES scan at m_max 5 with every
+    check, computed once for the csv and the json test."""
+    return per_crystal_records(family, r, 5, slope_max)
 
 
 def scan_csv_by_hand(records) -> list[str]:
@@ -375,7 +398,7 @@ def test_scan_csv_matches_the_hand_written_rows(capsys, family, r, slope_max):
         capsys, "scan", "--family", family, "--r", str(r), "--slope-max", str(slope_max), "--m-max", "5",
         "--format", "csv",
     )
-    records = run_scan(family, r, 5, slope_max)
+    records = scan_family_records(family, r, slope_max)
     summary = summarize(records)
     assert code == (1 if any(v for k, v in summary.items() if k != "records") else 0)
     assert out == "\n".join(scan_csv_by_hand(records)) + "\n"
@@ -419,7 +442,7 @@ def test_scan_json_matches_the_per_record_payload(capsys, family, r, slope_max):
         capsys, "scan", "--family", family, "--r", str(r), "--slope-max", str(slope_max), "--m-max", "5",
         "--format", "json",
     )
-    records = run_scan(family, r, 5, slope_max)
+    records = scan_family_records(family, r, slope_max)
     assert code == 0
     assert out == scan_json_by_hand(family, r, slope_max, 5, list(cli.CHECKS), records)
 
@@ -430,7 +453,7 @@ def test_scan_json_with_chosen_checks_matches_the_per_record_payload(capsys):
         capsys, "scan", "--family", "circular-fcrystal", "--r", "4", "--slope-max", "2", "--m-max", "4",
         "--format", "json", "--check", "strict", "--check", "ratio",
     )
-    records = run_scan("circular-fcrystal", 4, 4, 2, checks)
+    records = per_crystal_records("circular-fcrystal", 4, 4, 2, checks)
     assert out == scan_json_by_hand("circular-fcrystal", 4, 2, 4, checks, records)
 
 
@@ -440,8 +463,8 @@ def forced_violations(monkeypatch):
     past level 0 as violating nonincreasing."""
     real = scan.scan_record
 
-    def failing(pi, slopes, m_max, checks=cli.CHECKS, perm=None):
-        record = real(pi, slopes, m_max, checks, perm)
+    def failing(pi, slopes, m_max, checks=cli.CHECKS):
+        record = real(pi, slopes, m_max, checks)
         return dataclasses.replace(record, nonincreasing=False) if record.stabilization >= 1 else record
 
     monkeypatch.setattr(scan, "scan_record", failing)
@@ -451,9 +474,13 @@ def forced_violations(monkeypatch):
 def test_scan_violations_name_every_member(capsys, forced_violations, fmt):
     family, r, m_max = "all-dieudonne", 4, 4
     code, out, err = run(capsys, "scan", "--family", family, "--r", str(r), "--m-max", str(m_max), "--format", fmt)
-    records = run_scan(family, r, m_max)
+    records = per_crystal_records(family, r, m_max)
     failing = [(rec.perm, rec.slopes) for rec in records if rec.nonincreasing is False]
-    classes = [record for record in scan.scan_table(family, r, m_max)[2] if record.nonincreasing is False]
+    classes = {
+        scan._class_key(cycle_decomposition(pi), vector)
+        for (pi, vector), rec in zip(enumerate_family(family, r), records)
+        if rec.nonincreasing is False
+    }
     assert len(set(failing)) == len(failing) > len(classes) > 1
     assert code == 1
     if fmt == "text":

@@ -75,6 +75,14 @@ def test_pair_rule_matches_case_table_exhaustively():
                 assert pair_edges(x, y, m) == pair_edges_case_table(x, y, m), (x, y, m)
 
 
+def test_pair_edges_cache_is_bounded():
+    maxsize = pair_edges.cache_info().maxsize
+    assert 17 * 17 * 10 <= maxsize  # entries within +-8 at levels up to 10
+    for x in range(maxsize + 1):
+        pair_edges(x, 0, 1)
+    assert pair_edges.cache_info().currsize <= maxsize
+
+
 @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(1, 8))
 def test_pair_rule_structure(x, y, m):
     left, right, arcs = pair_edges(x, y, m)

@@ -26,24 +26,28 @@ seqs = st.lists(st.integers(-6, 6), min_size=1, max_size=8).map(tuple)
 levels = st.integers(1, 8)
 
 
-def test_formula_matches_oracle_exhaustively():
-    # every sequence with up to six entries in [-3, 3], every level up to 6
-    for s in range(1, 7):
-        for seq in itertools.product(range(-3, 4), repeat=s):
-            for m in range(1, 7):
+def assert_formula_matches_oracle(lengths, entries, level_range):
+    for s in lengths:
+        for seq in itertools.product(entries, repeat=s):
+            for m in level_range:
                 stats = oracle_counts(seq, m)
                 assert stats.free_linear == linear_count(seq, m), (seq, m)
                 assert stats.circular == circular_count(seq, m), (seq, m)
+
+
+def test_formula_matches_oracle_exhaustively():
+    # every sequence with up to six entries in [-3, 3], every level up to 6
+    assert_formula_matches_oracle(range(1, 7), range(-3, 4), range(1, 7))
 
 
 def test_formula_matches_oracle_exhaustively_wider_entries():
     # every sequence with up to five entries in [-4, 4], every level up to 7
-    for s in range(1, 6):
-        for seq in itertools.product(range(-4, 5), repeat=s):
-            for m in range(1, 8):
-                stats = oracle_counts(seq, m)
-                assert stats.free_linear == linear_count(seq, m), (seq, m)
-                assert stats.circular == circular_count(seq, m), (seq, m)
+    assert_formula_matches_oracle(range(1, 6), range(-4, 5), range(1, 8))
+
+
+def test_formula_matches_oracle_exhaustively_longer_sign_words():
+    # every sequence with seven or eight entries in [-1, 1], every level up to 8
+    assert_formula_matches_oracle((7, 8), range(-1, 2), range(1, 9))
 
 
 @given(seqs, levels)

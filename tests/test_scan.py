@@ -1,8 +1,9 @@
-"""Family scans: the class table behind run_scan against one scan_record per
-crystal, and against the per-crystal table loop it replaced (tests/reference_scan.py)."""
+"""Family scans: the class table against one scan_record per crystal, and
+against the per-crystal table loop it replaced (tests/reference_scan.py)."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -10,13 +11,11 @@ import pytest
 
 import reference_scan
 from fcrystal import cli, scan
-from fcrystal.permutation import cycle_decomposition
+from fcrystal.permutation import cycle_decomposition, cycle_string
 from fcrystal.scan import (
     CHECKS,
     enumerate_family,
     family_size,
-    run_scan,
-    scan_record,
     scan_table,
     summarize,
 )
@@ -48,10 +47,15 @@ def class_counts(classes, rows) -> list[int]:
 
 @pytest.mark.parametrize("family,r,slope_max", FAMILIES)
 def test_run_scan_equals_one_record_per_crystal(family, r, slope_max):
-    m_max = 5
-    expected = [scan_record(pi, s, m_max, CHECKS) for pi, s in enumerate_family(family, r, slope_max)]
-    assert run_scan(family, r, m_max, slope_max, CHECKS) == expected
-
+    # the table expanded into one record per crystal: its class record with the
+    # crystal's own perm and slopes
+    perms, slopes, classes, _, rows = scan_table(family, r, 5, slope_max, CHECKS)
+    expanded = [
+        dataclasses.replace(classes[index], perm=perm, slopes=vector)
+        for perm, row in zip(perms, rows)
+        for vector, index in zip(slopes, row)
+    ]
+    assert expanded == reference_scan.records(family, r, 5, slope_max, CHECKS)
 
 
 @pytest.mark.parametrize("family,r,slope_max", FAMILIES + [("circular-fcrystal", r, 3) for r in range(1, 5)])
@@ -73,7 +77,7 @@ def test_class_summary_equals_the_per_crystal_summary(family, r, slope_max):
     _, _, classes, counts, _ = scan_table(family, r, 5, slope_max)
     assert sum(counts) == family_size(family, r, slope_max)
     assert min(counts) >= 1
-    assert summarize(classes, counts) == summarize(run_scan(family, r, 5, slope_max))
+    assert summarize(classes, counts) == summarize(reference_scan.records(family, r, 5, slope_max))
 
 
 @pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
@@ -117,7 +121,7 @@ def test_members_share_one_record_per_class():
     assert len(classes) == len(keys)
     assert [len(list(row)) for row in rows] == [len(slopes)] * len(perms)
     assert [(perm, vector) for perm in perms for vector in slopes] == [
-        (rec.perm, rec.slopes) for rec in run_scan("all-dieudonne", 4, 5)
+        (cycle_string(pi), vector) for pi, vector in enumerate_family("all-dieudonne", 4)
     ]
 
 
