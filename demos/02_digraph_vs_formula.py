@@ -15,9 +15,10 @@ from fcrystal import (
     normalize,
     oracle_counts,
     propagate_zeros,
-    segment_census,
+    run_census,
     to_dot,
 )
+from fcrystal.circseq import census_levels
 
 SEQ = (3, 0, -1, -2)
 M = 5
@@ -41,7 +42,7 @@ def main() -> None:
 
     norm = normalize(SEQ, M)
     print(f"sign normal form: {norm}")
-    print(f"balanced-segment census: {segment_census(norm, M)}")
+    print(f"balanced segments at levels 0..{M}: {census_levels(run_census(SEQ)[0], M)}")
     print(f"closed forms: linear_count={linear_count(SEQ, M)} "
           f"circular_count={circular_count(SEQ, M)}")
     print()

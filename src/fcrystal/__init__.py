@@ -16,13 +16,11 @@ from .circseq import (
     circular_count,
     circular_level,
     first_reduction_step,
-    level_counts,
     linear_count,
     normalize,
     normalize_full,
     run_census,
     second_reduction,
-    segment_census,
 )
 from .crystal import (
     DeltaReport,
@@ -31,7 +29,6 @@ from .crystal import (
     OrbitData,
     ResourceLimitError,
     VerifyCheck,
-    VerifyReport,
     endo_exponent,
     gamma,
     gamma_table,
@@ -39,7 +36,6 @@ from .crystal import (
     newton_slopes,
     orbit_data,
     orbit_epsilon,
-    verify_formula_vs_oracle,
     verify_sequence,
     verify_sweep,
 )
@@ -50,7 +46,6 @@ from .digraph import (
     classify_components,
     oracle_counts,
     pair_edges,
-    pair_edges_case_table,
     propagate_zeros,
     to_dot,
 )
@@ -83,7 +78,6 @@ __all__ = [
     "PlusMinus",
     "ResourceLimitError",
     "VerifyCheck",
-    "VerifyReport",
     "build_level_digraph",
     "circular_count",
     "circular_level",
@@ -96,7 +90,6 @@ __all__ = [
     "gamma_table",
     "is_minimal",
     "is_single_cycle",
-    "level_counts",
     "linear_count",
     "newton_slopes",
     "normalize",
@@ -105,15 +98,12 @@ __all__ = [
     "orbit_data",
     "orbit_epsilon",
     "pair_edges",
-    "pair_edges_case_table",
     "parse_permutation",
     "product_orbits",
     "propagate_zeros",
     "run_census",
     "second_reduction",
-    "segment_census",
     "to_dot",
-    "verify_formula_vs_oracle",
     "verify_sequence",
     "verify_sweep",
     "__version__",

@@ -7,7 +7,8 @@ and the circular count combinatorially, without building the digraph:
 
 * free linear components are counted by a census of balanced negative segments,
   matched like brackets in one stack pass over the runs of the sequence, which
-  yields the segments as level ranges, exact at every level at once;
+  yields the segments as level ranges, exact at every level at once
+  (census_levels reads them as a count per level, one step per range);
 * circular components exist only when the signed entries balance, and then number
   max(0, m - level) where the level is the spread of the running sums.
 
@@ -190,15 +191,6 @@ def census_levels(census: Iterable[tuple[int, int]], m: int) -> list[int]:
     return list(accumulate(diff))
 
 
-def level_counts(census: Census, m: int) -> dict[int, int]:
-    """The census read up to level m: {level: count}."""
-    counts: dict[int, int] = {}
-    for lo, hi in census:
-        for level in range(lo, min(hi, m) + 1):
-            counts[level] = counts.get(level, 0) + 1
-    return counts
-
-
 def _spread(seq: CircularSeq) -> Optional[int]:
     total = 0
     high = 0
@@ -210,17 +202,6 @@ def _spread(seq: CircularSeq) -> Optional[int]:
         elif total < low:
             low = total
     return high - low if total == 0 else None
-
-
-def segment_census(norm: NormalizedSeq, m: int) -> dict[int, int]:
-    """Count balanced negative segments of each level up to m: {level: count}.
-
-    The run census of the sign word (see run_census), read up to level m.
-    """
-    _check_level(m)
-    if not isinstance(norm, PlusMinus):
-        raise ValueError("the census is defined for sign sequences, not the all-zero form")
-    return level_counts(run_census(norm.entries)[0], m)
 
 
 def circular_level(norm: NormalizedSeq) -> Optional[int]:

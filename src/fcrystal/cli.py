@@ -10,10 +10,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input (including
 an --out file that cannot be written, and an integer not written [+-]?[0-9]+
-in ASCII), 3 resource limit hit (a rank, level or sweep crystal count past its
-default cap, or, even with --override-limits, a level past any per-level
-table or a sweep of more than sys.maxsize crystals).  Machine formats (json,
-csv) are byte deterministic for a given command line.
+in ASCII), 3 resource limit hit (a rank, level, sweep crystal count or
+--random count past its default cap, or, even with --override-limits, a level
+past any per-level table or a sweep of more than sys.maxsize crystals).
+Machine formats (json, csv) are byte deterministic for a given command line.
 """
 
 # Output contract: each cmd_* function takes the parsed arguments and returns
@@ -77,6 +77,7 @@ MAX_R = 8
 MAX_M = 16
 # Crystals per scan or verify sweep; admits every r <= MAX_R sweep at slope bound 1
 # (all-dieudonne r=8 has 10,321,920 crystals, verify --r-max 8 sums to 11,017,402).
+# Also the cap on verify's --random sequences.
 MAX_CRYSTALS = 2**24
 # Tables hold one 8-byte entry per level, so no level past this fits in the address space.
 MAX_TABLE_LEVEL = sys.maxsize // 8
@@ -175,12 +176,14 @@ def _emit(chunks: Sequence[str], out: Optional[str]) -> None:
     last newline) to stdout or to out: in place when out exists and is not a
     regular file (a FIFO or a device, which a rename would replace; a directory
     fails there), else through a temp file, given the target's mode or the
-    umask's (mkstemp makes it 0600), renamed over out."""
+    umask's (mkstemp makes it 0600), renamed over out.  A symlink is followed
+    (out is resolved first), so its target is replaced and the link stays."""
     if out is None:
         sys.stdout.writelines(chunks)
         return
-    if not out:  # abspath("") is the working directory, whose parent would get the temp file
+    if not out:  # realpath("") is the working directory, whose parent would get the temp file
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    out = os.path.realpath(out)
     try:
         target = os.stat(out).st_mode
     except FileNotFoundError:
@@ -193,7 +196,7 @@ def _emit(chunks: Sequence[str], out: Optional[str]) -> None:
                 handle.writelines(chunks)
             return
         mode = stat.S_IMODE(target)
-    directory = os.path.dirname(os.path.abspath(out))
+    directory = os.path.dirname(out)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fcrystal-")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -233,6 +236,17 @@ class _IntTexts(dict):
 _INT_TEXT = _IntTexts().__getitem__
 
 
+def _exact(value: int) -> str:
+    """str(value) for an int of any length.  str() refuses ints above
+    sys.get_int_max_str_digits() digits (4,300 by default), which p^b and a
+    stabilization level can pass within the default caps; Decimal converts
+    them exactly, without touching that process-wide limit."""
+    try:
+        return int.__repr__(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 class _Labels(dict):
     """label -> head + label + tail, made on first lookup: the text pieces of
     one Orbit column at one indent, kept for one render (see _orbit_parts)."""
@@ -251,7 +265,8 @@ class _Labels(dict):
 def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
     keys, lists, tuples, str, int, bool and None, where an Orbit stands for the
-    list of its points; anything else raises TypeError.  The text is one join of
+    list of its points and an int outside a list may have any length (see
+    _exact); anything else raises TypeError.  The text is one join of
     the pieces _json_write appends, so no part of it is copied on its way up the
     tree."""
     out: list[str] = []
@@ -272,7 +287,7 @@ def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(_exact(value))
     elif type(value) is _Rendered:
         out.append(value.text)
     elif type(value) is Orbit:
@@ -421,7 +436,7 @@ def cmd_gamma(args) -> Output:
         "gamma: " + " ".join(str(v) for v in report.gamma) + f"   (m = 0..{report.m_max})",
         "delta: " + " ".join(str(v) for v in report.delta) + f"   (m = 1..{report.m_max})",
         "b:     " + " ".join(str(v) for v in report.b) + f"   (m = 1..{report.m_max})",
-        f"stabilization: {report.stabilization}"
+        f"stabilization: {_exact(report.stabilization)}"
         + ("" if report.stabilization_is_isomorphism_number else " (level only; not an isomorphism number here)"),
     ]
     for k, data in enumerate(report.orbits, start=1):
@@ -450,11 +465,8 @@ def cmd_endo(args) -> Output:
     report = gamma_table(crystal, top)
     levels = [top] if single else range(1, top + 1)
     b = [report.b[n - 1] for n in levels]
-    # p^b for the printed levels only; empty without --prime.  str(int) refuses
-    # integers above sys.get_int_max_str_digits() digits (4,300 by default), and
-    # p^b gets there within the default caps; Decimal converts exactly at any
-    # size, without touching that process-wide limit.
-    powers = [] if args.prime is None else [str(Decimal(args.prime**v)) for v in b]
+    # p^b for the printed levels only; empty without --prime
+    powers = [] if args.prime is None else [_exact(args.prime**v) for v in b]
 
     if args.format == "json":
         payload = _crystal_json(crystal)
@@ -550,6 +562,10 @@ def _verify_sweep(args) -> Output:
     _check_limits(args.override_limits, args.r_max, args.m_max)
     ranks = range(1, args.r_max + 1)
     _check_family_size(args.override_limits, "all-fcrystal", ranks, args.slope_max)
+    if args.random > MAX_CRYSTALS and not args.override_limits:
+        raise ResourceLimitError(
+            f"{args.random} random sequences exceed the default cap {MAX_CRYSTALS}; pass --override-limits to proceed"
+        )
     if args.random:
         _check_vertices(args.max_s * args.m_max, args.vertex_budget)
     crystals, checks, failed = verify_sweep(
@@ -705,8 +721,11 @@ def _add_crystal_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_output(p: argparse.ArgumentParser, formats=("text", "json", "csv")) -> None:
     p.add_argument("--format", choices=formats, default="text")
-    p.add_argument("--out", help="write output to this file (atomic replace; FIFOs and devices are written in place)")
-    p.add_argument("--override-limits", action="store_true", help="lift the default r, level and crystal-count caps")
+    p.add_argument(
+        "--out",
+        help="write output to this file (atomic replace of a symlink's target; FIFOs and devices are written in place)",
+    )
+    p.add_argument("--override-limits", action="store_true", help="lift the default r, level, crystal and --random caps")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,13 +20,11 @@ itemgetter and map, with no Python-level step per point, and gamma_table reads
 the census ranges of all orbits once, into a difference array
 (circseq.census_levels).  Formula and oracle meet in one place, _check, which
 builds every VerifyCheck and raises RuntimeError unless circular components
-carry circular * length edges.  _orbit_checks runs it at every level of one
-orbit: verify_formula_vs_oracle calls it per orbit record of one crystal, and
-verify_sweep per distinct exact orbit sequence of a whole sweep, which builds
-each permutation's orbits once, gathers each crystal's epsilons from their
-columns, and reports every crystal's mismatches as the per-crystal loop would.
-verify_sequence runs _check on one bare sequence and returns the oracle's stats
-as well.
+carry circular * length edges.  verify_sweep runs it at every level of each
+distinct exact orbit sequence of a whole sweep: it builds each permutation's
+orbits once, gathers each crystal's epsilons from their columns, and reports
+every crystal's mismatches as a per-crystal loop would.  verify_sequence runs
+_check on one bare sequence and returns the oracle's stats as well.
 """
 
 from __future__ import annotations
@@ -165,19 +163,6 @@ class VerifyCheck:
 
 
 @dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[VerifyCheck, ...]
-
-    @property
-    def mismatches(self) -> tuple[VerifyCheck, ...]:
-        return tuple(c for c in self.checks if not c.match)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-@dataclass(frozen=True)
 class DeltaReport:
     """Monotonicity diagnostics for the gamma increments."""
 
@@ -292,42 +277,16 @@ def _check_vertex_budget(r: int, m_max: int, vertex_budget: int) -> None:
         )
 
 
-def _orbit_checks(index: int, seq: CircularSeq, census: Census, level: Optional[int], m_max: int) -> list[VerifyCheck]:
-    """The checks of one orbit sequence at every level 1..m_max, in level order."""
-    return [_check(index, seq, m, census, level)[0] for m in range(1, m_max + 1)]
-
-
-def verify_formula_vs_oracle(
-    crystal: FCyclicCrystal,
-    m_max: int,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> VerifyReport:
-    """Rebuild every orbit digraph at every level up to m_max and compare counts.
-
-    The closed-form counts, read from the orbit_data records gamma_table uses,
-    and the literal component census must agree exactly; any disagreement is
-    returned rather than raised so callers can report it.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    _check_vertex_budget(crystal.r, m_max, vertex_budget)
-    checks = [
-        check
-        for index, data in enumerate(orbit_data(crystal))
-        for check in _orbit_checks(index, data.epsilon, data.census, data.level, m_max)
-    ]
-    return VerifyReport(tuple(checks))
-
-
 def verify_sweep(
     pairs: Iterable[tuple[Permutation, tuple[int, ...]]],
     m_max: int,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> tuple[int, int, list[tuple[Permutation, tuple[int, ...], VerifyCheck]]]:
-    """verify_formula_vs_oracle on each (permutation, slopes) crystal of pairs,
+    """Rebuild every orbit digraph of each (permutation, slopes) crystal of pairs
+    at every level up to m_max and compare its counts with the closed forms,
     with each distinct exact orbit sequence sent to the oracle once per level.
 
-    Returns (crystals, checks, mismatches) as the per-crystal loop counts and
+    Returns (crystals, checks, mismatches) as a per-crystal loop counts and
     lists them: each mismatch is (pi, slopes, check) under the crystal's own
     orbit index.  The refusals come at the same crystal too: the vertex budget
     at a rank's first crystal, _check's RuntimeError at the first crystal that
@@ -362,9 +321,12 @@ def verify_sweep(
             eps = differences[span]
             found = failing.get(eps)
             if found is None:
-                found = failing[eps] = [
-                    check for check in _orbit_checks(index, eps, *run_census(eps), m_max) if not check.match
-                ]
+                census, level = run_census(eps)
+                found = failing[eps] = []
+                for m in range(1, m_max + 1):
+                    check = _check(index, eps, m, census, level)[0]
+                    if not check.match:
+                        found.append(check)
             if found:
                 mismatches.extend((pi, slopes, replace(check, orbit_index=index)) for check in found)
     return crystals, checks, mismatches

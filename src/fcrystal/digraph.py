@@ -96,7 +96,8 @@ def pair_edges(eps_t: int, eps_next: int, m: int) -> tuple[tuple[int, ...], tupl
 
     Returns (left_zeros, right_zeros, arcs): digits of column t forced to zero,
     digits of column t+1 forced to zero, and (source_digit, target_digit, weight)
-    triples.  Pure, with a bounded cache; pair_edges_case_table is the case-by-case oracle.
+    triples.  Pure, with a bounded cache.  One rule covers the eleven sign and
+    size regions of (eps_t, eps_next) that the tests transcribe case by case.
     """
     if m < 1:
         raise ValueError("level must be at least 1")
@@ -106,62 +107,6 @@ def pair_edges(eps_t: int, eps_next: int, m: int) -> tuple[tuple[int, ...], tupl
     right = tuple(range(max(0, min(a, m) - b)))
     arcs = tuple((l - a, l - b, a - b) for l in range(max(a, b), m))
     return left, right, arcs
-
-
-def pair_edges_case_table(eps_t: int, eps_next: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
-    """Literal eleven-case transcription of the pair rule, kept as an independent oracle.
-
-    The eleven sign/size regions partition the (eps_t, eps_next) plane; each
-    branch writes out its zero digits and arcs explicitly.
-    """
-    if m < 1:
-        raise ValueError("level must be at least 1")
-    x, y = eps_t, eps_next
-    none: tuple[int, ...] = ()
-
-    # (1) opposite entries of equal size below m: weight-0 arcs on the low digits
-    if 0 < x == -y < m:
-        return none, none, tuple((i, i, 0) for i in range(m - x))
-    # (2) nonpositive left, nonnegative right: full column of weight-0 arcs
-    if x <= 0 <= y:
-        return none, none, tuple((i, i, 0) for i in range(m))
-    # (3) small nonnegative left, deeper negative right (gap below m)
-    if 0 <= x < -y < m:
-        left = tuple(range(-y - x))
-        arcs = tuple((-y - x + u, u, x + y) for u in range(m + y))
-        return left, none, arcs
-    # (4) nonnegative left below m, right at depth m or more: left column dies to digit m - x
-    if 0 <= x < m <= -y:
-        return tuple(range(m - x)), none, ()
-    # (5) positive left dominating a shallower negative right
-    if 0 <= -y < x < m:
-        right = tuple(range(x + y))
-        arcs = tuple((u, x + y + u, x + y) for u in range(m - x))
-        return none, right, arcs
-    # (6) left at m or more, shallow negative right: right column dies to digit m + y
-    if 0 <= -y < m <= x:
-        return none, tuple(range(m + y)), ()
-    # (7) both saturated: nothing survives, nothing connects
-    if x >= m and y <= -m:
-        return none, none, ()
-    # (8) negative left, negative right below depth m
-    if x < 0 < -y < m:
-        left = tuple(range(-y))
-        arcs = tuple((-y + u, u, y) for u in range(m + y))
-        return left, none, arcs
-    # (9) negative left, right at depth m or more: whole left column dies
-    if x < 0 and -y >= m:
-        return tuple(range(m)), none, ()
-    # (10) positive left below m, positive right
-    if 0 < x < m and y > 0:
-        right = tuple(range(x))
-        arcs = tuple((u, x + u, x) for u in range(m - x))
-        return none, right, arcs
-    # (11) left at m or more, positive right: whole right column dies
-    if x >= m and y > 0:
-        return none, tuple(range(m)), ()
-
-    raise AssertionError(f"unreachable: ({x}, {y}) escaped the case split")
 
 
 def build_level_digraph(seq: CircularSeq, m: int) -> LevelDigraph:

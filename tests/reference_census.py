@@ -1,13 +1,19 @@
 """The run census as it was before its second lap stopped early: two full laps
 over the runs, keeping the segments that start in the first.  Kept here as the
 differential reference for fcrystal.circseq.run_census.
+
+Also the census read as a {level: count} dict, as it was before
+fcrystal.circseq.census_levels read it as a list by one difference array:
+level_counts expands each range level by level, and segment_census reads a
+sign word's census (by the shipped fcrystal.circseq.run_census) that way.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from fcrystal.circseq import Census, CircularSeq
+from fcrystal import circseq
+from fcrystal.circseq import Census, CircularSeq, NormalizedSeq, PlusMinus
 
 
 def run_census(seq: CircularSeq) -> tuple[Census, Optional[int]]:
@@ -55,3 +61,25 @@ def spread(seq: CircularSeq) -> Optional[int]:
         elif total < low:
             low = total
     return high - low if total == 0 else None
+
+
+def level_counts(census: Census, m: int) -> dict[int, int]:
+    """The census read up to level m: {level: count}."""
+    counts: dict[int, int] = {}
+    for lo, hi in census:
+        for level in range(lo, min(hi, m) + 1):
+            counts[level] = counts.get(level, 0) + 1
+    return counts
+
+
+def segment_census(norm: NormalizedSeq, m: int) -> dict[int, int]:
+    """Count balanced negative segments of each level up to m: {level: count}.
+
+    The run census of the sign word (see fcrystal.circseq.run_census), read up
+    to level m.
+    """
+    if m < 1:
+        raise ValueError("level must be at least 1")
+    if not isinstance(norm, PlusMinus):
+        raise ValueError("the census is defined for sign sequences, not the all-zero form")
+    return level_counts(circseq.run_census(norm.entries)[0], m)

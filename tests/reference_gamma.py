@@ -11,8 +11,8 @@ import json
 
 import reference_orbits as reference
 from fcrystal import FCyclicCrystal
-from fcrystal.circseq import AllZero, circular_at, circular_level, level_counts, normalize
-from reference_census import run_census
+from fcrystal.circseq import AllZero, circular_at, circular_level, normalize
+from reference_census import level_counts, run_census
 from fcrystal.permutation import cycle_string
 
 

@@ -1,8 +1,11 @@
 """The literal oracle as it was before the flat-list rewrite: tuple vertices, a
 frozenset of zero marks, dict adjacency, mark propagation and a full
 union-find.  Kept here as the differential reference for fcrystal.digraph; it
-shares only the pair rule (pair_edges, itself checked against
-pair_edges_case_table).
+shares only the pair rule, pair_edges.
+
+pair_edges_case_table, the eleven-case transcription of the pair rule that the
+unified rule in fcrystal.digraph.pair_edges replaced, is kept here as the
+reference the tests check pair_edges against.
 """
 
 from __future__ import annotations
@@ -145,3 +148,59 @@ def to_dot(g: LevelDigraph) -> str:
         lines.append(f'  "{i}:{t}" -> "{j}:{u}" [weight="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def pair_edges_case_table(eps_t: int, eps_next: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """Literal eleven-case transcription of the pair rule, kept as an independent oracle.
+
+    The eleven sign/size regions partition the (eps_t, eps_next) plane; each
+    branch writes out its zero digits and arcs explicitly.
+    """
+    if m < 1:
+        raise ValueError("level must be at least 1")
+    x, y = eps_t, eps_next
+    none: tuple[int, ...] = ()
+
+    # (1) opposite entries of equal size below m: weight-0 arcs on the low digits
+    if 0 < x == -y < m:
+        return none, none, tuple((i, i, 0) for i in range(m - x))
+    # (2) nonpositive left, nonnegative right: full column of weight-0 arcs
+    if x <= 0 <= y:
+        return none, none, tuple((i, i, 0) for i in range(m))
+    # (3) small nonnegative left, deeper negative right (gap below m)
+    if 0 <= x < -y < m:
+        left = tuple(range(-y - x))
+        arcs = tuple((-y - x + u, u, x + y) for u in range(m + y))
+        return left, none, arcs
+    # (4) nonnegative left below m, right at depth m or more: left column dies to digit m - x
+    if 0 <= x < m <= -y:
+        return tuple(range(m - x)), none, ()
+    # (5) positive left dominating a shallower negative right
+    if 0 <= -y < x < m:
+        right = tuple(range(x + y))
+        arcs = tuple((u, x + y + u, x + y) for u in range(m - x))
+        return none, right, arcs
+    # (6) left at m or more, shallow negative right: right column dies to digit m + y
+    if 0 <= -y < m <= x:
+        return none, tuple(range(m + y)), ()
+    # (7) both saturated: nothing survives, nothing connects
+    if x >= m and y <= -m:
+        return none, none, ()
+    # (8) negative left, negative right below depth m
+    if x < 0 < -y < m:
+        left = tuple(range(-y))
+        arcs = tuple((-y + u, u, y) for u in range(m + y))
+        return left, none, arcs
+    # (9) negative left, right at depth m or more: whole left column dies
+    if x < 0 and -y >= m:
+        return tuple(range(m)), none, ()
+    # (10) positive left below m, positive right
+    if 0 < x < m and y > 0:
+        right = tuple(range(x))
+        arcs = tuple((u, x + u, x) for u in range(m - x))
+        return none, right, arcs
+    # (11) left at m or more, positive right: whole right column dies
+    if x >= m and y > 0:
+        return none, tuple(range(m)), ()
+
+    raise AssertionError(f"unreachable: ({x}, {y}) escaped the case split")

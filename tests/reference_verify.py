@@ -1,12 +1,57 @@
-"""The crystal sweep of `verify` as it was before fcrystal.crystal.verify_sweep:
-verify_formula_vs_oracle on every crystal, its mismatches expanded in order.
-Kept here as the differential reference for verify_sweep, with its signature
-and return value.
+"""The per-crystal verification as it was before fcrystal.crystal.verify_sweep:
+verify_formula_vs_oracle checks every orbit of one crystal at every level, and
+verify_sweep calls it on every crystal, its mismatches expanded in order.  Kept
+here as the differential reference for fcrystal.crystal.verify_sweep, with its
+signature and return value.
 """
 
 from __future__ import annotations
 
-from fcrystal.crystal import DEFAULT_VERTEX_BUDGET, FCyclicCrystal, verify_formula_vs_oracle
+from dataclasses import dataclass
+
+from fcrystal.crystal import (
+    DEFAULT_VERTEX_BUDGET,
+    FCyclicCrystal,
+    VerifyCheck,
+    _check,
+    _check_vertex_budget,
+    orbit_data,
+)
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    checks: tuple[VerifyCheck, ...]
+
+    @property
+    def mismatches(self) -> tuple[VerifyCheck, ...]:
+        return tuple(c for c in self.checks if not c.match)
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+
+def verify_formula_vs_oracle(
+    crystal: FCyclicCrystal,
+    m_max: int,
+    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
+) -> VerifyReport:
+    """Rebuild every orbit digraph at every level up to m_max and compare counts.
+
+    The closed-form counts, read from the orbit_data records gamma_table uses,
+    and the literal component census must agree exactly; any disagreement is
+    returned rather than raised so callers can report it.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    _check_vertex_budget(crystal.r, m_max, vertex_budget)
+    checks = [
+        _check(index, data.epsilon, m, data.census, data.level)[0]
+        for index, data in enumerate(orbit_data(crystal))
+        for m in range(1, m_max + 1)
+    ]
+    return VerifyReport(tuple(checks))
 
 
 def verify_sweep(pairs, m_max: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET):

@@ -1,19 +1,32 @@
-"""The public names: everything in fcrystal.__all__ resolves, and the names the
-benchmark harness in perfbench/ imports or wraps still exist."""
+"""The public names: everything in fcrystal.__all__ resolves, the names the
+benchmark harness in perfbench/ imports or wraps still exist, and the names the
+README's library quick start mentions exist."""
 
 from __future__ import annotations
 
 import ast
+import builtins
+import dataclasses
 import importlib
+import pkgutil
+import re
 from pathlib import Path
 
 import fcrystal
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
-# The one traced name with no function behind it: checks_ms still lists the
-# removed crystal.delta_monotonicity_report, and a missing name reads as 0 there.
-TRACED_BUT_REMOVED = {("fcrystal.crystal", "delta_monotonicity_report")}
+# Traced names with no function behind them, each of which reads as 0 in its
+# span: checks_ms still lists the removed crystal.delta_monotonicity_report,
+# verify_ms the removed crystal.verify_formula_vs_oracle (now in
+# tests/reference_verify.py), and census_ms and census_calls the removed
+# circseq.segment_census (now in tests/reference_census.py).
+TRACED_BUT_REMOVED = {
+    ("fcrystal.crystal", "delta_monotonicity_report"),
+    ("fcrystal.crystal", "verify_formula_vs_oracle"),
+    ("fcrystal.circseq", "segment_census"),
+}
 
 
 def perfbench_traced() -> list[tuple[str, str]]:
@@ -73,7 +86,7 @@ def test_oracle_imports_nothing_from_closed_forms():
 
 def test_cli_imports_no_closed_form_or_oracle_count():
     # the formula-vs-oracle comparison lives in fcrystal.crystal (verify_sequence
-    # and verify_formula_vs_oracle); the cli only reports its checks
+    # and verify_sweep); the cli only reports its checks
     source = Path(importlib.import_module("fcrystal.cli").__file__).read_text()
     imported = [
         alias.name
@@ -83,3 +96,42 @@ def test_cli_imports_no_closed_form_or_oracle_count():
     ]
     assert "verify_sequence" in imported
     assert not {"run_census", "linear_at", "circular_at", "oracle_counts"} & set(imported)
+
+
+def quick_start_names() -> list[str]:
+    """The names the README's "Library quick start" section mentions: every
+    backticked span that is a name or a call, `name` or `name(...)`, and every
+    name its code block imports from fcrystal."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python", 1)[1].split("```", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    names = [
+        match.group(1)
+        for span in re.findall(r"`([^`]+)`", prose)
+        if (match := re.fullmatch(r"([A-Za-z_]\w*)(\(.*\))?", span, re.S))
+    ]
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.ImportFrom) and node.module == "fcrystal":
+            names.extend(alias.name for alias in node.names)
+    return names
+
+
+def test_readme_quick_start_names_resolve():
+    # a name resolves as a public name of fcrystal or of a fcrystal.<module>, as
+    # a field or attribute of a class they export (OrbitData's census), or as a
+    # builtin (len); so the docs cannot name a retired function
+    modules = [fcrystal] + [
+        importlib.import_module(f"fcrystal.{info.name}") for info in pkgutil.iter_modules(fcrystal.__path__)
+    ]
+    classes = [obj for module in modules for obj in vars(module).values() if isinstance(obj, type)]
+    members = {name for cls in classes for name in dir(cls)}
+    members |= {field.name for cls in classes if dataclasses.is_dataclass(cls) for field in dataclasses.fields(cls)}
+    names = quick_start_names()
+    assert {"gamma_table", "verify_sweep", "run_census", "OrbitData"} <= set(names)  # the scan found the section
+    missing = [
+        name
+        for name in names
+        if not any(hasattr(module, name) for module in modules) and name not in members and not hasattr(builtins, name)
+    ]
+    assert missing == []

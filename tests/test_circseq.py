@@ -1,4 +1,6 @@
-"""Reductions, normal forms, the segment census, and the closed counts.
+"""Reductions, normal forms, the segment census, and the closed counts.  The
+census read as a {level: count} dict (level_counts, segment_census) comes from
+reference_census.py, over the shipped run_census.
 
 Derived expected values here were frozen from independent brute-force
 enumerations (naive_segment_counts, naive_circular_level below), not from the
@@ -17,14 +19,14 @@ from fcrystal import (
     circular_count,
     circular_level,
     first_reduction_step,
-    level_counts,
     linear_count,
     normalize,
     normalize_full,
     run_census,
     second_reduction,
-    segment_census,
 )
+from fcrystal.circseq import census_levels
+from reference_census import level_counts, segment_census
 
 sign_seqs = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=12).map(tuple)
 # Census inputs: free +-1 words, and words of long runs as normalize_full makes them.
@@ -238,6 +240,15 @@ def test_run_census_matches_sign_word_census(seq):
 def test_run_census_matches_naive_enumeration(seq):
     entries = normalize_full(seq).entries
     assert level_counts(run_census(seq)[0], len(entries)) == naive_segment_counts(entries)
+
+
+@given(st.lists(long_run_seqs, min_size=1, max_size=3), st.integers(1, 120))
+def test_census_levels_matches_level_counts(seqs, m):
+    # the difference array over chained censuses, as gamma_table reads them,
+    # against reference_census.level_counts, which expands range by range
+    census = tuple(segment for seq in seqs for segment in run_census(seq)[0])
+    counts = level_counts(census, m)
+    assert census_levels(census, m) == [0] + [counts.get(level, 0) for level in range(1, m + 1)]
 
 
 # ------------------------------------------------------------ circular level

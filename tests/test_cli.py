@@ -15,7 +15,7 @@ from decimal import Decimal
 
 import pytest
 
-from fcrystal import FCyclicCrystal, Permutation, cli, orbit_data, scan
+from fcrystal import FCyclicCrystal, Permutation, cli, gamma_table, orbit_data, scan
 from fcrystal.cli import main
 from fcrystal.permutation import cycle_decomposition
 from fcrystal.scan import ScanRecord, enumerate_family, summarize
@@ -188,6 +188,27 @@ def test_endo_prime_power_above_str_digit_limit(capsys, fmt):
         digits = out.rstrip("\n").rsplit(" ", 1)[1]
     assert len(digits) == 6145 and digits.isdigit()
     assert int(Decimal(digits)) == 1000003**1024
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gamma_stabilization_above_str_digit_limit(capsys, fmt):
+    # slopes of 4,300 digits, which an integer option accepts, and a stabilization
+    # level of 4,301, past the interpreter's 4,300-digit str() limit
+    big = 9 * 10**4299
+    table = gamma_table(FCyclicCrystal.from_text(4, "(1 2 3 4)", (0, 0, big, big)), 2)
+    assert table.stabilization == 2 * big
+    argv = ("gamma", "--r", "4", "--perm", "(1 2 3 4)", "--slopes", f"0,0,{big},{big}", "--m-max", "2")
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        payload = json.loads(out, parse_int=Decimal)
+        assert payload["gamma"] == list(table.gamma)
+        digits = str(payload["stabilization"])
+    else:
+        assert "\ngamma: " + " ".join(map(str, table.gamma)) + "   (m = 0..2)\n" in out
+        digits = re.search(r"^stabilization: (\d+)", out, re.M).group(1)
+    assert len(digits) == 4301
+    assert int(Decimal(digits)) == 2 * big
 
 
 # ------------------------------------------------------------ verify
@@ -794,6 +815,35 @@ def test_sign_word_cap_override(capsys):
     assert "stabilization: 500001" in out
 
 
+@pytest.mark.parametrize("count", [cli.MAX_CRYSTALS + 1, 10**15])
+def test_verify_random_count_cap(capsys, monkeypatch, count):
+    # refused before any draw, whatever --max-s and --max-entry make each draw cost
+    def no_draws(*args):
+        raise AssertionError("a random sequence was drawn past the cap")
+
+    monkeypatch.setattr(cli, "_random_draws", no_draws)
+    argv = ("verify", "--r-max", "1", "--m-max", "2", "--random", str(count), "--max-s", "2", "--max-entry", "1")
+    assert run(capsys, *argv) == (
+        3,
+        "",
+        f"resource limit: {count} random sequences exceed the default cap 16777216; pass --override-limits to proceed\n",
+    )
+
+
+def test_override_limits_lifts_the_random_count_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CRYSTALS", 3)
+    argv = ("verify", "--r-max", "1", "--m-max", "2", "--max-s", "2", "--max-entry", "1", "--random")
+    admitted = run(capsys, *argv, "3")
+    assert admitted[0] == 0 and "random: n=3 " in admitted[1]
+    assert run(capsys, *argv, "4") == (
+        3,
+        "",
+        "resource limit: 4 random sequences exceed the default cap 3; pass --override-limits to proceed\n",
+    )
+    code, out, _ = run(capsys, *argv, "4", "--override-limits")
+    assert code == 0 and "random: n=4 " in out
+
+
 def test_verify_random_sweep_checks_vertex_budget(capsys):
     # the longest random sequence at the top level must fit, as for --seq
     argv = ("verify", "--r-max", "1", "--m-max", "4", "--vertex-budget", "10", "--random", "3", "--max-s", "50")
@@ -851,6 +901,25 @@ def test_out_keeps_an_existing_files_mode(tmp_path, capsys, umask_022):
     assert run(capsys, *GAMMA_OUT, str(target)) == (0, "", "")
     assert stat.S_IMODE(target.stat().st_mode) == 0o640
     assert target.read_text().startswith("crystal r=2")
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys, umask_022):
+    # the link, relative and in another directory, stays a link; its target gets
+    # the text and keeps its mode, and neither directory keeps a temp file
+    real = tmp_path / "real"
+    links = tmp_path / "links"
+    real.mkdir()
+    links.mkdir()
+    target = real / "target.txt"
+    target.write_text("old")
+    target.chmod(0o640)
+    link = links / "link.txt"
+    link.symlink_to(os.path.join("..", "real", "target.txt"))
+    assert run(capsys, *GAMMA_OUT, str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == os.path.join("..", "real", "target.txt")
+    assert target.read_text() == run(capsys, *GAMMA_OUT[:-1])[1]
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert (os.listdir(links), os.listdir(real)) == (["link.txt"], ["target.txt"])
 
 
 def test_out_writes_a_fifo_in_place(tmp_path, capsys):

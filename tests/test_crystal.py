@@ -27,8 +27,8 @@ from fcrystal import (
     newton_slopes,
     oracle_counts,
     orbit_data,
-    verify_formula_vs_oracle,
     verify_sequence,
+    verify_sweep,
 )
 from fcrystal.permutation import parse_permutation
 from fcrystal.scan import enumerate_family
@@ -120,7 +120,7 @@ def test_computing_paths_expand_no_sign_word(monkeypatch):
     assert endo_exponent(c, 4) == 12
     assert linear_count((-(10**12), 10**12), 3) == 3
     assert circular_count((-(10**12), 10**12), 3) == 0
-    assert verify_formula_vs_oracle(c, 4).ok
+    assert verify_sweep([(c.pi, c.slopes)], 4)[2] == []
 
 
 def test_gamma_table_report_fields():
@@ -193,20 +193,20 @@ def test_wrong_circular_edge_count_is_refused(monkeypatch):
     with pytest.raises(RuntimeError, match="circular components carry"):
         verify_sequence((0, 0), 2)
     with pytest.raises(RuntimeError, match="circular components carry"):
-        verify_formula_vs_oracle(crystal(2, "(1 2)", (0, 1)), 2)
+        verify_sweep([(parse_permutation("(1 2)", 2), (0, 1))], 2)
 
 
 def test_verify_report_on_small_crystals():
     for slopes in [(0, 1), (1, 1), (0, 4)]:
-        report = verify_formula_vs_oracle(crystal(2, "(1 2)", slopes), 4)
-        assert report.ok
-        assert len(report.checks) == 2 * 4
-        assert report.mismatches == ()
+        crystals, checks, mismatches = verify_sweep([(parse_permutation("(1 2)", 2), slopes)], 4)
+        assert crystals == 1
+        assert checks == 2 * 4
+        assert mismatches == []
 
 
 def test_verify_honours_vertex_budget():
     with pytest.raises(ResourceLimitError):
-        verify_formula_vs_oracle(crystal(2, "(1 2)", (0, 1)), 4, vertex_budget=10)
+        verify_sweep([(parse_permutation("(1 2)", 2), (0, 1))], 4, vertex_budget=10)
 
 
 def test_delta_report_strict_case():

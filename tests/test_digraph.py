@@ -1,4 +1,5 @@
-"""The pair rule, its eleven-case oracle, digraph assembly, and classification."""
+"""The pair rule against its eleven-case transcription (reference_oracle.py),
+digraph assembly, and classification."""
 
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ from fcrystal import (
     classify_components,
     oracle_counts,
     pair_edges,
-    pair_edges_case_table,
     propagate_zeros,
     to_dot,
 )
+from reference_oracle import pair_edges_case_table
 
 
 # ------------------------------------------------------------ pair rule

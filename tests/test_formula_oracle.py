@@ -18,9 +18,9 @@ from fcrystal import (
     normalize_full,
     oracle_counts,
     second_reduction,
-    segment_census,
 )
 from fcrystal.circseq import AllZero
+from reference_census import segment_census
 
 seqs = st.lists(st.integers(-6, 6), min_size=1, max_size=8).map(tuple)
 levels = st.integers(1, 8)
