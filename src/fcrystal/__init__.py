@@ -29,6 +29,7 @@ from .crystal import (
     OrbitData,
     ResourceLimitError,
     VerifyCheck,
+    class_tables,
     endo_exponent,
     gamma,
     gamma_table,
@@ -36,6 +37,7 @@ from .crystal import (
     newton_slopes,
     orbit_data,
     orbit_epsilon,
+    pair_table,
     verify_sequence,
     verify_sweep,
 )
@@ -81,6 +83,7 @@ __all__ = [
     "build_level_digraph",
     "circular_count",
     "circular_level",
+    "class_tables",
     "classify_components",
     "cycle_decomposition",
     "cycle_string",
@@ -98,6 +101,7 @@ __all__ = [
     "orbit_data",
     "orbit_epsilon",
     "pair_edges",
+    "pair_table",
     "parse_permutation",
     "product_orbits",
     "propagate_zeros",

@@ -92,11 +92,15 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _integer(text: str) -> int:
-    """An integer written [+-]?[0-9]+ in ASCII: int() alone also reads "1_0" as
-    10 and takes non-ASCII digits.  The argparse type of every integer option."""
+    """An integer written [+-]?[0-9]+ in ASCII, of any length: int() alone also
+    reads "1_0" as 10, takes non-ASCII digits and refuses more digits than
+    sys.get_int_max_str_digits().  The argparse type of every integer option."""
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"invalid integer {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits(); Decimal reads them exactly
+        return int(Decimal(text))
 
 
 _integer.__name__ = "int"  # argparse names the type in its error: "invalid int value: '1_0'"
@@ -121,11 +125,13 @@ def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> 
     whatever the slopes, and the oracle's digraphs grow with r and m only.
     A level past MAX_TABLE_LEVEL is refused even with override_limits."""
     if m is not None and m > MAX_TABLE_LEVEL:
-        raise ResourceLimitError(f"level {m} needs a table of one entry per level, larger than this platform can address")
+        raise ResourceLimitError(
+            f"level {_exact(m)} needs a table of one entry per level, larger than this platform can address"
+        )
     if override_limits:
         return
     if r is not None and r > MAX_R:
-        raise ResourceLimitError(f"r={r} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
+        raise ResourceLimitError(f"r={_exact(r)} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
     if m is not None and m > MAX_M:
         raise ResourceLimitError(f"level {m} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
 
@@ -152,13 +158,13 @@ def _check_family_size(override_limits: bool, family: str, ranks: Sequence[int],
 def _check_vertices(vertices: int, budget: int) -> None:
     """Refuse a digraph of more vertices than --vertex-budget allows."""
     if vertices > budget:
-        raise ResourceLimitError(f"digraph would need {vertices} vertices, budget is {budget}")
+        raise ResourceLimitError(f"digraph would need {_exact(vertices)} vertices, budget is {budget}")
 
 
 def _at_least(args, flag: str, low: int) -> None:
     value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
     if value is not None and value < low:
-        raise ValueError(f"{flag} must be at least {low}, got {value}")
+        raise ValueError(f"{flag} must be at least {low}, got {_exact(value)}")
 
 
 def _crystal(args) -> FCyclicCrystal:
@@ -166,7 +172,7 @@ def _crystal(args) -> FCyclicCrystal:
     _at_least(args, "--r", 1)
     slopes = _parse_ints(args.slopes, "--slopes")
     if len(slopes) != args.r:
-        raise ValueError(f"--slopes needs exactly {args.r} entries, got {len(slopes)}")
+        raise ValueError(f"--slopes needs exactly {_exact(args.r)} entries, got {len(slopes)}")
     _at_least(args, "--prime", 2)
     return FCyclicCrystal(parse_permutation(args.perm, args.r), slopes)
 
@@ -227,7 +233,7 @@ class _IntTexts(dict):
     __slots__ = ()
 
     def __missing__(self, value: int) -> str:
-        text = int.__repr__(value)
+        text = _exact(value)
         if -1024 <= value <= 1024:
             self[value] = text
         return text
@@ -401,7 +407,7 @@ def _csv_cell(value) -> str:
 
 
 def _seq_text(values: Sequence[int]) -> str:
-    return "(" + ",".join(str(v) for v in values) + ")"
+    return "(" + ",".join(map(_exact, values)) + ")"
 
 
 # ---------------------------------------------------------------- gamma
@@ -475,7 +481,7 @@ def cmd_endo(args) -> Output:
             payload.update(prime=args.prime, components=powers[0] if single else powers)
         return 0, payload
     if single:
-        return 0, [f"b({top}) = {b[0]}"] + [f"components({top}) = {args.prime}^{b[0]} = {p}" for p in powers]
+        return 0, [f"b({top}) = {b[0]}"] + [f"components({top}) = {_exact(args.prime)}^{b[0]} = {p}" for p in powers]
     if args.format == "csv":
         lines = ["m,b,components" if powers else "m,b"]
         for n, v in zip(levels, b):
@@ -564,7 +570,8 @@ def _verify_sweep(args) -> Output:
     _check_family_size(args.override_limits, "all-fcrystal", ranks, args.slope_max)
     if args.random > MAX_CRYSTALS and not args.override_limits:
         raise ResourceLimitError(
-            f"{args.random} random sequences exceed the default cap {MAX_CRYSTALS}; pass --override-limits to proceed"
+            f"{_exact(args.random)} random sequences exceed the default cap {MAX_CRYSTALS};"
+            " pass --override-limits to proceed"
         )
     if args.random:
         _check_vertices(args.max_s * args.m_max, args.vertex_budget)
@@ -606,7 +613,10 @@ def _verify_sweep(args) -> Output:
         }
     lines = [f"sweep r<={args.r_max} slope<={args.slope_max} m<={args.m_max}: crystals={crystals} checks={checks}"]
     if args.random:
-        lines.append(f"random: n={args.random} seed={args.seed} max_s={args.max_s} max_entry={args.max_entry}")
+        lines.append(
+            f"random: n={args.random} seed={_exact(args.seed)}"
+            f" max_s={_exact(args.max_s)} max_entry={_exact(args.max_entry)}"
+        )
     lines.append(f"mismatches: {len(mismatches)}")
     lines.append("ok" if ok else "FAIL")
     return (0 if ok else 1), lines

@@ -18,7 +18,17 @@ gamma, endo_exponent and gamma_table all read those records.  An orbit's
 epsilon is gathered down its two columns (see permutation.Orbit) with
 itemgetter and map, with no Python-level step per point, and gamma_table reads
 the census ranges of all orbits once, into a difference array
-(circseq.census_levels).  Formula and oracle meet in one place, _check, which
+(circseq.census_levels).
+
+The pair orbits come in one block per ordered pair of pi-cycles, and a block's
+census and circular levels depend only on the two cycles' slope words, not on
+their labels.  pair_table computes one block from the two words alone (one
+map(sub) and one run_census per orbit, no Orbit and no OrbitData), and
+class_tables sums the blocks of all ordered pairs of a crystal's cycle words,
+memoized in a dict the caller owns: that is how scan records get their tables,
+one memo per scan.  gamma_table and class_tables share one copy of the table
+arithmetic, _level_tables; gamma_table and orbit_data stay for the commands
+that show every orbit.  Formula and oracle meet in one place, _check, which
 builds every VerifyCheck and raises RuntimeError unless circular components
 carry circular * length edges.  verify_sweep runs it at every level of each
 distinct exact orbit sequence of a whole sweep: it builds each permutation's
@@ -32,8 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain
+from math import gcd
 from operator import itemgetter, sub
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .circseq import Census, CircularSeq, census_levels, circular_at, linear_at, run_census
 from .digraph import ComponentStats, oracle_counts
@@ -121,24 +132,8 @@ class GammaReport:
     orbits: tuple[OrbitData, ...]
 
     def monotonicity(self) -> DeltaReport:
-        """Check the increments: never increasing, and strictly decreasing
-        through the stabilization level (the whole range when m_max is at
-        least stabilization + 1)."""
-        delta = self.delta
-        first_violation: Optional[int] = None
-        for n in range(1, self.m_max):
-            if delta[n] > delta[n - 1]:
-                first_violation = n
-                break
-        strict = all(
-            delta[n] < delta[n - 1]
-            for n in range(1, min(self.stabilization + 1, self.m_max))
-        )
-        return DeltaReport(
-            nonincreasing=first_violation is None,
-            strict_through_stabilization=strict,
-            first_violation=first_violation,
-        )
+        """Check the increments (see delta_report)."""
+        return delta_report(self.delta, self.stabilization)
 
 
 @dataclass(slots=True)
@@ -169,6 +164,24 @@ class DeltaReport:
     nonincreasing: bool
     strict_through_stabilization: bool
     first_violation: Optional[int]
+
+
+def delta_report(delta: Sequence[int], stabilization: int) -> DeltaReport:
+    """Check the increments delta[0..m_max-1] of gamma(1..m_max): never
+    increasing, and strictly decreasing through the stabilization level (the
+    whole range when m_max is at least stabilization + 1)."""
+    m_max = len(delta)
+    first_violation: Optional[int] = None
+    for n in range(1, m_max):
+        if delta[n] > delta[n - 1]:
+            first_violation = n
+            break
+    strict = all(delta[n] < delta[n - 1] for n in range(1, min(stabilization + 1, m_max)))
+    return DeltaReport(
+        nonincreasing=first_violation is None,
+        strict_through_stabilization=strict,
+        first_violation=first_violation,
+    )
 
 
 def orbit_epsilon(crystal: FCyclicCrystal, orbit: Orbit) -> tuple[int, ...]:
@@ -217,34 +230,84 @@ def endo_exponent(crystal: FCyclicCrystal, m: int) -> int:
     return sum(circular_at(data.level, m) * len(data.orbit) for data in orbit_data(crystal))
 
 
-def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
-    """gamma(0..m_max), increments, b(1..m_max), and the stabilization level."""
+def _level_tables(
+    census: Sequence[tuple[int, int]], circular: Iterable[tuple[int, int]], m_max: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """(gamma(0..m_max), its increments, b(1..m_max), stabilization level) from
+    the census ranges of all pair orbits of a crystal and (circular level,
+    orbit length) of those that balance: the one copy of the table arithmetic,
+    which gamma_table and class_tables share."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
+    delta = census_levels(census, m_max)
+    stabilization = max(map(itemgetter(1), census), default=0)
+    # b(n) sums (n - level) * length over the orbits below level n, so its
+    # second difference at n is the total length at level n - 1.
+    lengths = [0] * m_max
+    for level, length in circular:
+        if level < m_max:
+            lengths[level] += length
+    b = tuple(accumulate(accumulate(lengths)))
+    return tuple(accumulate(delta)), tuple(delta[1:]), b, stabilization  # delta[0] = 0 = gamma(0)
+
+
+def gamma_table(crystal: FCyclicCrystal, m_max: int) -> GammaReport:
+    """gamma(0..m_max), increments, b(1..m_max), and the stabilization level."""
     orbits = orbit_data(crystal)
-
-    delta = census_levels(chain.from_iterable(data.census for data in orbits), m_max)
-    stabilization = max((hi for data in orbits for _lo, hi in data.census), default=0)
-    gammas = list(accumulate(delta))  # delta[0] = 0 = gamma(0)
-
-    # b(n) depends only on the total orbit length at each circular level.
-    lengths: dict[int, int] = {}
-    for data in orbits:
-        if data.level is not None:
-            lengths[data.level] = lengths.get(data.level, 0) + len(data.orbit)
-    b = tuple(sum(circular_at(level, n) * length for level, length in lengths.items()) for n in range(1, m_max + 1))
-
-    ordinary = (gammas[min(1, m_max)] == 0) if crystal.is_dieudonne else None
+    census = list(chain.from_iterable(data.census for data in orbits))
+    circular = [(data.level, len(data.orbit)) for data in orbits if data.level is not None]
+    gammas, delta, b, stabilization = _level_tables(census, circular, m_max)
     return GammaReport(
         m_max=m_max,
-        gamma=tuple(gammas),
-        delta=tuple(delta[1:]),
+        gamma=gammas,
+        delta=delta,
         b=b,
         stabilization=stabilization,
         stabilization_is_isomorphism_number=crystal.is_dieudonne,
-        ordinary=ordinary,
+        ordinary=(gammas[1] == 0) if crystal.is_dieudonne else None,
         orbits=tuple(orbits),
     )
+
+
+def pair_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[Census, dict[int, int]]:
+    """The pair orbits of two pi-cycles whose slope words, read along the
+    cycles, are u and v: their census ranges chained, and {circular level:
+    total orbit length}.  Cycles of lengths a and b give gcd(a, b) orbits of
+    length lcm(a, b); orbit k's epsilon is u[t mod a] - v[(t + k) mod b] over
+    one period, a rotation of the epsilon product_orbits lists for it, and the
+    census and circular level do not see rotations.  So the table depends only
+    on the two words, whatever the labels of the cycles."""
+    a, b = len(u), len(v)
+    g = gcd(a, b)
+    period = a // g * b
+    first = u * (period // a)
+    census: list[tuple[int, int]] = []
+    lengths: dict[int, int] = {}
+    for k in range(g):
+        ranges, level = run_census(tuple(map(sub, first, (v[k:] + v[:k]) * (period // b))))
+        census += ranges
+        if level is not None:
+            lengths[level] = lengths.get(level, 0) + period
+    return tuple(census), lengths
+
+
+def class_tables(
+    words: Sequence[tuple[int, ...]], m_max: int, pairs: dict
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """gamma_table's (gamma, delta, b, stabilization) of a crystal whose cycles'
+    slope words are words: the sum of the pair tables of every ordered pair of
+    words.  pairs memoizes pair_table by (u, v); the caller owns it, so one
+    dict can serve many crystals (scan.scan_table makes one per scan)."""
+    census: list[tuple[int, int]] = []
+    circular: list[tuple[int, int]] = []
+    for u in words:
+        for v in words:
+            table = pairs.get((u, v))
+            if table is None:
+                table = pairs[u, v] = pair_table(u, v)
+            census += table[0]
+            circular += table[1].items()
+    return _level_tables(census, circular, m_max)
 
 
 def _check(index: int, seq: CircularSeq, m: int, census: Census, level: Optional[int]) -> tuple[VerifyCheck, ComponentStats]:

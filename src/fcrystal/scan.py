@@ -9,11 +9,15 @@ Every invariant and verdict of a record is an isomorphism invariant, so a scan
 is one class table (see scan_table): one record per isomorphism class, how many
 crystals it holds, and lazy rows of class indices.  The table costs cycle types,
 classes and permutations, not crystals: each cycle type's memo of slope words is
-filled once, scan_record runs once per class, and the counts follow from the
-cycle types.  A crystal's slope word is looked up only when its row is read, at
-C speed.  scan_table is the one scan path: the cli renders each class's part
-once, and a text scan with no violation reads no row.  scan_record over
-enumerate_family is the per-crystal definition the table is tested against.
+filled once (a type is its cycle lengths sorted, so (2, 3) and (3, 2) share
+one), scan_record runs once per class, and the counts follow from the cycle
+types.  scan_record takes its tables from its cycles' slope words through
+crystal.class_tables, and the pair tables they sum are memoized for the whole
+scan, in a dict that scan_table makes and drops.  A crystal's slope word is
+looked up only when its row is read, at C speed.  scan_table is the one scan
+path: the cli renders each class's part once, and a text scan with no
+violation reads no row.  scan_record over enumerate_family is the per-crystal
+definition the table is tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .crystal import FCyclicCrystal, gamma_table, is_minimal
+from .crystal import FCyclicCrystal, class_tables, delta_report, is_minimal
 from .permutation import Permutation, cycle_decomposition, cycles_text
 
 FAMILIES = ("circular-dieudonne", "all-dieudonne", "circular-fcrystal", "all-fcrystal")
@@ -139,21 +143,23 @@ def scan_record(
     slopes: tuple[int, ...],
     m_max: int,
     checks: Sequence[str] = CHECKS,
+    pairs: Optional[dict] = None,
 ) -> ScanRecord:
     """Compute one crystal's tables and evaluate the requested property checks.
-    One cycle_decomposition of pi gives both the record's cycle string and the
-    circular test of the strict check."""
-    cycles = cycle_decomposition(pi)
+    One cycle_decomposition of pi gives the record's cycle string, the circular
+    test of the strict check and the cycles' slope words, whose pair tables
+    (crystal.class_tables, memoized in pairs) give the tables."""
     crystal = FCyclicCrystal(pi, slopes)
-    table = gamma_table(crystal, m_max)
-    stab = table.stabilization
+    cycles = cycle_decomposition(pi)
+    words = [tuple([slopes[i - 1] for i in cycle]) for cycle in cycles]
+    gamma, delta, b, stab = class_tables(words, m_max, {} if pairs is None else pairs)
     dieudonne = crystal.is_dieudonne
-    ordinary = table.ordinary
+    ordinary = (gamma[1] == 0) if dieudonne else None
     minimal = is_minimal(crystal) if dieudonne else None
 
     verdict: dict[str, Optional[bool]] = dict.fromkeys(CHECKS)  # None: not applicable or not requested
     if "nonincreasing" in checks or "strict" in checks:
-        report = table.monotonicity()
+        report = delta_report(delta, stab)
         if "nonincreasing" in checks:
             verdict["nonincreasing"] = report.nonincreasing
         # The strict decrease only holds for circular nonordinary Dieudonne
@@ -162,11 +168,11 @@ def scan_record(
             verdict["strict"] = report.strict_through_stabilization if m_max >= stab + 1 else None
     if "increasing-to-stab" in checks:
         bound = min(stab, m_max)
-        verdict["increasing-to-stab"] = all(table.gamma[n] > table.gamma[n - 1] for n in range(1, bound + 1)) and all(
-            table.gamma[n] == table.gamma[bound] for n in range(bound, m_max + 1)
+        verdict["increasing-to-stab"] = all(gamma[n] > gamma[n - 1] for n in range(1, bound + 1)) and all(
+            gamma[n] == gamma[bound] for n in range(bound, m_max + 1)
         )
     if "ratio" in checks and dieudonne and ordinary is False:
-        verdict["ratio"] = _ratio_holds(table.gamma)
+        verdict["ratio"] = _ratio_holds(gamma)
     if "minimal" in checks and dieudonne:
         verdict["minimal"] = minimal == (stab <= 1)
 
@@ -175,9 +181,9 @@ def scan_record(
         perm=cycles_text(cycles),
         slopes=slopes,
         m_max=m_max,
-        gamma=table.gamma,
-        delta=table.delta,
-        b=table.b,
+        gamma=gamma,
+        delta=delta,
+        b=b,
         stabilization=stab,
         dieudonne=dieudonne,
         ordinary=ordinary,
@@ -211,11 +217,13 @@ def scan_table(
     permutation in order: an iterator over the class indices of crystals
     (perms[p], slopes[s]) for each s, each looked up as it is read.
 
-    A crystal's class is named by its slope word read in cycle order, in a memo
-    keyed by (cycle lengths, word) that lives for this call.  The memo of a
-    cycle type is filled once, at its first permutation, so _class_key runs once
-    per distinct key and scan_record once per class, in enumeration order; the
-    counts come from the cycle types, and no per-crystal list is built."""
+    A crystal's class is named by its slope word read along its cycles, taken
+    stably sorted by length, in a memo keyed by (sorted cycle lengths, word)
+    that lives for this call, as does the memo of pair tables that every
+    scan_record of the call shares.  The memo of a cycle type is filled once,
+    at its first permutation, so _class_key runs once per distinct key and
+    scan_record once per class, in enumeration order; the counts come from the
+    cycle types, and no per-crystal list is built."""
     checks = tuple(checks)
     permutations = _permutations(family, r)
     slopes = list(_slope_vectors(slope_bound(family, slope_max), r))
@@ -223,12 +231,14 @@ def scan_table(
     classes: list[ScanRecord] = []
     getters: list[itemgetter] = []
     memos: list[dict] = []  # per permutation, its cycle type's memo
+    pairs: dict = {}  # (u, v) -> crystal.pair_table(u, v)
     by_class: dict[tuple[tuple[int, ...], ...], int] = {}
-    by_type: dict[tuple[int, ...], dict] = {}  # cycle lengths -> {word: class index}
-    members: dict[tuple[int, ...], int] = {}  # cycle lengths -> permutations of that type
+    by_type: dict[tuple[int, ...], dict] = {}  # sorted cycle lengths -> {word: class index}
+    members: dict[tuple[int, ...], int] = {}  # sorted cycle lengths -> permutations of that type
     for pi in permutations:
         cycles = cycle_decomposition(pi)
         perm = cycles_text(cycles)
+        cycles.sort(key=len)
         # At r = 1 the getter has one index and returns the bare slope, which
         # names the word as well as a 1-tuple would.
         word_of = itemgetter(*[i - 1 for cycle in cycles for i in cycle])
@@ -243,7 +253,7 @@ def scan_table(
                 index = by_class.get(key)
                 if index is None:
                     index = by_class[key] = len(classes)
-                    classes.append(scan_record(pi, vector, m_max, checks))
+                    classes.append(scan_record(pi, vector, m_max, checks, pairs))
                 memo[word_of(vector)] = index
         members[lengths] = members.get(lengths, 0) + 1
         perms.append(perm)

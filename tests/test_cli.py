@@ -211,6 +211,101 @@ def test_gamma_stabilization_above_str_digit_limit(capsys, fmt):
     assert int(Decimal(digits)) == 2 * big
 
 
+# An integer option takes any number of digits: 4,400 nines, past the
+# interpreter's 4,300-digit int() and str() limit, which stays as it is.
+NINES = "9" * 4400
+NINES_INT = 10**4400 - 1
+
+
+def test_integer_option_reads_past_str_digit_limit():
+    assert cli._integer(NINES) == NINES_INT
+    assert cli._integer("-" + NINES) == -NINES_INT
+    assert cli._integer("+" + NINES) == NINES_INT
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gamma_slope_past_str_digit_limit(capsys, fmt):
+    table = gamma_table(FCyclicCrystal.from_text(2, "(1 2)", (0, NINES_INT)), 3)
+    assert table.stabilization == NINES_INT
+    assert [(data.epsilon, data.level) for data in table.orbits] == [((0, 0), 0), ((-NINES_INT, NINES_INT), NINES_INT)]
+    code, out, err = run(capsys, "gamma", "--r", "2", "--perm", "(1 2)", "--slopes", f"0,{NINES}", "--m-max", "3", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        payload = json.loads(out, parse_int=Decimal)
+        assert payload["slopes"] == [0, NINES_INT]
+        assert payload["gamma"] == list(table.gamma)
+        assert payload["stabilization"] == NINES_INT
+        # the level shown is that of the sign form clamped at m_max (see cli._orbit_view)
+        assert [(orbit["epsilon"], orbit["level"]) for orbit in payload["orbits"]] == [([0, 0], 0), ([-NINES_INT, NINES_INT], 4)]
+    else:
+        lines = out.splitlines()
+        assert lines[0] == f"crystal r=2 perm=(1 2) slopes=(0,{NINES}) dieudonne=no ordinary=n/a"
+        assert lines[1] == "gamma: " + " ".join(map(str, table.gamma)) + "   (m = 0..3)"
+        assert lines[4] == f"stabilization: {NINES} (level only; not an isomorphism number here)"
+        assert lines[6] == f"orbit 2: len=2 eps=(-{NINES},{NINES}) level=4 census={{1:1,2:1,3:1}}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_seq_past_str_digit_limit(capsys, fmt):
+    seq = (0, NINES_INT, -NINES_INT)
+    check, stats = cli.verify_sequence(seq, 3)
+    code, out, err = run(capsys, "verify", "--seq", f"0,{NINES},-{NINES}", "--m", "3", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert check.match
+    if fmt == "json":
+        payload = json.loads(out, parse_int=Decimal)
+        assert payload["seq"] == list(seq)
+        assert payload["formula"] == {"linear": check.formula_linear, "circular": check.formula_circular}
+        assert payload["oracle"]["linear"] == stats.free_linear
+    else:
+        assert out.splitlines()[:3] == [
+            f"seq=(0,{NINES},-{NINES}) m=3",
+            f"formula: linear={check.formula_linear} circular={check.formula_circular}",
+            f"oracle:  linear={stats.free_linear} circular={stats.circular}"
+            f" circular_edges={stats.circular_edges} zero_linear={stats.zero_linear}",
+        ]
+
+
+def test_verify_random_max_entry_past_str_digit_limit(capsys):
+    draws = list(cli._random_draws(-NINES_INT, 3, 10, NINES_INT, 4))
+    assert max(abs(e) for seq, _ in draws for e in seq) > 10**4300
+    assert all(cli.verify_sequence(seq, m)[0].match for seq, m in draws)
+    code, out, err = run(capsys, "verify", "--r-max", "1", "--random", "3", "--max-entry", NINES, "--seed", "-" + NINES)
+    assert (code, err) == (0, "")
+    assert out == (
+        "sweep r<=1 slope<=1 m<=4: crystals=2 checks=11\n"
+        f"random: n=3 seed=-{NINES} max_s=10 max_entry={NINES}\n"
+        "mismatches: 0\nok\n"
+    )
+
+
+def test_endo_prime_past_str_digit_limit(capsys):
+    code, out, err = run(capsys, "endo", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m", "1", "--prime", NINES)
+    assert (code, err) == (0, "")
+    assert out == f"b(1) = 2\ncomponents(1) = {NINES}^2 = {Decimal(NINES_INT**2)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", NINES), 3,
+         f"resource limit: level {NINES} needs a table of one entry per level, larger than this platform can address"),
+        (("gamma", "--r", "-" + NINES, "--perm", "(1 2)", "--slopes", "0,1", "--m-max", "2"), 2,
+         f"invalid input: --r must be at least 1, got -{NINES}"),
+        (("gamma", "--r", NINES, "--perm", "(1 2)", "--slopes", "0,1", "--m-max", "2"), 2,
+         f"invalid input: --slopes needs exactly {NINES} entries, got 2"),
+        (("scan", "--family", "all-dieudonne", "--r", NINES, "--m-max", "2"), 3,
+         f"resource limit: r={NINES} exceeds the default cap {cli.MAX_R}; pass --override-limits to proceed"),
+        (("verify", "--r-max", "1", "--random", NINES), 3,
+         f"resource limit: {NINES} random sequences exceed the default cap {cli.MAX_CRYSTALS};"
+         " pass --override-limits to proceed"),
+    ],
+    ids=["level", "at-least", "slope-count", "rank", "random-count"],
+)
+def test_refusals_echo_integers_past_str_digit_limit(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", message + "\n")
+
+
 # ------------------------------------------------------------ verify
 
 
@@ -484,8 +579,8 @@ def forced_violations(monkeypatch):
     past level 0 as violating nonincreasing."""
     real = scan.scan_record
 
-    def failing(pi, slopes, m_max, checks=cli.CHECKS):
-        record = real(pi, slopes, m_max, checks)
+    def failing(pi, slopes, m_max, checks=cli.CHECKS, pairs=None):
+        record = real(pi, slopes, m_max, checks, pairs)
         return dataclasses.replace(record, nonincreasing=False) if record.stabilization >= 1 else record
 
     monkeypatch.setattr(scan, "scan_record", failing)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from fcrystal import (
     ResourceLimitError,
     VerifyCheck,
     circular_count,
+    class_tables,
     endo_exponent,
     gamma,
     gamma_table,
@@ -27,10 +30,11 @@ from fcrystal import (
     newton_slopes,
     oracle_counts,
     orbit_data,
+    pair_table,
     verify_sequence,
     verify_sweep,
 )
-from fcrystal.permutation import parse_permutation
+from fcrystal.permutation import cycle_decomposition, parse_permutation
 from fcrystal.scan import enumerate_family
 
 dieudonne_crystals = st.integers(2, 5).flatmap(
@@ -320,3 +324,83 @@ def test_gamma_table_keeps_no_tuple_per_orbit_point():
         tracemalloc.stop()
     assert sum(map(len, (data.orbit for data in report.orbits))) == 200 * 200
     assert kept < 40 * 200 * 200
+
+
+# ------------------------------------------------------------ cycle-pair tables
+
+
+def tables_of(report):
+    return report.gamma, report.delta, report.b, report.stabilization
+
+
+def cycle_words(pi, slopes):
+    return [tuple(slopes[i - 1] for i in cycle) for cycle in cycle_decomposition(pi)]
+
+
+def records_as_pair_table(records):
+    """orbit_data records as a pair table reads them: sorted census ranges, and
+    {circular level: total orbit length}."""
+    lengths = {}
+    for data in records:
+        if data.level is not None:
+            lengths[data.level] = lengths.get(data.level, 0) + len(data.orbit)
+    return sorted(lo_hi for data in records for lo_hi in data.census), lengths
+
+
+def sorted_pair_table(u, v):
+    census, lengths = pair_table(u, v)
+    return sorted(census), lengths
+
+
+def test_class_tables_equal_gamma_table_on_random_crystals():
+    # ranks up to 12, slopes up to 10**12, levels up to 12; one memo for all
+    rng = random.Random(18)
+    pairs = {}
+    for _ in range(600):
+        r = rng.randint(1, 12)
+        images = list(range(1, r + 1))
+        rng.shuffle(images)
+        pi = Permutation(tuple(images))
+        top = rng.choice((1, 3, 40, 10**12))
+        slopes = tuple(rng.randint(0, top) for _ in range(r))
+        m_max = rng.randint(1, 12)
+        expected = tables_of(gamma_table(FCyclicCrystal(pi, slopes), m_max))
+        assert class_tables(cycle_words(pi, slopes), m_max, pairs) == expected, (pi, slopes, m_max)
+        assert class_tables(cycle_words(pi, slopes), m_max, {}) == expected, (pi, slopes, m_max)
+
+
+def test_class_tables_refuse_level_zero():
+    with pytest.raises(ValueError, match="m_max must be at least 1"):
+        class_tables([(0, 1)], 0, {})
+
+
+def test_pair_table_of_one_cycle_equals_its_orbit_records():
+    # a single r-cycle's orbits are the pair (w, w) of its slope word w; every
+    # rotation of w gives the same table, since it only relabels the orbits
+    rng = random.Random(7)
+    for _ in range(3000):
+        r = rng.randint(1, 8)
+        top = rng.choice((1, 3, 10**12))
+        w = tuple(rng.randint(0, top) for _ in range(r))
+        records = orbit_data(FCyclicCrystal(Permutation(tuple(range(2, r + 1)) + (1,)), w))
+        expected = records_as_pair_table(records)
+        assert sorted_pair_table(w, w) == expected, w
+        k = rng.randrange(r)
+        assert sorted_pair_table(w[k:] + w[:k], w[k:] + w[:k]) == expected, (w, k)
+
+
+def test_pair_table_of_two_cycles_equals_their_orbit_records():
+    # cycles A = (1..a) and B = (a+1..a+b): the orbits from A to B, whichever
+    # rotation of each slope word the crystal carries
+    rng = random.Random(8)
+    for _ in range(3000):
+        a, b = rng.randint(1, 6), rng.randint(1, 6)
+        top = rng.choice((1, 3, 10**12))
+        u = tuple(rng.randint(0, top) for _ in range(a))
+        v = tuple(rng.randint(0, top) for _ in range(b))
+        images = tuple(range(2, a + 1)) + (1,) + tuple(range(a + 2, a + b + 1)) + (a + 1,)
+        s, t = rng.randrange(a), rng.randrange(b)
+        records = orbit_data(FCyclicCrystal(Permutation(images), u[s:] + u[:s] + v[t:] + v[:t]))
+        between = [data for data in records if data.orbit.first[0] <= a < data.orbit.second[0]]
+        assert len(between) == math.gcd(a, b)
+        assert sorted_pair_table(u, v) == records_as_pair_table(between), (u, v, s, t)

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 import reference_scan
-from fcrystal import cli, scan
+from fcrystal import FCyclicCrystal, class_tables, cli, gamma_table, scan
 from fcrystal.permutation import cycle_decomposition, cycle_string
 from fcrystal.scan import (
     CHECKS,
@@ -82,27 +82,45 @@ def test_class_summary_equals_the_per_crystal_summary(family, r, slope_max):
 
 @pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
 def test_class_key_runs_once_per_cycle_word(monkeypatch, family, r, slope_max):
+    # one call per (cycle lengths sorted, word read along the cycles so sorted)
     calls = []
     real = scan._class_key
 
     def counting(cycles, slopes):
-        calls.append(slopes)
-        return real(cycles, slopes)
+        key = real(cycles, slopes)
+        calls.append((tuple(map(len, cycles)), slopes, key))
+        return key
 
     monkeypatch.setattr(scan, "_class_key", counting)
     _, _, _, _, rows = scan_table(family, r, 5, slope_max)
     table_calls = calls[:]
     calls.clear()
-    reference_scan.scan_table(family, r, 5, slope_max)
-    assert table_calls == calls  # the same keys, in the same order
+    reference_scan.scan_table(family, r, 5, slope_max)  # one memo per ordered cycle lengths
+    assert {key for *_, key in table_calls} == {key for *_, key in calls}  # the same classes
     words = set()
     for pi, slopes in enumerate_family(family, r, slope_max):
-        cycles = cycle_decomposition(pi)
+        cycles = sorted(cycle_decomposition(pi), key=len)
         words.add((tuple(map(len, cycles)), tuple(slopes[i - 1] for cycle in cycles for i in cycle)))
-    assert len(calls) == len(words)
+    assert [lengths for lengths, *_ in table_calls] == [tuple(sorted(lengths)) for lengths, *_ in table_calls]
+    assert len({(lengths, vector) for lengths, vector, _ in table_calls}) == len(table_calls) == len(words)
+    assert len(table_calls) <= len(calls)
+    if family == "all-dieudonne" and r >= 3:
+        # (1, 2) and (2, 1) share one memo, and so on
+        assert len(table_calls) < len(calls)
     assert sum(len(list(row)) for row in rows) == family_size(family, r, slope_max)
     if r > 2 and slope_max:
-        assert len(calls) < family_size(family, r, slope_max)
+        assert len(table_calls) < family_size(family, r, slope_max)
+
+
+@pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
+def test_class_tables_equal_gamma_table_on_every_crystal(family, r, slope_max):
+    # the pair sum scan_record reads, with one pair memo per family as in
+    # scan_table, against the orbit walk of gamma_table
+    pairs = {}
+    for pi, slopes in enumerate_family(family, r, slope_max):
+        report = gamma_table(FCyclicCrystal(pi, slopes), 5)
+        words = [tuple(slopes[i - 1] for i in cycle) for cycle in cycle_decomposition(pi)]
+        assert class_tables(words, 5, pairs) == (report.gamma, report.delta, report.b, report.stabilization)
 
 
 @pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
