@@ -34,6 +34,7 @@ from .crystal import (
     gamma,
     gamma_table,
     is_minimal,
+    is_minimal_words,
     newton_slopes,
     orbit_data,
     orbit_epsilon,
@@ -92,6 +93,7 @@ __all__ = [
     "gamma",
     "gamma_table",
     "is_minimal",
+    "is_minimal_words",
     "is_single_cycle",
     "linear_count",
     "newton_slopes",

@@ -29,12 +29,14 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # piece per i and a right piece per j from label tables made once per render, so
 # no tuple and no % formatting per point (the orbit's census is read once, by
 # circseq.census_levels).  scan renders from the class table (scan.scan_table) and
-# builds no per-crystal record: a crystal's csv line or json record is one
-# concatenation of its permutation's head, its slope vector's cells and its
-# class's cells, each rendered once (the json records list reaches main as one
-# _Rendered text from the same writer), the summary weights each class's verdicts
-# by its count in the table, and a text scan reads the table's rows only to name
-# violations.  main builds its argument parser on its first call and reuses it.
+# builds no per-crystal record or string: a crystal's csv line or json record is
+# three pieces, its permutation's head, its slope vector's cells and its class's
+# cells with the separator, each rendered once, and all crystals' pieces are one
+# list joined once (_scan_rows).  The csv, header included, reaches main as one
+# text before the summary, and the json records list as one _Rendered text.  The
+# summary weights each class's verdicts by its count in the table, and a text
+# scan reads the table's rows only to name violations.  main builds its argument
+# parser on its first call and reuses it.
 # The one other write is the scan csv summary line, which main prints after the
 # csv, to the stream the csv does not use (stderr when the csv goes to stdout,
 # stdout with --out); so a failed --out write prints no summary.
@@ -54,8 +56,7 @@ import tempfile
 from dataclasses import fields
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii
-from operator import add
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .circseq import census_levels, circular_level, normalize
 from .crystal import (
@@ -625,6 +626,28 @@ def _verify_sweep(args) -> Output:
 # ---------------------------------------------------------------- scan
 
 
+def _scan_rows(
+    before: str, heads: Iterable[str], cells: list[str], tails: list[str], rows: Iterable[Iterable[int]], sep: str,
+    after: str,
+) -> str:
+    """A scan's csv lines or json records as one text: before, then for each
+    crystal (perms[p], slopes[s]) of class c in enumeration order heads[p] +
+    cells[s] + tails[c], with sep between crystals, then after.  The pieces
+    are one list, filled a permutation at a time by slice assignment into a
+    block whose cells stay in place, and joined once."""
+    ended = [tail + sep for tail in tails]
+    n = len(cells)
+    block = [""] * (3 * n)
+    block[1::3] = cells
+    pieces = [before]
+    for head, row in zip(heads, rows):
+        block[::3] = [head] * n
+        block[2::3] = map(ended.__getitem__, row)
+        pieces += block
+    pieces[-1] = pieces[-1][: len(pieces[-1]) - len(sep)] + after  # a scan has at least one crystal
+    return "".join(pieces)
+
+
 def cmd_scan(args) -> Output:
     _at_least(args, "--r", 1)
     _at_least(args, "--slope-max", 0)
@@ -640,43 +663,35 @@ def cmd_scan(args) -> Output:
 
     if args.format == "json":
         # A record is an object at depth 2 of the payload, its members at inner: its head (r, perm) is rendered
-        # once per permutation, its slopes once per slope vector and its tail (gamma onward) once per class, so
-        # a crystal costs one head + cell + tail; m_max is stated once in the payload.
+        # once per permutation, its slopes once per slope vector and its tail (gamma onward) once per class; m_max
+        # is stated once in the payload.  The list's brackets go around the joined records, so the json of the
+        # list, at depth 1, is not copied again.
         inner = "      "
         sep = ",\n" + inner
         split = names.index("gamma")
+        heads = ("{\n" + inner + sep.join(_json_members({"r": args.r, "perm": perm}, inner)) + sep for perm in perms)
         cells = [sep.join(_json_members({"slopes": vector}, inner)) + sep for vector in slopes]
         tails = [
             sep.join(_json_members(dict(list(vars(record).items())[split:]), inner)) + "\n    }" for record in classes
         ]
-        records = []
-        for perm, row in zip(perms, rows):
-            head = "{\n" + inner + sep.join(_json_members({"r": args.r, "perm": perm}, inner)) + sep
-            records += map(add, map(head.__add__, cells), map(tails.__getitem__, row))
-        # The list's brackets go on its first and last records (a scan has at least one crystal), so the
-        # json of the list, at depth 1, is one join and is not copied again.
-        records[0] = "[\n    " + records[0]
-        records[-1] += "\n  ]"
         return code, {
             "family": args.family,
             "r": args.r,
             "slope_max": slope_max,
             "m_max": args.m_max,
             "checks": checks,
-            "records": _Rendered(",\n    ".join(records)),
+            "records": _Rendered(_scan_rows("[\n    ", heads, cells, tails, rows, ",\n    ", "\n  ]")),
             "summary": summary,
         }
     summary_line = " ".join(f"{k}={v}" for k, v in summary.items())
     if args.format == "csv":
+        # The header and every line are one text, so main's join of it and the summary, which it pops, copies nothing.
         split = names.index("m_max")  # the cells from m_max on are the class's, rendered once per class
+        heads = (f'{args.r},"{perm}",' for perm in perms)
         cells = [_csv_cell(vector) + "," for vector in slopes]
         tails = [",".join(map(_csv_cell, list(vars(record).values())[split:])) for record in classes]
-        lines = [",".join(names)]
-        for perm, row in zip(perms, rows):
-            head = f'{args.r},"{perm}",'
-            lines += map(add, map(head.__add__, cells), map(tails.__getitem__, row))
-        lines.append(summary_line)  # main writes it after the csv, to the other stream
-        return code, lines
+        csv = _scan_rows(",".join(names) + "\n", heads, cells, tails, rows, "\n", "")
+        return code, [csv, summary_line]  # main writes the summary after the csv, to the other stream
 
     lines = [f"scan family={args.family} r={args.r} slope_max={slope_max} m_max={args.m_max}", summary_line]
     if violations:

@@ -278,6 +278,8 @@ def pair_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[Census, dict[int
     census and circular level do not see rotations.  So the table depends only
     on the two words, whatever the labels of the cycles."""
     a, b = len(u), len(v)
+    if not a or not b:
+        raise ValueError("a cycle's slope word must have at least one letter")
     g = gcd(a, b)
     period = a // g * b
     first = u * (period // a)
@@ -406,25 +408,33 @@ def newton_slopes(crystal: FCyclicCrystal) -> tuple[Fraction, ...]:
 
 
 def is_minimal(crystal: FCyclicCrystal) -> bool:
-    """Minimality test for Dieudonne modules, cycle by cycle.
-
-    Within a cycle C of average slope lam, every length-q slope sum starting
-    anywhere in C must land in {floor(q*lam), floor(q*lam) + 1}.  Checking q up
-    to len(C) suffices: both the sums and the floors advance by sum(E over C)
-    per full period.  Raises for non-Dieudonne input, where the criterion does
-    not apply.
+    """Minimality test for Dieudonne modules, cycle by cycle: is_minimal_words
+    of the slope words read along the cycles of pi.  Raises for non-Dieudonne
+    input, where the criterion does not apply.
     """
     if not crystal.is_dieudonne:
         raise ValueError("minimality is defined here only for 0/1 slopes")
     e = crystal.slopes
-    for cycle in cycle_decomposition(crystal.pi):
-        length = len(cycle)
-        total = sum(e[i - 1] for i in cycle)
-        for start in range(length):
-            acc = 0
-            for q in range(1, length + 1):
-                acc += e[cycle[(start + q - 1) % length] - 1]
-                base = (q * total) // length
-                if acc != base and acc != base + 1:
-                    return False
+    return is_minimal_words([tuple([e[i - 1] for i in cycle]) for cycle in cycle_decomposition(crystal.pi)])
+
+
+def is_minimal_words(words: Iterable[tuple[int, ...]]) -> bool:
+    """Minimality of a Dieudonne module from its cycles' slope words.
+
+    Within a cycle C of average slope lam, every length-q slope sum starting
+    anywhere in C must land in {floor(q*lam), floor(q*lam) + 1}.  Checking q up
+    to len(C) suffices: both the sums and the floors advance by sum(E over C)
+    per full period, and at q = len(C) every sum is sum(E over C) itself.  The
+    sums of one length are differences of the prefix sums of the doubled word,
+    one map(sub) per length.
+    """
+    for word in words:
+        length = len(word)
+        total = sum(word)
+        sums = list(accumulate(word + word, initial=0))
+        starts = sums[:length]
+        for q in range(1, length):
+            base = q * total // length
+            if not {base, base + 1}.issuperset(map(sub, sums[q : q + length], starts)):
+                return False
     return True

@@ -140,19 +140,20 @@ def _parse_cycles(tokens: list[tuple[str, int, int]], r: int) -> Permutation:
 
 
 def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles, each starting at its minimum, sorted by that minimum. Fixed points included."""
-    seen = [False] * (p.size + 1)
+    """Disjoint cycles, each starting at its minimum, sorted by that minimum. Fixed points included.
+    The walk indexes the image tuple, padded so that point j's image is images[j]."""
+    images = (0, *p.images)
+    seen = [False] * len(images)
     cycles: list[tuple[int, ...]] = []
-    for start in range(1, p.size + 1):
+    for start in range(1, len(images)):
         if seen[start]:
             continue
-        cycle = [start]
-        seen[start] = True
-        j = p(start)
+        cycle = [start]  # start is never visited again, so it needs no mark
+        j = images[start]
         while j != start:
             seen[j] = True
             cycle.append(j)
-            j = p(j)
+            j = images[j]
         cycles.append(tuple(cycle))
     return cycles
 

@@ -11,9 +11,12 @@ crystals it holds, and lazy rows of class indices.  The table costs cycle types,
 classes and permutations, not crystals: each cycle type's memo of slope words is
 filled once (a type is its cycle lengths sorted, so (2, 3) and (3, 2) share
 one), scan_record runs once per class, and the counts follow from the cycle
-types.  scan_record takes its tables from its cycles' slope words through
-crystal.class_tables, and the pair tables they sum are memoized for the whole
-scan, in a dict that scan_table makes and drops.  A crystal's slope word is
+types.  scan_record builds a record from one cycle decomposition: the cycles'
+slope words give its tables through crystal.class_tables, whose pair tables
+are memoized for the whole scan in a dict that scan_table makes and drops,
+and its minimality through crystal.is_minimal_words; it builds no crystal
+object and no second decomposition.  _class_key takes each least rotation as
+one min over slices of the word read twice.  A crystal's slope word is
 looked up only when its row is read, at C speed.  scan_table is the one scan
 path: the cli renders each class's part once, and a text scan with no
 violation reads no row.  scan_record over enumerate_family is the per-crystal
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .crystal import FCyclicCrystal, class_tables, delta_report, is_minimal
+from .crystal import class_tables, delta_report, is_minimal_words
 from .permutation import Permutation, cycle_decomposition, cycles_text
 
 FAMILIES = ("circular-dieudonne", "all-dieudonne", "circular-fcrystal", "all-fcrystal")
@@ -96,9 +99,11 @@ def slope_bound(family: str, slope_max: int) -> int:
 
 
 def _permutations(family: str, r: int) -> Iterator[Permutation]:
-    """The family's permutations in canonical order; the one check of a family name."""
+    """The family's permutations in canonical order; the one check of a family name and a rank."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    if r < 1:
+        raise ValueError(f"rank must be at least 1, got {r}")
     return cycles_of_length_r(r) if family.startswith("circular") else all_permutations(r)
 
 
@@ -121,7 +126,9 @@ def enumerate_family(family: str, r: int, slope_max: int = 1) -> Iterator[tuple[
 
 
 def family_size(family: str, r: int, slope_max: int = 1) -> int:
-    """How many crystals enumerate_family yields: (r-1)! or r! permutations times (slope bound + 1)^r slopes."""
+    """How many crystals enumerate_family yields: (r-1)! or r! permutations times
+    (slope bound + 1)^r slopes.  Refuses what enumerate_family refuses."""
+    _permutations(family, r)
     perms = math.factorial(r - 1 if family.startswith("circular") else r)
     return perms * (slope_bound(family, slope_max) + 1) ** r
 
@@ -148,59 +155,64 @@ def scan_record(
     """Compute one crystal's tables and evaluate the requested property checks.
     One cycle_decomposition of pi gives the record's cycle string, the circular
     test of the strict check and the cycles' slope words, whose pair tables
-    (crystal.class_tables, memoized in pairs) give the tables."""
-    crystal = FCyclicCrystal(pi, slopes)
+    (crystal.class_tables, memoized in pairs) give the tables and whose
+    windows give minimality (crystal.is_minimal_words).  The slopes are
+    checked as FCyclicCrystal checks them."""
+    if len(slopes) != pi.size:
+        raise ValueError(f"need {pi.size} slopes, got {len(slopes)}")
+    if min(slopes) < 0:
+        raise ValueError("slopes must be nonnegative integers")
     cycles = cycle_decomposition(pi)
     words = [tuple([slopes[i - 1] for i in cycle]) for cycle in cycles]
     gamma, delta, b, stab = class_tables(words, m_max, {} if pairs is None else pairs)
-    dieudonne = crystal.is_dieudonne
-    ordinary = (gamma[1] == 0) if dieudonne else None
-    minimal = is_minimal(crystal) if dieudonne else None
-
-    verdict: dict[str, Optional[bool]] = dict.fromkeys(CHECKS)  # None: not applicable or not requested
+    dieudonne = max(slopes) <= 1
+    # Verdicts stay None where a check is not applicable or not requested.
+    ordinary = minimal = nonincreasing = strict = increasing = ratio = matches = None
+    if dieudonne:
+        ordinary = gamma[1] == 0
+        minimal = is_minimal_words(words)
     if "nonincreasing" in checks or "strict" in checks:
         report = delta_report(delta, stab)
         if "nonincreasing" in checks:
-            verdict["nonincreasing"] = report.nonincreasing
+            nonincreasing = report.nonincreasing
         # The strict decrease only holds for circular nonordinary Dieudonne
         # crystals; elsewhere it is reported as not applicable.
-        if "strict" in checks and dieudonne and len(cycles) == 1 and ordinary is False:
-            verdict["strict"] = report.strict_through_stabilization if m_max >= stab + 1 else None
+        if "strict" in checks and ordinary is False and len(cycles) == 1 and m_max >= stab + 1:
+            strict = report.strict_through_stabilization
     if "increasing-to-stab" in checks:
+        # gamma rises at every level up to the stabilization level and is constant from there
         bound = min(stab, m_max)
-        verdict["increasing-to-stab"] = all(gamma[n] > gamma[n - 1] for n in range(1, bound + 1)) and all(
-            gamma[n] == gamma[bound] for n in range(bound, m_max + 1)
-        )
-    if "ratio" in checks and dieudonne and ordinary is False:
-        verdict["ratio"] = _ratio_holds(gamma)
+        increasing = all(step > 0 for step in delta[:bound]) and not any(delta[bound:])
+    if "ratio" in checks and ordinary is False:
+        ratio = _ratio_holds(gamma)
     if "minimal" in checks and dieudonne:
-        verdict["minimal"] = minimal == (stab <= 1)
-
+        matches = minimal == (stab <= 1)
     return ScanRecord(
-        r=pi.size,
-        perm=cycles_text(cycles),
-        slopes=slopes,
-        m_max=m_max,
-        gamma=gamma,
-        delta=delta,
-        b=b,
-        stabilization=stab,
-        dieudonne=dieudonne,
-        ordinary=ordinary,
-        minimal=minimal,
-        **{CHECK_FIELDS[name]: value for name, value in verdict.items()},
+        pi.size, cycles_text(cycles), slopes, m_max, gamma, delta, b, stab, dieudonne, ordinary, minimal,
+        nonincreasing, strict, increasing, ratio, matches,
     )
+
+
+# word length -> its rotations as slices of the word read twice: immutable, and
+# n(n + 1) / 2 slices in all once words of every length up to n are keyed
+_ROTATIONS: dict[int, tuple[slice, ...]] = {}
 
 
 def _class_key(cycles: Sequence[tuple[int, ...]], slopes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     # Relabeling the basis conjugates pi, which keeps exactly this data: each
     # cycle's slope word up to rotation (taken at its least rotation), as a
-    # multiset over the cycles.
+    # multiset over the cycles.  The rotations of a word are slices of the word
+    # read twice around its cycle, so its least rotation is one min.
     words = []
     for cycle in cycles:
-        word = tuple(slopes[i - 1] for i in cycle)
-        words.append(min(word[k:] + word[:k] for k in range(len(word))))
-    return tuple(sorted(words))
+        length = len(cycle)
+        rotations = _ROTATIONS.get(length)
+        if rotations is None:
+            rotations = _ROTATIONS[length] = tuple(map(slice, range(length), range(length, 2 * length)))
+        doubled = tuple([slopes[i - 1] for i in cycle + cycle])
+        words.append(min(map(doubled.__getitem__, rotations)))
+    words.sort()
+    return tuple(words)
 
 
 def scan_table(

@@ -3,6 +3,8 @@ visit every pair (i, j) in lexicographic order and follow the unseen ones
 through a set.  Kept here as the differential reference for
 fcrystal.permutation.product_orbits, which stores each orbit as two columns;
 the walk lists points as pairs, and product_orbits splits them only at the end.
+Beside it, the cycle walk as it was before cycle_decomposition indexed the
+image tuple: one Permutation call per point.
 """
 
 from __future__ import annotations
@@ -31,3 +33,21 @@ def pair_walk(p: Permutation) -> list[tuple[tuple[int, int], ...]]:
 def product_orbits(p: Permutation) -> list[Orbit]:
     """All orbits of the doubled action on pairs, sorted by smallest point."""
     return [Orbit(*zip(*points)) for points in pair_walk(p)]
+
+
+def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
+    """Disjoint cycles, each starting at its minimum, sorted by that minimum. Fixed points included."""
+    seen = [False] * (p.size + 1)
+    cycles: list[tuple[int, ...]] = []
+    for start in range(1, p.size + 1):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        j = p(start)
+        while j != start:
+            seen[j] = True
+            cycle.append(j)
+            j = p(j)
+        cycles.append(tuple(cycle))
+    return cycles

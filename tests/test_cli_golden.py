@@ -126,6 +126,15 @@ CASES = [
     ("scan-json-one-check", (
         "scan", "--family", "circular-fcrystal", "--r", "3", "--m-max", "3", "--check", "minimal", "--format", "json",
     ), None),
+    # one crystal: its first row is also its last
+    ("scan-json-one-crystal", (
+        "scan", "--family", "circular-fcrystal", "--r", "1", "--slope-max", "0", "--m-max", "2", "--format", "json",
+    ), None),
+    ("scan-csv-one-crystal", (
+        "scan", "--family", "circular-fcrystal", "--r", "1", "--slope-max", "0", "--m-max", "2", "--format", "csv",
+    ), None),
+    # five cycle types
+    ("scan-csv-all-dieudonne-r4", ("scan", "--family", "all-dieudonne", "--r", "4", "--m-max", "3", "--format", "csv"), None),
     ("scan-text", ("scan", "--family", "circular-dieudonne", "--r", "2", "--m-max", "2"), None),
     ("scan-text-fcrystal", ("scan", "--family", "circular-fcrystal", "--r", "4", "--slope-max", "2", "--m-max", "4"), None),
     ("scan-text-workers", (

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_scan
 from fcrystal import (
     FCyclicCrystal,
     OrbitData,
@@ -26,6 +27,7 @@ from fcrystal import (
     gamma,
     gamma_table,
     is_minimal,
+    is_minimal_words,
     linear_count,
     newton_slopes,
     oracle_counts,
@@ -256,6 +258,28 @@ def test_minimal_rejects_large_slopes():
         is_minimal(crystal(2, "(1 2)", (0, 2)))
 
 
+def test_minimal_matches_the_reference_on_every_dieudonne_crystal():
+    # every crystal of all-dieudonne up to rank 6 (50,362 crystals), against
+    # the loop over starts and lengths is_minimal_words replaced
+    for r in range(1, 7):
+        for pi, slopes in enumerate_family("all-dieudonne", r):
+            crystal = FCyclicCrystal(pi, slopes)
+            assert is_minimal(crystal) == reference_scan.is_minimal(crystal), (pi, slopes)
+
+
+@given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=12), min_size=1, max_size=3))
+@settings(max_examples=300)
+def test_minimal_words_match_the_reference_on_random_words(words):
+    # the words read along consecutive cycles (1 .. a)(a+1 .. a+b)...
+    images, start = [], 1
+    for word in words:
+        images += range(start + 1, start + len(word))
+        images.append(start)
+        start += len(word)
+    crystal = FCyclicCrystal(Permutation(tuple(images)), tuple(e for word in words for e in word))
+    assert is_minimal_words(words) == reference_scan.is_minimal(crystal)
+
+
 @given(dieudonne_crystals)
 @settings(max_examples=150)
 def test_minimal_iff_stabilization_at_most_one(c):
@@ -372,6 +396,16 @@ def test_class_tables_equal_gamma_table_on_random_crystals():
 def test_class_tables_refuse_level_zero():
     with pytest.raises(ValueError, match="m_max must be at least 1"):
         class_tables([(0, 1)], 0, {})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: pair_table((), (0, 1)), lambda: pair_table((1,), ()), lambda: class_tables([()], 2, {})],
+    ids=["pair_table-first", "pair_table-second", "class_tables"],
+)
+def test_empty_slope_words_are_refused(call):
+    with pytest.raises(ValueError, match=r"^a cycle's slope word must have at least one letter$"):
+        call()
 
 
 def test_pair_table_of_one_cycle_equals_its_orbit_records():

@@ -188,6 +188,25 @@ def test_product_orbits_match_reference_exhaustively():
             assert product_orbits(p) == reference.product_orbits(p), images
 
 
+def test_cycle_decomposition_matches_reference_exhaustively():
+    # every permutation of every rank up to 7 (5,913 permutations), against the
+    # walk through Permutation calls
+    for r in range(1, 8):
+        for images in itertools.permutations(range(1, r + 1)):
+            p = Permutation(images)
+            assert cycle_decomposition(p) == reference.cycle_decomposition(p), images
+
+
+@given(
+    st.integers(1, 40).flatmap(
+        lambda r: st.permutations(list(range(1, r + 1))).map(lambda images: Permutation(tuple(images)))
+    )
+)
+@settings(max_examples=300)
+def test_cycle_decomposition_matches_reference_randomized(p):
+    assert cycle_decomposition(p) == reference.cycle_decomposition(p)
+
+
 @given(
     st.integers(1, 12).flatmap(
         lambda r: st.permutations(list(range(1, r + 1))).map(lambda images: Permutation(tuple(images)))

@@ -1,5 +1,6 @@
 """Family scans: the class table against one scan_record per crystal, and
-against the per-crystal table loop it replaced (tests/reference_scan.py)."""
+against the per-crystal table loop it replaced; scan_record and _class_key
+against the record and key they replaced (all in tests/reference_scan.py)."""
 
 from __future__ import annotations
 
@@ -8,10 +9,13 @@ import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_orbits
 import reference_scan
 from fcrystal import FCyclicCrystal, class_tables, cli, gamma_table, scan
-from fcrystal.permutation import cycle_decomposition, cycle_string
+from fcrystal.permutation import Permutation, cycle_decomposition, cycle_string
 from fcrystal.scan import (
     CHECKS,
     enumerate_family,
@@ -150,12 +154,119 @@ def test_slope_vectors_follow_itertools_product(top, r):
 
 
 @pytest.mark.parametrize(
-    "walk", [lambda: next(enumerate_family("bogus", 2)), lambda: scan_table("bogus", 2, 3)],
-    ids=["enumerate_family", "scan_table"],
+    "walk",
+    [lambda: next(enumerate_family("bogus", 2)), lambda: scan_table("bogus", 2, 3), lambda: family_size("bogus", 2)],
+    ids=["enumerate_family", "scan_table", "family_size"],
 )
 def test_unknown_family_is_refused(walk):
     with pytest.raises(ValueError, match="unknown family 'bogus'"):
         walk()
+
+
+@pytest.mark.parametrize("family", scan.FAMILIES)
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda family, r: next(enumerate_family(family, r)),
+        lambda family, r: scan_table(family, r, 3),
+        lambda family, r: family_size(family, r),
+    ],
+    ids=["enumerate_family", "scan_table", "family_size"],
+)
+def test_rank_below_one_is_refused(walk, family, r):
+    with pytest.raises(ValueError, match=rf"^rank must be at least 1, got {r}$"):
+        walk(family, r)
+
+
+# ------------------------------------------- against the record and key they replaced
+
+SUBSETS = [subset for k in range(len(CHECKS) + 1) for subset in itertools.combinations(CHECKS, k)]
+
+
+def typed_fields(record) -> list[tuple]:
+    """A record field by field, with each value's type: True and 1 render differently."""
+    return [(name, type(value), value) for name, value in vars(record).items()]
+
+
+@pytest.fixture
+def tables_by_class(monkeypatch):
+    """class_tables memoized by isomorphism class and level, for scan_record
+    and the reference alike.  Both read the same tables (which
+    test_class_tables_equal_gamma_table_on_every_crystal checks on every
+    crystal), so the records compare what each builds around them."""
+    real = scan.class_tables
+    memo = {}
+
+    def tables(words, m_max, pairs):
+        key = (tuple(sorted(min(word[k:] + word[:k] for k in range(len(word))) for word in words)), m_max)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = real(words, m_max, pairs)
+        return found
+
+    monkeypatch.setattr(scan, "class_tables", tables)
+    monkeypatch.setattr(reference_scan, "class_tables", tables)
+
+
+@pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
+def test_scan_record_matches_the_reference_on_every_crystal(tables_by_class, family, r, slope_max):
+    # each crystal once, the levels 1..6 and the 32 subsets of the checks taken in turn
+    cases = itertools.cycle(itertools.product(range(1, 7), SUBSETS))
+    for (pi, slopes), (m_max, checks) in zip(enumerate_family(family, r, slope_max), cases):
+        record = scan.scan_record(pi, slopes, m_max, checks)
+        assert typed_fields(record) == typed_fields(reference_scan.scan_record(pi, slopes, m_max, checks))
+
+
+@pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
+def test_scan_record_matches_the_reference_at_every_level_and_check_subset(family, r, slope_max):
+    # each class's first crystal at every level 1..6 under all 32 subsets of the checks
+    firsts = {}
+    for pi, slopes in enumerate_family(family, r, slope_max):
+        firsts.setdefault(reference_scan._class_key(reference_orbits.cycle_decomposition(pi), slopes), (pi, slopes))
+    pairs = {}
+    for (pi, slopes), m_max, checks in itertools.product(firsts.values(), range(1, 7), SUBSETS):
+        record = scan.scan_record(pi, slopes, m_max, checks, pairs)
+        assert typed_fields(record) == typed_fields(reference_scan.scan_record(pi, slopes, m_max, checks, pairs))
+
+
+@pytest.mark.parametrize("record", [scan.scan_record, reference_scan.scan_record], ids=["scan", "reference"])
+@pytest.mark.parametrize(
+    "slopes,message",
+    [
+        ((0, 1), "need 3 slopes, got 2"),
+        ((0, 1, 1, 0), "need 3 slopes, got 4"),
+        ((0, -1, 1), "slopes must be nonnegative integers"),
+    ],
+    ids=["short", "long", "negative"],
+)
+def test_scan_record_refuses_bad_slopes(record, slopes, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        record(Permutation((2, 3, 1)), slopes, 3)
+
+
+@pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
+def test_class_key_matches_the_reference_on_every_crystal(family, r, slope_max):
+    # in decomposition order and stably sorted by length, as scan_table passes them
+    for pi, slopes in enumerate_family(family, r, slope_max):
+        cycles = cycle_decomposition(pi)
+        key = reference_scan._class_key(cycles, slopes)
+        assert scan._class_key(cycles, slopes) == key
+        assert scan._class_key(sorted(cycles, key=len), slopes) == key
+
+
+@given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=12), min_size=1, max_size=4), st.data())
+@settings(max_examples=300)
+def test_class_key_matches_the_reference_on_random_words(words, data):
+    # the words read along cycles of shuffled labels
+    n = sum(map(len, words))
+    labels = iter(data.draw(st.permutations(range(1, n + 1))))
+    cycles = [tuple(next(labels) for _ in word) for word in words]
+    slopes = [0] * n
+    for cycle, word in zip(cycles, words):
+        for i, e in zip(cycle, word):
+            slopes[i - 1] = e
+    assert scan._class_key(cycles, tuple(slopes)) == reference_scan._class_key(cycles, tuple(slopes))
 
 
 def traced_peak(call) -> int:
