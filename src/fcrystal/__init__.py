@@ -30,6 +30,7 @@ from .crystal import (
     ResourceLimitError,
     VerifyCheck,
     class_tables,
+    cycle_words,
     endo_exponent,
     gamma,
     gamma_table,
@@ -88,6 +89,7 @@ __all__ = [
     "classify_components",
     "cycle_decomposition",
     "cycle_string",
+    "cycle_words",
     "endo_exponent",
     "first_reduction_step",
     "gamma",

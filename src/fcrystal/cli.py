@@ -19,24 +19,29 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # Output contract: each cmd_* function takes the parsed arguments and returns
 # (exit code, output), where output is the json payload without "schema" and
 # "command", or the text/csv lines.  A command builds only the format asked for
-# and writes nothing.  main adds the header, renders, and writes once: to stdout,
-# or to --out (see _emit), the text and its last newline as two chunks, so
-# adding the newline copies nothing.  json is rendered by _json_text,
-# byte-identical to json.dumps(indent=2), as one join of the pieces it appends
-# down the tree, so no level copies the text below it.  A list of plain ints is
-# one join of texts from a bounded int table.  A gamma orbit's points reach it
-# as the Orbit itself and are rendered from its two columns, interleaving a left
-# piece per i and a right piece per j from label tables made once per render, so
-# no tuple and no % formatting per point (the orbit's census is read once, by
-# circseq.census_levels).  scan renders from the class table (scan.scan_table) and
-# builds no per-crystal record or string: a crystal's csv line or json record is
-# three pieces, its permutation's head, its slope vector's cells and its class's
-# cells with the separator, each rendered once, and all crystals' pieces are one
-# list joined once (_scan_rows).  The csv, header included, reaches main as one
-# text before the summary, and the json records list as one _Rendered text.  The
-# summary weights each class's verdicts by its count in the table, and a text
-# scan reads the table's rows only to name violations.  main builds its argument
-# parser on its first call and reuses it.
+# and writes nothing.  main adds the header and hands _emit the text as chunks,
+# which it writes as they come: to stdout, or to --out (see _emit); the last
+# newline is a chunk of its own, so adding it copies nothing.  json is rendered
+# by _json_chunks, byte-identical to json.dumps(indent=2), as joins of the
+# pieces it appends down the tree, so no level copies the text below it.  A
+# list of plain ints is one join of texts from a bounded int table.  A gamma
+# orbit's points reach it as the Orbit itself and are rendered from its two
+# columns, interleaving a left piece per i and a right piece per j from label
+# tables made once per render, so no tuple and no % formatting per point (the
+# orbit's census is read once, by circseq.census_levels).
+# A scan may return chunk iterables (_Streamed): its csv, and its json records
+# in the payload, whose chunks the json render yields in place, at the position
+# it recorded as it appended them.  They are rendered only as they are written,
+# after every step that can raise: argument checks, caps, scan.scan_table and
+# the summary, which weights each class's verdicts by its count in the table.
+# So a failed command writes nothing, and stdout never gets part of a document
+# followed by an error.  A crystal's csv line or json record is three pieces,
+# its permutation's head, its slope vector's cells and its class's cells, each
+# rendered once, joined _SCAN_CHUNK crystals at a time (_scan_rows), so memory
+# stays flat whatever the family's size.  A text scan reads the table's rows
+# only to name violations.  endo, minimal and gamma csv print only tables,
+# which they read from crystal.class_tables over the crystal's cycle words.
+# main builds its argument parser on its first call and reuses it.
 # The one other write is the scan csv summary line, which main prints after the
 # csv, to the stream the csv does not use (stderr when the csv goes to stdout,
 # stdout with --out); so a failed --out write prints no summary.
@@ -64,8 +69,10 @@ from .crystal import (
     FCyclicCrystal,
     OrbitData,
     ResourceLimitError,
+    class_tables,
+    cycle_words,
     gamma_table,
-    is_minimal,
+    is_minimal_words,
     newton_slopes,
     verify_sequence,
     verify_sweep,
@@ -85,8 +92,12 @@ MAX_TABLE_LEVEL = sys.maxsize // 8
 # Every rank past this has more than sys.maxsize permutations, r! or even (r-1)!.
 MAX_COUNTED_RANK = next(n for n in itertools.count(1) if math.factorial(n) > sys.maxsize)
 SCHEMA = "fcrystal/1"
+# Crystals per chunk of scan csv or json: a few hundred keep the writes few (one
+# per permutation, 64 crystals, made the r=6 circular csv scan about 7% slower)
+# and memory flat (a json chunk is about 170 KB).
+_SCAN_CHUNK = 256
 
-Output = tuple[int, Union[dict, list[str]]]  # see "Output contract" above
+Output = tuple[int, Union[dict, list]]  # see "Output contract" above
 
 _SPLIT = re.compile(r"[,\s]+")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -178,13 +189,14 @@ def _crystal(args) -> FCyclicCrystal:
     return FCyclicCrystal(parse_permutation(args.perm, args.r), slopes)
 
 
-def _emit(chunks: Sequence[str], out: Optional[str]) -> None:
-    """Write the text chunks in order (so a large text is not copied to add its
-    last newline) to stdout or to out: in place when out exists and is not a
-    regular file (a FIFO or a device, which a rename would replace; a directory
-    fails there), else through a temp file, given the target's mode or the
-    umask's (mkstemp makes it 0600), renamed over out.  A symlink is followed
-    (out is resolved first), so its target is replaced and the link stays."""
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the text chunks in order, each as it comes, to stdout or to out:
+    in place when out exists and is not a regular file (a FIFO or a device,
+    which a rename would replace; a directory fails there), else through a
+    temp file, given the target's mode or the umask's (mkstemp makes it 0600),
+    renamed over out once the last chunk is written; a failed write removes
+    it.  A symlink is followed (out is resolved first), so its target is
+    replaced and the link stays."""
     if out is None:
         sys.stdout.writelines(chunks)
         return
@@ -216,14 +228,15 @@ def _emit(chunks: Sequence[str], out: Optional[str]) -> None:
         raise
 
 
-class _Rendered:
-    """json text that _json_text already rendered at its place in the tree; written as it is.
-    It holds the text rather than being a str, which would copy it."""
+class _Streamed:
+    """A value whose text is an iterable of chunks, written as they come: in a
+    json tree (see _json_chunks), or as a scan's whole csv.  Its chunks must
+    not raise, since they are read only while the output is being written."""
 
-    __slots__ = ("text",)
+    __slots__ = ("chunks",)
 
-    def __init__(self, text: str) -> None:
-        self.text = text
+    def __init__(self, chunks: Iterable[str]) -> None:
+        self.chunks = chunks
 
 
 class _IntTexts(dict):
@@ -273,18 +286,39 @@ def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
     keys, lists, tuples, str, int, bool and None, where an Orbit stands for the
     list of its points and an int outside a list may have any length (see
-    _exact); anything else raises TypeError.  The text is one join of
-    the pieces _json_write appends, so no part of it is copied on its way up the
-    tree."""
+    _exact); anything else, a _Streamed value included, raises TypeError.  The
+    text is one join of the pieces _json_write appends, so no part of it is
+    copied on its way up the tree."""
     out: list[str] = []
     _json_write(value, indent, out, {})
     return "".join(out)
 
 
+def _json_chunks(value) -> Iterable[str]:
+    """_json_text of value as chunks, where a _Streamed value stands for the
+    text of its chunks: the text before each streamed value, then its chunks,
+    then the text after.  The tree is rendered before this returns; only the
+    streamed chunks are read later, as the result is."""
+    out: list[str] = []
+    pieces: dict = {}
+    _json_write(value, "", out, pieces)
+    if _Streamed not in pieces:
+        return ("".join(out),)
+    parts: list[Iterable[str]] = []
+    start = 0
+    for at in pieces[_Streamed]:
+        parts += ("".join(out[start:at]),), out[at].chunks
+        start = at + 1
+    parts.append(("".join(out[start:]),))
+    return itertools.chain.from_iterable(parts)
+
+
 def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
     """Append the json of value at indent to out.  A list of plain ints is one
     join of texts from a bounded int table; an Orbit's points are label pieces
-    from pieces[indent], made once per render (see _orbit_parts)."""
+    from pieces[indent], made once per render (see _orbit_parts).  A _Streamed
+    value is appended as it is, its position in out listed in
+    pieces[_Streamed]."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -295,8 +329,9 @@ def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, int):
         out.append(_exact(value))
-    elif type(value) is _Rendered:
-        out.append(value.text)
+    elif type(value) is _Streamed:
+        pieces.setdefault(_Streamed, []).append(len(out))
+        out.append(value)
     elif type(value) is Orbit:
         out += _orbit_parts(value, indent, pieces)
     elif isinstance(value, dict):
@@ -417,6 +452,12 @@ def _seq_text(values: Sequence[int]) -> str:
 def cmd_gamma(args) -> Output:
     crystal = _crystal(args)
     _check_limits(args.override_limits, args.r, args.m_max)
+    if args.format == "csv":
+        gammas, delta, b, _ = class_tables(cycle_words(crystal), args.m_max, {})
+        lines = ["m,gamma,delta,b", f"0,{gammas[0]},,"]
+        for n in range(1, args.m_max + 1):
+            lines.append(f"{n},{gammas[n]},{delta[n - 1]},{b[n - 1]}")
+        return 0, lines
     report = gamma_table(crystal, args.m_max)
 
     if args.format == "json":
@@ -431,12 +472,6 @@ def cmd_gamma(args) -> Output:
             "ordinary": report.ordinary,
             "orbits": [_orbit_view(data, report.m_max) for data in report.orbits],
         }
-    if args.format == "csv":
-        lines = ["m,gamma,delta,b", f"0,{report.gamma[0]},,"]
-        for n in range(1, report.m_max + 1):
-            lines.append(f"{n},{report.gamma[n]},{report.delta[n - 1]},{report.b[n - 1]}")
-        return 0, lines
-
     lines = [
         f"crystal r={crystal.r} perm={cycle_string(crystal.pi)} slopes={_seq_text(crystal.slopes)}"
         f" dieudonne={_YESNO[crystal.is_dieudonne]} ordinary={_YESNO[report.ordinary]}",
@@ -469,9 +504,9 @@ def cmd_endo(args) -> Output:
     single = args.m is not None
     top = args.m if single else args.m_max
     _check_limits(args.override_limits, args.r, top)
-    report = gamma_table(crystal, top)
+    table = class_tables(cycle_words(crystal), top, {})[2]
     levels = [top] if single else range(1, top + 1)
-    b = [report.b[n - 1] for n in levels]
+    b = [table[n - 1] for n in levels]
     # p^b for the printed levels only; empty without --prime
     powers = [] if args.prime is None else [_exact(args.prime**v) for v in b]
 
@@ -629,23 +664,34 @@ def _verify_sweep(args) -> Output:
 def _scan_rows(
     before: str, heads: Iterable[str], cells: list[str], tails: list[str], rows: Iterable[Iterable[int]], sep: str,
     after: str,
-) -> str:
-    """A scan's csv lines or json records as one text: before, then for each
-    crystal (perms[p], slopes[s]) of class c in enumeration order heads[p] +
-    cells[s] + tails[c], with sep between crystals, then after.  The pieces
-    are one list, filled a permutation at a time by slice assignment into a
-    block whose cells stay in place, and joined once."""
-    ended = [tail + sep for tail in tails]
+) -> Iterator[str]:
+    """A scan's csv lines or json records as chunks of _SCAN_CHUNK crystals:
+    their text is before, then for each crystal (perms[p], slopes[s]) of class
+    c in enumeration order heads[p] + cells[s] + tails[c], with sep between
+    crystals, then after, which the last chunk holds with the last crystals.
+    The pieces, sep + head, cells and tail per crystal (before + head for the
+    first), are filled a permutation at a time by slice assignment into a
+    block whose cells stay in place, and each chunk's pieces are joined once."""
     n = len(cells)
+    size = 3 * _SCAN_CHUNK
     block = [""] * (3 * n)
     block[1::3] = cells
-    pieces = [before]
+    pieces: list[str] = []
+    first: Optional[str] = before
     for head, row in zip(heads, rows):
-        block[::3] = [head] * n
-        block[2::3] = map(ended.__getitem__, row)
+        block[::3] = [sep + head] * n
+        block[2::3] = map(tails.__getitem__, row)
+        if first is not None:
+            block[0] = first + head
+            first = None
         pieces += block
-    pieces[-1] = pieces[-1][: len(pieces[-1]) - len(sep)] + after  # a scan has at least one crystal
-    return "".join(pieces)
+        if len(pieces) > size:  # whole chunks, and at least one crystal held back for after
+            cut = (len(pieces) - 1) // size * size
+            for start in range(0, cut, size):
+                yield "".join(pieces[start : start + size])
+            del pieces[:cut]
+    pieces.append(after)  # a scan has at least one crystal, so the last chunk holds one
+    yield "".join(pieces)
 
 
 def cmd_scan(args) -> Output:
@@ -664,8 +710,7 @@ def cmd_scan(args) -> Output:
     if args.format == "json":
         # A record is an object at depth 2 of the payload, its members at inner: its head (r, perm) is rendered
         # once per permutation, its slopes once per slope vector and its tail (gamma onward) once per class; m_max
-        # is stated once in the payload.  The list's brackets go around the joined records, so the json of the
-        # list, at depth 1, is not copied again.
+        # is stated once in the payload.  The list's brackets are the first and last chunk's.
         inner = "      "
         sep = ",\n" + inner
         split = names.index("gamma")
@@ -680,18 +725,17 @@ def cmd_scan(args) -> Output:
             "slope_max": slope_max,
             "m_max": args.m_max,
             "checks": checks,
-            "records": _Rendered(_scan_rows("[\n    ", heads, cells, tails, rows, ",\n    ", "\n  ]")),
+            "records": _Streamed(_scan_rows("[\n    ", heads, cells, tails, rows, ",\n    ", "\n  ]")),
             "summary": summary,
         }
     summary_line = " ".join(f"{k}={v}" for k, v in summary.items())
     if args.format == "csv":
-        # The header and every line are one text, so main's join of it and the summary, which it pops, copies nothing.
         split = names.index("m_max")  # the cells from m_max on are the class's, rendered once per class
         heads = (f'{args.r},"{perm}",' for perm in perms)
         cells = [_csv_cell(vector) + "," for vector in slopes]
         tails = [",".join(map(_csv_cell, list(vars(record).values())[split:])) for record in classes]
         csv = _scan_rows(",".join(names) + "\n", heads, cells, tails, rows, "\n", "")
-        return code, [csv, summary_line]  # main writes the summary after the csv, to the other stream
+        return code, [_Streamed(csv), summary_line]  # main writes the summary after the csv, to the other stream
 
     lines = [f"scan family={args.family} r={args.r} slope_max={slope_max} m_max={args.m_max}", summary_line]
     if violations:
@@ -713,9 +757,10 @@ def cmd_minimal(args) -> Output:
     _check_limits(args.override_limits, args.r, None)
     if not crystal.is_dieudonne:
         raise ValueError("minimality verdicts need 0/1 slopes")
-    verdict = is_minimal(crystal)
-    report = gamma_table(crystal, max(2, crystal.r))
-    consistent = verdict == (report.stabilization <= 1)
+    words = cycle_words(crystal)
+    verdict = is_minimal_words(words)
+    stabilization = class_tables(words, max(2, crystal.r), {})[3]
+    consistent = verdict == (stabilization <= 1)
     code = 0 if consistent else 1
     slopes = newton_slopes(crystal)
 
@@ -724,14 +769,14 @@ def cmd_minimal(args) -> Output:
             **_crystal_json(crystal),
             "newton_slopes": [str(s) for s in slopes],
             "minimal": verdict,
-            "stabilization": report.stabilization,
+            "stabilization": stabilization,
             "consistent": consistent,
         }
     return code, [
         f"crystal r={crystal.r} perm={cycle_string(crystal.pi)} slopes={_seq_text(crystal.slopes)}",
         "newton slopes: " + " ".join(str(s) for s in slopes),
         f"minimal: {_YESNO[verdict]}",
-        f"stabilization: {report.stabilization} consistent={_YESNO[consistent]}",
+        f"stabilization: {stabilization} consistent={_YESNO[consistent]}",
     ]
 
 
@@ -819,10 +864,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, output = args.func(args)
         summary = output.pop() if args.command == "scan" and args.format == "csv" else None
         if isinstance(output, dict):
-            text = _json_text({"schema": SCHEMA, "command": args.command, **output})
+            chunks = _json_chunks({"schema": SCHEMA, "command": args.command, **output})
+        elif summary is not None:
+            chunks = output[0].chunks  # the scan csv, header and lines
         else:
-            text = "\n".join(output)
-        _emit((text, "\n"), args.out)
+            chunks = ("\n".join(output),)
+        _emit(itertools.chain(chunks, ("\n",)), args.out)
         if summary is not None:
             (sys.stderr if args.out is None else sys.stdout).write(summary + "\n")
     except ResourceLimitError as exc:

@@ -407,6 +407,13 @@ def newton_slopes(crystal: FCyclicCrystal) -> tuple[Fraction, ...]:
     return tuple(sorted(slopes))
 
 
+def cycle_words(crystal: FCyclicCrystal) -> list[tuple[int, ...]]:
+    """The slopes read along each cycle of pi, in cycle_decomposition order:
+    the words class_tables and is_minimal_words take."""
+    e = crystal.slopes
+    return [tuple([e[i - 1] for i in cycle]) for cycle in cycle_decomposition(crystal.pi)]
+
+
 def is_minimal(crystal: FCyclicCrystal) -> bool:
     """Minimality test for Dieudonne modules, cycle by cycle: is_minimal_words
     of the slope words read along the cycles of pi.  Raises for non-Dieudonne
@@ -414,8 +421,7 @@ def is_minimal(crystal: FCyclicCrystal) -> bool:
     """
     if not crystal.is_dieudonne:
         raise ValueError("minimality is defined here only for 0/1 slopes")
-    e = crystal.slopes
-    return is_minimal_words([tuple([e[i - 1] for i in cycle]) for cycle in cycle_decomposition(crystal.pi)])
+    return is_minimal_words(cycle_words(crystal))
 
 
 def is_minimal_words(words: Iterable[tuple[int, ...]]) -> bool:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import json
+import math
 import os
 import random
 import re
 import stat
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -19,8 +22,10 @@ from fcrystal import FCyclicCrystal, Permutation, cli, gamma_table, orbit_data, 
 from fcrystal.cli import main
 from fcrystal.permutation import cycle_decomposition
 from fcrystal.scan import ScanRecord, enumerate_family, summarize
+from reference_cli import scan_rows as reference_scan_rows
 from reference_gamma import orbit_view as reference_orbit_view
 from reference_scan import records as per_crystal_records
+from test_scan import SMALL_FAMILIES
 
 
 def run(capsys, *argv):
@@ -612,6 +617,56 @@ def test_scan_violations_name_every_member(capsys, forced_violations, fmt):
         assert named == failing
 
 
+@pytest.fixture
+def scan_row_calls(monkeypatch):
+    """Spy on cli._scan_rows: each call's chunks, with the join-once reference
+    text of the same pieces and the number of crystals."""
+    real = cli._scan_rows
+    calls = []
+
+    def spy(before, heads, cells, tails, rows, sep, after):
+        heads, rows = list(heads), [list(row) for row in rows]
+        chunks = list(real(before, heads, cells, tails, rows, sep, after))
+        calls.append((chunks, reference_scan_rows(before, heads, cells, tails, rows, sep, after), len(heads) * len(cells)))
+        return iter(chunks)
+
+    monkeypatch.setattr(cli, "_scan_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("family, r, slope_max", SMALL_FAMILIES)
+def test_scan_row_chunks_join_to_the_reference(capsys, monkeypatch, scan_row_calls, family, r, slope_max, fmt, chunk):
+    # chunk 1 puts a boundary after the first crystal and before the last, 3 puts them mid-permutation
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
+    code, out, _ = run(
+        capsys, "scan", "--family", family, "--r", str(r), "--slope-max", str(slope_max), "--m-max", "4",
+        "--format", fmt,
+    )
+    assert code == 0
+    [(chunks, reference, crystals)] = scan_row_calls
+    assert "".join(chunks) == reference
+    assert len(chunks) == math.ceil(crystals / cli._SCAN_CHUNK)
+    assert all(chunks) and reference in out
+
+
+@pytest.mark.parametrize("fmt, limit_mb", [("json", 2), ("csv", 1)])
+def test_scan_output_memory_stays_flat(tmp_path, capsys, fmt, limit_mb):
+    # 46,080 crystals, a 30 MB json or 5 MB csv file: only one chunk of rows is held at a time
+    argv = ["scan", "--family", "all-dieudonne", "--r", "6", "--m-max", "5", "--format", fmt, "--out", str(tmp_path / "scan")]
+    assert main(argv) == 0  # warm-up: the parser, the int texts and the rotation slices are made once per process
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < limit_mb * 2**20
+
+
 def test_scan_json_fields(capsys):
     code, out, _ = run(
         capsys, "scan", "--family", "all-dieudonne", "--r", "2", "--m-max", "4", "--format", "json"
@@ -1040,6 +1095,37 @@ def test_out_failed_replace_leaves_no_file(tmp_path, capsys, monkeypatch):
     target = tmp_path / "g.txt"
     assert run(capsys, *GAMMA_OUT, str(target)) == (2, "", f"cannot write {target}: Permission denied\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_scan_write_failing_on_the_second_chunk_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    # all-dieudonne r=4 has 384 crystals: two chunks of rows, then the last newline
+    real_fdopen = os.fdopen
+    writes = []
+
+    def fdopen(fd, *args, **kwargs):
+        handle = real_fdopen(fd, *args, **kwargs)
+        write = handle.write
+
+        def failing(text):
+            writes.append(text)
+            if len(writes) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(text)
+
+        handle.write = failing
+        return handle
+
+    monkeypatch.setattr("fcrystal.cli.os.fdopen", fdopen)
+    target = tmp_path / "scan.csv"
+    target.write_text("old")
+    code, out, err = run(
+        capsys, "scan", "--family", "all-dieudonne", "--r", "4", "--m-max", "3", "--format", "csv", "--out", str(target)
+    )
+    assert (code, out, err) == (2, "", f"cannot write {target}: No space left on device\n")
+    assert len(writes) == 2 and writes[0].startswith("r,perm,slopes")
+    assert writes[0].count("\n") == cli._SCAN_CHUNK  # the header's and those between its 256 crystals
+    assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["scan.csv"]
 
 
 def test_scan_csv_to_file_prints_summary(tmp_path, capsys):

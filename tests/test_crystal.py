@@ -23,6 +23,7 @@ from fcrystal import (
     VerifyCheck,
     circular_count,
     class_tables,
+    cycle_words,
     endo_exponent,
     gamma,
     gamma_table,
@@ -357,10 +358,6 @@ def tables_of(report):
     return report.gamma, report.delta, report.b, report.stabilization
 
 
-def cycle_words(pi, slopes):
-    return [tuple(slopes[i - 1] for i in cycle) for cycle in cycle_decomposition(pi)]
-
-
 def records_as_pair_table(records):
     """orbit_data records as a pair table reads them: sorted census ranges, and
     {circular level: total orbit length}."""
@@ -388,9 +385,12 @@ def test_class_tables_equal_gamma_table_on_random_crystals():
         top = rng.choice((1, 3, 40, 10**12))
         slopes = tuple(rng.randint(0, top) for _ in range(r))
         m_max = rng.randint(1, 12)
-        expected = tables_of(gamma_table(FCyclicCrystal(pi, slopes), m_max))
-        assert class_tables(cycle_words(pi, slopes), m_max, pairs) == expected, (pi, slopes, m_max)
-        assert class_tables(cycle_words(pi, slopes), m_max, {}) == expected, (pi, slopes, m_max)
+        crystal = FCyclicCrystal(pi, slopes)
+        words = cycle_words(crystal)
+        assert words == [tuple(slopes[i - 1] for i in cycle) for cycle in cycle_decomposition(pi)]
+        expected = tables_of(gamma_table(crystal, m_max))
+        assert class_tables(words, m_max, pairs) == expected, (pi, slopes, m_max)
+        assert class_tables(words, m_max, {}) == expected, (pi, slopes, m_max)
 
 
 def test_class_tables_refuse_level_zero():
