@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 a checked property failed, 2 invalid input (including
 an --out file that cannot be written, and an integer not written [+-]?[0-9]+
 in ASCII), 3 resource limit hit (a rank, level, sweep crystal count or
 --random count past its default cap, or, even with --override-limits, a level
-past any per-level table or a sweep of more than sys.maxsize crystals).
+past any per-level table, a sweep of more than sys.maxsize crystals, or memory
+running out, which prints one line and writes no output).
 Machine formats (json, csv) are byte deterministic for a given command line.
 """
 
@@ -29,18 +30,20 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # columns, interleaving a left piece per i and a right piece per j from label
 # tables made once per render, so no tuple and no % formatting per point (the
 # orbit's census is read once, by circseq.census_levels).
-# A scan may return chunk iterables (_Streamed): its csv, and its json records
-# in the payload, whose chunks the json render yields in place, at the position
-# it recorded as it appended them.  They are rendered only as they are written,
-# after every step that can raise: argument checks, caps, scan.scan_table and
-# the summary, which weights each class's verdicts by its count in the table.
+# A scan may return chunk iterables (_Streamed): its csv, its text when it
+# names violations, and its json records in the payload, whose chunks the json
+# render yields in place, at the position it recorded as it appended them.
+# They are rendered only as they are written, after every step that can raise:
+# argument checks, caps, scan.scan_table and the summary, which weights each
+# class's verdicts by its count in the table.
 # So a failed command writes nothing, and stdout never gets part of a document
 # followed by an error.  A crystal's csv line or json record is three pieces,
 # its permutation's head, its slope vector's cells and its class's cells, each
 # rendered once, joined _SCAN_CHUNK crystals at a time (_scan_rows), so memory
 # stays flat whatever the family's size.  A text scan reads the table's rows
-# only to name violations.  endo, minimal and gamma csv print only tables,
-# which they read from crystal.class_tables over the crystal's cycle words.
+# only to name violations, streamed a permutation at a time.  endo, minimal
+# and gamma csv print no orbit and read crystal.class_tables over the cycle
+# words, or endo_exponent for endo --m, which builds no level table.
 # main builds its argument parser on its first call and reuses it.
 # The one other write is the scan csv summary line, which main prints after the
 # csv, to the stream the csv does not use (stderr when the csv goes to stdout,
@@ -71,6 +74,7 @@ from .crystal import (
     ResourceLimitError,
     class_tables,
     cycle_words,
+    endo_exponent,
     gamma_table,
     is_minimal_words,
     newton_slopes,
@@ -504,9 +508,9 @@ def cmd_endo(args) -> Output:
     single = args.m is not None
     top = args.m if single else args.m_max
     _check_limits(args.override_limits, args.r, top)
-    table = class_tables(cycle_words(crystal), top, {})[2]
-    levels = [top] if single else range(1, top + 1)
-    b = [table[n - 1] for n in levels]
+    if top < 1:
+        raise ValueError("m_max must be at least 1")
+    b = [endo_exponent(crystal, top)] if single else class_tables(cycle_words(crystal), top, {})[2]
     # p^b for the printed levels only; empty without --prime
     powers = [] if args.prime is None else [_exact(args.prime**v) for v in b]
 
@@ -520,7 +524,7 @@ def cmd_endo(args) -> Output:
         return 0, [f"b({top}) = {b[0]}"] + [f"components({top}) = {_exact(args.prime)}^{b[0]} = {p}" for p in powers]
     if args.format == "csv":
         lines = ["m,b,components" if powers else "m,b"]
-        for n, v in zip(levels, b):
+        for n, v in enumerate(b, start=1):
             lines.append(f"{n},{v},{powers[n - 1]}" if powers else f"{n},{v}")
         return 0, lines
     lines = ["b: " + " ".join(str(v) for v in b) + f"   (m = 1..{top})"]
@@ -737,16 +741,16 @@ def cmd_scan(args) -> Output:
         csv = _scan_rows(",".join(names) + "\n", heads, cells, tails, rows, "\n", "")
         return code, [_Streamed(csv), summary_line]  # main writes the summary after the csv, to the other stream
 
-    lines = [f"scan family={args.family} r={args.r} slope_max={slope_max} m_max={args.m_max}", summary_line]
-    if violations:
-        named = [",".join(record.violations) for record in classes]
-        for perm, row in zip(perms, rows):
-            for vector, index in zip(slopes, row):
-                if named[index]:
-                    lines.append(f"VIOLATION perm={perm} slopes={_seq_text(vector)}: {named[index]}")
-    else:
-        lines.append("all checks passed")
-    return code, lines
+    head = f"scan family={args.family} r={args.r} slope_max={slope_max} m_max={args.m_max}\n{summary_line}"
+    if not violations:
+        return code, [head, "all checks passed"]
+    named = [",".join(record.violations) for record in classes]
+    cells = [" slopes=" + _seq_text(vector) + ": " for vector in slopes]
+    lines = (  # a chunk per permutation: its crystals' VIOLATION lines, each after a newline
+        "".join(["\nVIOLATION perm=" + perm + cells[s] + named[c] for s, c in enumerate(row) if named[c]])
+        for perm, row in zip(perms, rows)
+    )
+    return code, [_Streamed(itertools.chain((head,), lines))]
 
 
 # ---------------------------------------------------------------- minimal
@@ -759,7 +763,7 @@ def cmd_minimal(args) -> Output:
         raise ValueError("minimality verdicts need 0/1 slopes")
     words = cycle_words(crystal)
     verdict = is_minimal_words(words)
-    stabilization = class_tables(words, max(2, crystal.r), {})[3]
+    stabilization = class_tables(words, 1, {})[3]  # the largest census level, whatever the table's length
     consistent = verdict == (stabilization <= 1)
     code = 0 if consistent else 1
     slopes = newton_slopes(crystal)
@@ -865,15 +869,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         summary = output.pop() if args.command == "scan" and args.format == "csv" else None
         if isinstance(output, dict):
             chunks = _json_chunks({"schema": SCHEMA, "command": args.command, **output})
-        elif summary is not None:
-            chunks = output[0].chunks  # the scan csv, header and lines
+        elif type(output[0]) is _Streamed:
+            chunks = output[0].chunks  # a scan's csv, or its text with violations
         else:
             chunks = ("\n".join(output),)
         _emit(itertools.chain(chunks, ("\n",)), args.out)
         if summary is not None:
             (sys.stderr if args.out is None else sys.stdout).write(summary + "\n")
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:  # a MemoryError's text is usually empty
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ParseError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -11,40 +11,36 @@ digraphs, one per orbit of pi acting on basis pairs:
   orbit contributes one edge per orbit position).
 
 The closed forms from circseq make both computable without building a single
-digraph.  orbit_data walks the pair orbits once and keeps, per orbit, its run
-census (segment level ranges) and circular level, exact at every level at once
-and costing one stack pass over the orbit's runs, whatever the slope sizes;
-gamma, endo_exponent and gamma_table all read those records.  An orbit's
-epsilon is gathered down its two columns (see permutation.Orbit) with
-itemgetter and map, with no Python-level step per point, and gamma_table reads
-the census ranges of all orbits once, into a difference array
-(circseq.census_levels).
+digraph, from the slopes read along the cycles of pi alone (cycle_words): the
+pair orbits come in one block per ordered pair of pi-cycles, whose census and
+circular levels depend only on the two cycles' slope words, not their labels.
+pair_table computes one block from two words, and _pair_tables reads the
+blocks of every ordered pair of a crystal's words, memoized in a dict the
+caller owns.  Every number that prints no orbit takes this route: gamma and
+endo_exponent sum linear_at and circular_at over the blocks at one level, with
+no table of levels, and class_tables sums them into the tables of endo
+--m-max, minimal, gamma csv and scan records (one memo per scan), through
+_level_tables, the table arithmetic it shares with gamma_table.
 
-The pair orbits come in one block per ordered pair of pi-cycles, and a block's
-census and circular levels depend only on the two cycles' slope words, not on
-their labels.  pair_table computes one block from the two words alone (one
-map(sub) and one run_census per orbit, no Orbit and no OrbitData), and
-class_tables sums the blocks of all ordered pairs of a crystal's cycle words,
-memoized in a dict the caller owns: that is how scan records get their tables,
-one memo per scan.  gamma_table and class_tables share one copy of the table
-arithmetic, _level_tables; gamma_table and orbit_data stay for the commands
-that show every orbit.  Formula and oracle meet in one place, _check, which
-builds every VerifyCheck and raises RuntimeError unless circular components
-carry circular * length edges.  verify_sweep runs it at every level of each
-distinct exact orbit sequence of a whole sweep: it builds each permutation's
-orbits once, gathers each crystal's epsilons from their columns, and reports
-every crystal's mismatches as a per-crystal loop would.  verify_sequence runs
-_check on one bare sequence and returns the oracle's stats as well.
+Labels stay only where they are printed.  orbit_data walks the labelled pair
+orbits (permutation.product_orbits), one record per orbit, for gamma_table's
+per-orbit view.  Formula and oracle meet in one place, _check, which builds
+every VerifyCheck and raises RuntimeError unless circular components carry
+circular * length edges.  verify_sweep runs it at every level of each distinct
+exact orbit sequence of a sweep, with each permutation's labelled orbits built
+once, and reports every mismatch under the crystal's own orbit index.
+verify_sequence runs _check on one bare sequence and returns the oracle's
+stats as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from math import gcd
 from operator import itemgetter, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .circseq import Census, CircularSeq, census_levels, circular_at, linear_at, run_census
 from .digraph import ComponentStats, oracle_counts
@@ -68,7 +64,7 @@ class FCyclicCrystal:
     def __post_init__(self) -> None:
         if len(self.slopes) != self.pi.size:
             raise ValueError(f"need {self.pi.size} slopes, got {len(self.slopes)}")
-        if any(e < 0 for e in self.slopes):
+        if min(self.slopes) < 0:  # the length check above leaves at least one slope
             raise ValueError("slopes must be nonnegative integers")
 
     @property
@@ -212,9 +208,7 @@ def gamma(crystal: FCyclicCrystal, m: int) -> int:
     """Dimension of the level-m automorphism group scheme (gamma(0) = 0)."""
     if m < 0:
         raise ValueError("level must be nonnegative")
-    if m == 0:
-        return 0
-    return sum(linear_at(data.census, m) for data in orbit_data(crystal))
+    return sum(linear_at(census, m) for census, _ in _pair_tables(cycle_words(crystal), {}))
 
 
 def endo_exponent(crystal: FCyclicCrystal, m: int) -> int:
@@ -222,12 +216,13 @@ def endo_exponent(crystal: FCyclicCrystal, m: int) -> int:
 
     Each orbit whose difference sequence balances at level lam contributes
     (m - lam) circular components when m > lam, and each of those carries one
-    edge per orbit position, hence the factor len(orbit).  Exact integer, no
-    overflow concerns at any size.
+    edge per orbit position, hence the orbit length.  Exact integer, no
+    overflow concerns at any size, and no table of levels.
     """
     if m < 1:
         raise ValueError("level must be at least 1")
-    return sum(circular_at(data.level, m) * len(data.orbit) for data in orbit_data(crystal))
+    tables = _pair_tables(cycle_words(crystal), {})
+    return sum(circular_at(level, m) * length for _, lengths in tables for level, length in lengths.items())
 
 
 def _level_tables(
@@ -293,6 +288,15 @@ def pair_table(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[Census, dict[int
     return tuple(census), lengths
 
 
+def _pair_tables(words: Sequence[tuple[int, ...]], pairs: dict) -> Iterator[tuple[Census, dict[int, int]]]:
+    """pair_table of every ordered pair of words, memoized in pairs by (u, v)."""
+    for key in product(words, repeat=2):
+        table = pairs.get(key)
+        if table is None:
+            table = pairs[key] = pair_table(*key)
+        yield table
+
+
 def class_tables(
     words: Sequence[tuple[int, ...]], m_max: int, pairs: dict
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
@@ -302,13 +306,9 @@ def class_tables(
     dict can serve many crystals (scan.scan_table makes one per scan)."""
     census: list[tuple[int, int]] = []
     circular: list[tuple[int, int]] = []
-    for u in words:
-        for v in words:
-            table = pairs.get((u, v))
-            if table is None:
-                table = pairs[u, v] = pair_table(u, v)
-            census += table[0]
-            circular += table[1].items()
+    for ranges, lengths in _pair_tables(words, pairs):
+        census += ranges
+        circular += lengths.items()
     return _level_tables(census, circular, m_max)
 
 
@@ -401,9 +401,8 @@ def newton_slopes(crystal: FCyclicCrystal) -> tuple[Fraction, ...]:
     """Newton slopes with multiplicity: each pi-cycle C contributes its average
     slope, repeated len(C) times.  Sorted ascending, exact rationals."""
     slopes: list[Fraction] = []
-    for cycle in cycle_decomposition(crystal.pi):
-        avg = Fraction(sum(crystal.slopes[i - 1] for i in cycle), len(cycle))
-        slopes.extend([avg] * len(cycle))
+    for word in cycle_words(crystal):
+        slopes += [Fraction(sum(word), len(word))] * len(word)
     return tuple(sorted(slopes))
 
 

@@ -14,13 +14,13 @@ one), scan_record runs once per class, and the counts follow from the cycle
 types.  scan_record builds a record from one cycle decomposition: the cycles'
 slope words give its tables through crystal.class_tables, whose pair tables
 are memoized for the whole scan in a dict that scan_table makes and drops,
-and its minimality through crystal.is_minimal_words; it builds no crystal
-object and no second decomposition.  _class_key takes each least rotation as
-one min over slices of the word read twice.  A crystal's slope word is
-looked up only when its row is read, at C speed.  scan_table is the one scan
-path: the cli renders each class's part once, and a text scan with no
-violation reads no row.  scan_record over enumerate_family is the per-crystal
-definition the table is tested against.
+and its minimality through crystal.is_minimal_words; its one crystal object
+only checks the slopes, and it makes no second decomposition.  _class_key
+takes each least rotation as one min over slices of the word read twice.  A
+crystal's slope word is looked up only when its row is read, at C speed.
+scan_table is the one scan path: the cli renders each class's part once, and
+a text scan with no violation reads no row.  scan_record over
+enumerate_family is the per-crystal definition the table is tested against.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .crystal import class_tables, delta_report, is_minimal_words
+from .crystal import FCyclicCrystal, class_tables, delta_report, is_minimal_words
 from .permutation import Permutation, cycle_decomposition, cycles_text
 
 FAMILIES = ("circular-dieudonne", "all-dieudonne", "circular-fcrystal", "all-fcrystal")
@@ -156,16 +156,12 @@ def scan_record(
     One cycle_decomposition of pi gives the record's cycle string, the circular
     test of the strict check and the cycles' slope words, whose pair tables
     (crystal.class_tables, memoized in pairs) give the tables and whose
-    windows give minimality (crystal.is_minimal_words).  The slopes are
-    checked as FCyclicCrystal checks them."""
-    if len(slopes) != pi.size:
-        raise ValueError(f"need {pi.size} slopes, got {len(slopes)}")
-    if min(slopes) < 0:
-        raise ValueError("slopes must be nonnegative integers")
+    windows give minimality (crystal.is_minimal_words).  FCyclicCrystal
+    checks the slopes."""
+    dieudonne = FCyclicCrystal(pi, slopes).is_dieudonne
     cycles = cycle_decomposition(pi)
     words = [tuple([slopes[i - 1] for i in cycle]) for cycle in cycles]
     gamma, delta, b, stab = class_tables(words, m_max, {} if pairs is None else pairs)
-    dieudonne = max(slopes) <= 1
     # Verdicts stay None where a check is not applicable or not requested.
     ordinary = minimal = nonincreasing = strict = increasing = ratio = matches = None
     if dieudonne:

@@ -98,6 +98,31 @@ def test_cli_imports_no_closed_form_or_oracle_count():
     assert not {"run_census", "linear_at", "circular_at", "oracle_counts"} & set(imported)
 
 
+def test_labelled_orbit_walk_serves_only_labelled_output():
+    # Inside src/, the labelled pair orbits (product_orbits) are read only by
+    # orbit_data, for gamma's per-orbit records, and by verify_sweep, for its
+    # exact sequences; orbit_data only by gamma_table.  Every number that
+    # prints no orbit reads the label-free pair core (cycle_words, pair_table).
+    # Any use counts, called or passed on, in any function of any module.
+    users = {"product_orbits": set(), "orbit_data": set()}
+
+    def visit(node, module, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name in users:
+            users[name].add(f"{module}.{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, owner)
+
+    for path in sorted(Path(fcrystal.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    assert users == {
+        "product_orbits": {"crystal.orbit_data", "crystal.verify_sweep"},
+        "orbit_data": {"crystal.gamma_table"},
+    }
+
+
 def quick_start_names() -> list[str]:
     """The names the README's "Library quick start" section mentions: every
     backticked span that is a name or a call, `name` or `name(...)`, and every

@@ -667,6 +667,33 @@ def test_scan_output_memory_stays_flat(tmp_path, capsys, fmt, limit_mb):
     assert peak < limit_mb * 2**20
 
 
+@pytest.fixture
+def every_class_violates(monkeypatch):
+    """Every class of a scan violates nonincreasing, so a text scan names every
+    crystal (test_scan_violations_name_every_member checks those lines' text)."""
+    real = scan.scan_record
+
+    def failing(pi, slopes, m_max, checks=cli.CHECKS, pairs=None):
+        return dataclasses.replace(real(pi, slopes, m_max, checks, pairs), nonincreasing=False)
+
+    monkeypatch.setattr(scan, "scan_record", failing)
+
+
+def test_scan_violation_memory_stays_flat(tmp_path, capsys, every_class_violates):
+    # 46,080 VIOLATION lines, a 3 MB file: only one permutation's lines are held at a time
+    argv = ["scan", "--family", "all-dieudonne", "--r", "6", "--m-max", "3", "--out", str(tmp_path / "scan")]
+    assert main(argv) == 1  # warm-up: the parser and the rotation slices are made once per process
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert (tmp_path / "scan").read_text().count("\nVIOLATION ") == 46_080
+    assert peak < 2 * 2**20
+
+
 def test_scan_json_fields(capsys):
     code, out, _ = run(
         capsys, "scan", "--family", "all-dieudonne", "--r", "2", "--m-max", "4", "--format", "json"
@@ -944,6 +971,35 @@ def test_rank_past_any_sweep_is_a_resource_limit(capsys, no_enumeration, argv):
         "",
         f"resource limit: a sweep of more than {sys.maxsize} crystals is larger than this platform can enumerate\n",
     )
+
+
+TRILLION = str(10**12)  # within the table cap, but a table of this many levels does not fit in memory
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", TRILLION, "--format", "csv"),
+        ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", TRILLION, "--format", "json"),
+        ("scan", "--family", "circular-dieudonne", "--r", "2", "--m-max", TRILLION),
+        ("verify", "--seq", "1,-1", "--m", TRILLION, "--vertex-budget", str(10**27)),
+        ("endo", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", TRILLION),
+    ],
+    ids=["gamma-csv", "gamma-json", "scan", "verify-seq", "endo"],
+)
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_memory_error_is_a_resource_limit(tmp_path, capsys, monkeypatch, argv, out):
+    # The table and digraph code is made to raise MemoryError rather than
+    # allocate 10**12 entries for real, which an overcommitting host may grant.
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("fcrystal.crystal.census_levels", no_memory)
+    monkeypatch.setattr("fcrystal.digraph.build_level_digraph", no_memory)
+    target = tmp_path / "out"
+    argv = (*argv, "--override-limits") + (("--out", str(target)) if out else ())
+    assert run(capsys, *argv) == (3, "", "resource limit: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("level", [("--m-max", "3"), ("--m", "3")], ids=["gamma", "endo"])
