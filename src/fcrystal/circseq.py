@@ -21,23 +21,20 @@ those runs out sign by sign, for display and for the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 CircularSeq = tuple[int, ...]
 Census = tuple[tuple[int, int], ...]  # (lo, hi): one segment at each level lo..hi
 
 
-@dataclass(frozen=True)
-class AllZero:
+class AllZero(NamedTuple):
     """Normal form of a circular sequence whose entries are all zero."""
 
     original_length: int
 
 
-@dataclass(frozen=True)
-class PlusMinus:
+class PlusMinus(NamedTuple):
     """Normal form with every entry +1 or -1."""
 
     entries: tuple[int, ...]

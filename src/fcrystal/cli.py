@@ -61,8 +61,7 @@ import re
 import stat
 import sys
 import tempfile
-from dataclasses import fields
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -271,6 +270,18 @@ def _exact(value: int) -> str:
         return str(Decimal(value))
 
 
+def _power(p: int, v: int) -> str:
+    """_exact(p**v) without _exact's quadratic conversion of a huge int: past
+    str()'s limit, a Decimal power at v times the digits of p, exact (Inexact trapped)."""
+    digits = v * len(_exact(p))
+    if digits <= sys.get_int_max_str_digits():
+        return int.__repr__(p**v)
+    if digits > MAX_PREC:
+        raise MemoryError(f"{_exact(p)}^{_exact(v)} has more digits than a Decimal can hold")
+    with localcontext(prec=digits, Emax=MAX_EMAX, traps=[Inexact]):
+        return str(Decimal(p) ** v)
+
+
 class _Labels(dict):
     """label -> head + label + tail, made on first lookup: the text pieces of
     one Orbit column at one indent, kept for one render (see _orbit_parts)."""
@@ -465,17 +476,9 @@ def cmd_gamma(args) -> Output:
     report = gamma_table(crystal, args.m_max)
 
     if args.format == "json":
-        return 0, {
-            **_crystal_json(crystal),
-            "m_max": report.m_max,
-            "gamma": report.gamma,
-            "delta": report.delta,
-            "b": report.b,
-            "stabilization": report.stabilization,
-            "stabilization_is_isomorphism_number": report.stabilization_is_isomorphism_number,
-            "ordinary": report.ordinary,
-            "orbits": [_orbit_view(data, report.m_max) for data in report.orbits],
-        }
+        # the report's fields in order are the payload's members after the crystal's
+        views = [_orbit_view(data, report.m_max) for data in report.orbits]
+        return 0, {**_crystal_json(crystal), **report._asdict(), "orbits": views}
     lines = [
         f"crystal r={crystal.r} perm={cycle_string(crystal.pi)} slopes={_seq_text(crystal.slopes)}"
         f" dieudonne={_YESNO[crystal.is_dieudonne]} ordinary={_YESNO[report.ordinary]}",
@@ -512,7 +515,7 @@ def cmd_endo(args) -> Output:
         raise ValueError("m_max must be at least 1")
     b = [endo_exponent(crystal, top)] if single else class_tables(cycle_words(crystal), top, {})[2]
     # p^b for the printed levels only; empty without --prime
-    powers = [] if args.prime is None else [_exact(args.prime**v) for v in b]
+    powers = [] if args.prime is None else [_power(args.prime, v) for v in b]
 
     if args.format == "json":
         payload = _crystal_json(crystal)
@@ -709,7 +712,7 @@ def cmd_scan(args) -> Output:
     summary = summarize(classes, counts)
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
     code = 0 if violations == 0 else 1
-    names = [field.name for field in fields(ScanRecord)]  # the record fields in order, the csv columns
+    names = ScanRecord._fields  # the record fields in order, the csv columns
 
     if args.format == "json":
         # A record is an object at depth 2 of the payload, its members at inner: its head (r, perm) is rendered
@@ -721,7 +724,7 @@ def cmd_scan(args) -> Output:
         heads = ("{\n" + inner + sep.join(_json_members({"r": args.r, "perm": perm}, inner)) + sep for perm in perms)
         cells = [sep.join(_json_members({"slopes": vector}, inner)) + sep for vector in slopes]
         tails = [
-            sep.join(_json_members(dict(list(vars(record).items())[split:]), inner)) + "\n    }" for record in classes
+            sep.join(_json_members(dict(zip(names[split:], record[split:])), inner)) + "\n    }" for record in classes
         ]
         return code, {
             "family": args.family,
@@ -737,7 +740,7 @@ def cmd_scan(args) -> Output:
         split = names.index("m_max")  # the cells from m_max on are the class's, rendered once per class
         heads = (f'{args.r},"{perm}",' for perm in perms)
         cells = [_csv_cell(vector) + "," for vector in slopes]
-        tails = [",".join(map(_csv_cell, list(vars(record).values())[split:])) for record in classes]
+        tails = [",".join(map(_csv_cell, record[split:])) for record in classes]
         csv = _scan_rows(",".join(names) + "\n", heads, cells, tails, rows, "\n", "")
         return code, [_Streamed(csv), summary_line]  # main writes the summary after the csv, to the other stream
 

@@ -35,12 +35,11 @@ stats as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from math import gcd
 from operator import itemgetter, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .circseq import Census, CircularSeq, census_levels, circular_at, linear_at, run_census
 from .digraph import ComponentStats, oracle_counts
@@ -54,18 +53,19 @@ class ResourceLimitError(RuntimeError):
 DEFAULT_VERTEX_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class FCyclicCrystal:
+class FCyclicCrystal(NamedTuple("FCyclicCrystal", [("pi", Permutation), ("slopes", tuple[int, ...])])):
     """Rank, basis permutation, and nonnegative Hodge exponents, one per basis vector."""
 
-    pi: Permutation
-    slopes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.slopes) != self.pi.size:
-            raise ValueError(f"need {self.pi.size} slopes, got {len(self.slopes)}")
-        if min(self.slopes) < 0:  # the length check above leaves at least one slope
+    def __new__(cls, pi: Permutation, slopes: tuple[int, ...]) -> "FCyclicCrystal":
+        if len(slopes) != pi.size:
+            raise ValueError(f"need {pi.size} slopes, got {len(slopes)}")
+        if min(slopes) < 0:  # the length check above leaves at least one slope
             raise ValueError("slopes must be nonnegative integers")
+        return super().__new__(cls, pi, slopes)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks the slopes too
 
     @property
     def r(self) -> int:
@@ -93,8 +93,7 @@ class FCyclicCrystal:
         return cls(parse_permutation(perm_text, r), tuple(slopes))
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(NamedTuple):
     """One pair orbit with its slope-difference sequence, its balanced-segment
     census as level ranges (see circseq.run_census) and its circular level (None
     when the sequence does not balance, 0 when it is all zero); exact at every
@@ -106,8 +105,7 @@ class OrbitData:
     level: Optional[int]
 
 
-@dataclass(frozen=True)
-class GammaReport:
+class GammaReport(NamedTuple):
     """gamma and b tables up to m_max with the stabilization level.
 
     gamma[n] is the automorphism dimension at level n (gamma[0] = 0); delta[n-1]
@@ -132,11 +130,8 @@ class GammaReport:
         return delta_report(self.delta, self.stabilization)
 
 
-@dataclass(slots=True)
-class VerifyCheck:
-    """One formula-vs-oracle comparison: orbit, level, and both sides' counts.
-    Not frozen: a verify sweep builds one per random sequence, and a frozen
-    dataclass's __init__ costs three times as much."""
+class VerifyCheck(NamedTuple):
+    """One formula-vs-oracle comparison: orbit, level, and both sides' counts."""
 
     orbit_index: int
     m: int
@@ -153,8 +148,7 @@ class VerifyCheck:
         )
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     """Monotonicity diagnostics for the gamma increments."""
 
     nonincreasing: bool
@@ -393,7 +387,7 @@ def verify_sweep(
                     if not check.match:
                         found.append(check)
             if found:
-                mismatches.extend((pi, slopes, replace(check, orbit_index=index)) for check in found)
+                mismatches.extend((pi, slopes, check._replace(orbit_index=index)) for check in found)
     return crystals, checks, mismatches
 
 

@@ -28,16 +28,14 @@ cross-check the closed-form counts in circseq, and importing nothing from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 CircularSeq = tuple[int, ...]
 Vertex = tuple[int, int]
 Arc = tuple[Vertex, Vertex, int]
 
 
-@dataclass
 class LevelDigraph:
     """Level-m digraph of a circular sequence of length s, held as flat lists.
 
@@ -48,12 +46,19 @@ class LevelDigraph:
     graph as (digit, position) pairs, the edges ordered by source vertex.
     """
 
-    s: int
-    m: int
-    succ: list[int]
-    pred: list[int]
-    weight: list[int]
-    mark: list[bool]
+    def __init__(self, s: int, m: int, succ: list[int], pred: list[int], weight: list[int], mark: list[bool]) -> None:
+        self.s, self.m, self.succ, self.pred, self.weight, self.mark = s, m, succ, pred, weight, mark
+
+    def _state(self) -> tuple:
+        return self.s, self.m, self.succ, self.pred, self.weight, self.mark
+
+    def __eq__(self, other) -> bool:
+        return self._state() == other._state() if type(other) is LevelDigraph else NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "LevelDigraph(s={!r}, m={!r}, succ={!r}, pred={!r}, weight={!r}, mark={!r})".format(*self._state())
 
     def vertices(self) -> Iterator[Vertex]:
         for t in range(1, self.s + 1):
@@ -78,8 +83,7 @@ class LevelDigraph:
         )
 
 
-@dataclass(frozen=True)
-class ComponentStats:
+class ComponentStats(NamedTuple):
     """Component census of a level digraph."""
 
     free_linear: int

@@ -3,32 +3,35 @@
 A pair orbit is stored as its two columns, the i's and the j's of its pairs
 (i, j) in cyclic order, so building the r*r points of all orbits writes r*r ints
 into tuples and no tuple per point; Orbit.points zips the columns on demand.
+Permutation is a named tuple that checks its images as it is made; Orbit is a
+plain slotted class, because its len counts points, not fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class ParseError(ValueError):
     """Malformed permutation text; the message points at the offending token."""
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple("Permutation", [("images", tuple[int, ...])])):
     """A bijection of {1..r} stored as its image tuple: images[i-1] is the image of i."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        r = len(self.images)
+    def __new__(cls, images: tuple[int, ...]) -> "Permutation":
+        r = len(images)
         if r < 1:
             raise ValueError("a permutation must act on at least one point")
-        if sorted(self.images) != list(range(1, r + 1)):
-            raise ValueError(f"images {self.images!r} are not a bijection of 1..{r}")
+        if sorted(images) != list(range(1, r + 1)):
+            raise ValueError(f"images {images!r} are not a bijection of 1..{r}")
+        return super().__new__(cls, images)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks the images too
 
     @property
     def size(self) -> int:
@@ -42,13 +45,32 @@ class Permutation:
         return cls(tuple(range(1, r + 1)))
 
 
-@dataclass(frozen=True, slots=True)
 class Orbit:
     """One orbit of (i, j) -> (pi(i), pi(j)) on pairs, in cyclic order from its
     smallest point, as two columns: point k is (first[k], second[k])."""
 
-    first: tuple[int, ...]
-    second: tuple[int, ...]
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: tuple[int, ...], second: tuple[int, ...]) -> None:
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__  # frozen, as it is hashed
+
+    def __eq__(self, other) -> bool:
+        return (self.first, self.second) == (other.first, other.second) if type(other) is Orbit else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.second))
+
+    def __repr__(self) -> str:
+        return f"Orbit(first={self.first!r}, second={self.second!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, past __setattr__
+        return Orbit, (self.first, self.second)
 
     def __len__(self) -> int:
         return len(self.first)

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .crystal import FCyclicCrystal, class_tables, delta_report, is_minimal_words
 from .permutation import Permutation, cycle_decomposition, cycles_text
@@ -47,8 +46,7 @@ CHECK_FIELDS = {
 CHECKS = tuple(CHECK_FIELDS)
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """Invariants and property verdicts for one crystal.
 
     Verdict fields are True (holds), False (violated), or None (not applicable

@@ -1,15 +1,18 @@
 """The public names: everything in fcrystal.__all__ resolves, the names the
 benchmark harness in perfbench/ imports or wraps still exist, and the names the
-README's library quick start mentions exist."""
+README's library quick start mentions exist.  Also what importing the cli costs:
+it loads no dataclasses machinery."""
 
 from __future__ import annotations
 
 import ast
 import builtins
-import dataclasses
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fcrystal
@@ -144,14 +147,14 @@ def quick_start_names() -> list[str]:
 
 def test_readme_quick_start_names_resolve():
     # a name resolves as a public name of fcrystal or of a fcrystal.<module>, as
-    # a field or attribute of a class they export (OrbitData's census), or as a
-    # builtin (len); so the docs cannot name a retired function
+    # a field or attribute of a class they export (OrbitData's census, a named
+    # tuple field, is a class attribute), or as a builtin (len); so the docs
+    # cannot name a retired function
     modules = [fcrystal] + [
         importlib.import_module(f"fcrystal.{info.name}") for info in pkgutil.iter_modules(fcrystal.__path__)
     ]
     classes = [obj for module in modules for obj in vars(module).values() if isinstance(obj, type)]
     members = {name for cls in classes for name in dir(cls)}
-    members |= {field.name for cls in classes if dataclasses.is_dataclass(cls) for field in dataclasses.fields(cls)}
     names = quick_start_names()
     assert {"gamma_table", "verify_sweep", "run_census", "OrbitData"} <= set(names)  # the scan found the section
     missing = [
@@ -160,3 +163,16 @@ def test_readme_quick_start_names_resolve():
         if not any(hasattr(module, name) for module in modules) and name not in members and not hasattr(builtins, name)
     ]
     assert missing == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # import dataclasses pulls in inspect, ast, dis and tokenize, and each
+    # dataclass execs its generated methods at every import: together about half
+    # of a command's start-up, for records that named tuples hold as well
+    code = "import sys; before = set(sys.modules); import fcrystal.cli; print(sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(ast.literal_eval(result.stdout))
+    assert "fcrystal.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import functools
 import json
@@ -290,6 +289,42 @@ def test_endo_prime_past_str_digit_limit(capsys):
     assert out == f"b(1) = 2\ncomponents(1) = {NINES}^2 = {Decimal(NINES_INT**2)}\n"
 
 
+def power_cases() -> list[tuple[int, int]]:
+    # both sides of the route switch (v * digits of p at 4,300) and of str()'s
+    # own limit (2^14284 has 4,300 digits, 2^14285 has 4,301), a p of 4,300
+    # and of 4,301 digits, and seeded random p and v; the largest power has
+    # about 60,000 digits
+    rng = random.Random(23)
+    limit = sys.int_info.default_max_str_digits
+    cases = [(2, 0), (2, 1), (2, limit), (2, limit + 1), (10, limit // 2), (10, limit // 2 + 1), (10, limit - 1)]
+    cases += [(2, v) for v in range(14282, 14288)] + [(10**limit - 1, 1), (10**limit + 1, 1), (10**limit + 1, 3)]
+    cases += [(rng.randrange(2, 10 ** rng.randint(1, 12)), rng.randrange(0, 5000)) for _ in range(60)]
+    return cases
+
+
+def test_power_text_matches_str_across_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    got = [cli._power(p, v) for p, v in power_cases()]
+    try:
+        sys.set_int_max_str_digits(0)
+        assert got == [str(p**v) for p, v in power_cases()]
+        # with no limit, every power past p^0 takes the Decimal route
+        assert [cli._power(p, v) for p, v in power_cases()[:20]] == got[:20]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_power_past_any_decimal_is_a_resource_limit(capsys):
+    # b = 10**18, so 2^b would need more digits than Decimal's largest precision;
+    # it is refused before any power is computed
+    code, out, err = run(
+        capsys, "endo", "--r", "1", "--perm", "(1)", "--slopes", "0", "--m", str(10**18), "--prime", "2",
+        "--override-limits",
+    )
+    assert (code, out) == (3, "")
+    assert err == f"resource limit: 2^{10**18} has more digits than a Decimal can hold\n"
+
+
 @pytest.mark.parametrize(
     "argv,code,message",
     [
@@ -360,7 +395,7 @@ def force_mismatch(monkeypatch) -> list:
     def spy(seq, m):
         calls.append((seq, m))
         check, stats = real(seq, m)
-        return dataclasses.replace(check, formula_linear=check.formula_linear + 1), stats
+        return check._replace(formula_linear=check.formula_linear + 1), stats
 
     monkeypatch.setattr(cli, "verify_sequence", spy)
     return calls
@@ -486,7 +521,7 @@ def scan_csv_by_hand(records) -> list[str]:
     """The csv lines as scan wrote them before _csv_cell: one hand-unrolled
     expression of all 16 fields per record, kept as the reference."""
     flag = {None: "", True: "true", False: "false"}
-    lines = [",".join(field.name for field in dataclasses.fields(ScanRecord))]
+    lines = [",".join(ScanRecord._fields)]
     for rec in records:
         lines.append(
             ",".join(
@@ -537,7 +572,7 @@ def scan_json_by_hand(family, r, slope_max, m_max, checks, records) -> str:
         "slope_max": slope_max,
         "m_max": m_max,
         "checks": checks,
-        "records": [{k: v for k, v in vars(rec).items() if k != "m_max"} for rec in records],
+        "records": [{k: v for k, v in rec._asdict().items() if k != "m_max"} for rec in records],
         "summary": summarize(records),
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -586,7 +621,7 @@ def forced_violations(monkeypatch):
 
     def failing(pi, slopes, m_max, checks=cli.CHECKS, pairs=None):
         record = real(pi, slopes, m_max, checks, pairs)
-        return dataclasses.replace(record, nonincreasing=False) if record.stabilization >= 1 else record
+        return record._replace(nonincreasing=False) if record.stabilization >= 1 else record
 
     monkeypatch.setattr(scan, "scan_record", failing)
 
@@ -674,7 +709,7 @@ def every_class_violates(monkeypatch):
     real = scan.scan_record
 
     def failing(pi, slopes, m_max, checks=cli.CHECKS, pairs=None):
-        return dataclasses.replace(real(pi, slopes, m_max, checks, pairs), nonincreasing=False)
+        return real(pi, slopes, m_max, checks, pairs)._replace(nonincreasing=False)
 
     monkeypatch.setattr(scan, "scan_record", failing)
 

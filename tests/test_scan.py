@@ -4,7 +4,6 @@ against the record and key they replaced (all in tests/reference_scan.py)."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -55,7 +54,7 @@ def test_run_scan_equals_one_record_per_crystal(family, r, slope_max):
     # crystal's own perm and slopes
     perms, slopes, classes, _, rows = scan_table(family, r, 5, slope_max, CHECKS)
     expanded = [
-        dataclasses.replace(classes[index], perm=perm, slopes=vector)
+        classes[index]._replace(perm=perm, slopes=vector)
         for perm, row in zip(perms, rows)
         for vector, index in zip(slopes, row)
     ]
@@ -186,7 +185,7 @@ SUBSETS = [subset for k in range(len(CHECKS) + 1) for subset in itertools.combin
 
 def typed_fields(record) -> list[tuple]:
     """A record field by field, with each value's type: True and 1 render differently."""
-    return [(name, type(value), value) for name, value in vars(record).items()]
+    return [(name, type(value), value) for name, value in record._asdict().items()]
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ memo; and wide exhaustive sweeps."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -63,7 +62,7 @@ def off_linear(monkeypatch, wrong):
 
     def oracle_counts(seq, m):
         stats = real(seq, m)
-        return dataclasses.replace(stats, free_linear=stats.free_linear + 1) if wrong(seq, m) else stats
+        return stats._replace(free_linear=stats.free_linear + 1) if wrong(seq, m) else stats
 
     monkeypatch.setattr(crystal, "oracle_counts", oracle_counts)
 
@@ -124,7 +123,7 @@ def test_refusals_fire_at_the_same_crystal(monkeypatch, budget, edges_off):
         def oracle_counts(seq, m):
             stats = real(seq, m)
             if seq == edges_off and m == 2:
-                return dataclasses.replace(stats, circular_edges=stats.circular_edges + 1)
+                return stats._replace(circular_edges=stats.circular_edges + 1)
             return stats
 
         monkeypatch.setattr(crystal, "oracle_counts", oracle_counts)
