@@ -272,13 +272,15 @@ def _exact(value: int) -> str:
 
 def _power(p: int, v: int) -> str:
     """_exact(p**v) without _exact's quadratic conversion of a huge int: past
-    str()'s limit, a Decimal power at v times the digits of p, exact (Inexact trapped)."""
+    str()'s limit (4,300 digits where Python has none), a Decimal power at v
+    times the digits of p, exact (Inexact trapped)."""
     digits = v * len(_exact(p))
-    if digits <= sys.get_int_max_str_digits():
+    if digits <= getattr(sys, "get_int_max_str_digits", lambda: 4300)():
         return int.__repr__(p**v)
     if digits > MAX_PREC:
         raise MemoryError(f"{_exact(p)}^{_exact(v)} has more digits than a Decimal can hold")
-    with localcontext(prec=digits, Emax=MAX_EMAX, traps=[Inexact]):
+    with localcontext() as context:
+        context.prec, context.Emax, context.traps[Inexact] = digits, MAX_EMAX, True
         return str(Decimal(p) ** v)
 
 
@@ -301,7 +303,8 @@ def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
     keys, lists, tuples, str, int, bool and None, where an Orbit stands for the
     list of its points and an int outside a list may have any length (see
-    _exact); anything else, a _Streamed value included, raises TypeError.  The
+    _exact); anything else, a record or a _Streamed value included, raises
+    TypeError.  The
     text is one join of the pieces _json_write appends, so no part of it is
     copied on its way up the tree."""
     out: list[str] = []
@@ -361,7 +364,7 @@ def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
             _json_write(item, inner, out, pieces)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
-    elif not isinstance(value, (list, tuple)):
+    elif type(value) is not list and type(value) is not tuple:  # a record is a tuple subclass: refused
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     elif not value:
         out.append("[]")
@@ -454,7 +457,7 @@ def _csv_cell(value) -> str:
     """One scan csv cell: verdicts through _FLAG, tuples joined by ';', the rest str."""
     if value is None or value is True or value is False:
         return _FLAG[value]
-    return ";".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    return ";".join(map(str, value)) if type(value) is tuple else str(value)
 
 
 def _seq_text(values: Sequence[int]) -> str:
@@ -476,9 +479,17 @@ def cmd_gamma(args) -> Output:
     report = gamma_table(crystal, args.m_max)
 
     if args.format == "json":
-        # the report's fields in order are the payload's members after the crystal's
-        views = [_orbit_view(data, report.m_max) for data in report.orbits]
-        return 0, {**_crystal_json(crystal), **report._asdict(), "orbits": views}
+        return 0, {
+            **_crystal_json(crystal),
+            "m_max": report.m_max,
+            "gamma": report.gamma,
+            "delta": report.delta,
+            "b": report.b,
+            "stabilization": report.stabilization,
+            "stabilization_is_isomorphism_number": report.stabilization_is_isomorphism_number,
+            "ordinary": report.ordinary,
+            "orbits": [_orbit_view(data, report.m_max) for data in report.orbits],
+        }
     lines = [
         f"crystal r={crystal.r} perm={cycle_string(crystal.pi)} slopes={_seq_text(crystal.slopes)}"
         f" dieudonne={_YESNO[crystal.is_dieudonne]} ordinary={_YESNO[report.ordinary]}",

@@ -49,16 +49,13 @@ class LevelDigraph:
     def __init__(self, s: int, m: int, succ: list[int], pred: list[int], weight: list[int], mark: list[bool]) -> None:
         self.s, self.m, self.succ, self.pred, self.weight, self.mark = s, m, succ, pred, weight, mark
 
-    def _state(self) -> tuple:
-        return self.s, self.m, self.succ, self.pred, self.weight, self.mark
-
     def __eq__(self, other) -> bool:
-        return self._state() == other._state() if type(other) is LevelDigraph else NotImplemented
+        if type(other) is not LevelDigraph:
+            return NotImplemented
+        return (self.s, self.m, self.succ, self.pred, self.weight, self.mark) == (
+            other.s, other.m, other.succ, other.pred, other.weight, other.mark)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return "LevelDigraph(s={!r}, m={!r}, succ={!r}, pred={!r}, weight={!r}, mark={!r})".format(*self._state())
 
     def vertices(self) -> Iterator[Vertex]:
         for t in range(1, self.s + 1):

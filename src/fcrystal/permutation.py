@@ -52,13 +52,7 @@ class Orbit:
     __slots__ = ("first", "second")
 
     def __init__(self, first: tuple[int, ...], second: tuple[int, ...]) -> None:
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__  # frozen, as it is hashed
+        self.first, self.second = first, second
 
     def __eq__(self, other) -> bool:
         return (self.first, self.second) == (other.first, other.second) if type(other) is Orbit else NotImplemented
@@ -68,9 +62,6 @@ class Orbit:
 
     def __repr__(self) -> str:
         return f"Orbit(first={self.first!r}, second={self.second!r})"
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, past __setattr__
-        return Orbit, (self.first, self.second)
 
     def __len__(self) -> int:
         return len(self.first)

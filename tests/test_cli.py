@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import errno
 import functools
 import json
@@ -19,6 +20,7 @@ import pytest
 
 from fcrystal import FCyclicCrystal, Permutation, cli, gamma_table, orbit_data, scan
 from fcrystal.cli import main
+from fcrystal.digraph import ComponentStats
 from fcrystal.permutation import cycle_decomposition
 from fcrystal.scan import ScanRecord, enumerate_family, summarize
 from reference_cli import scan_rows as reference_scan_rows
@@ -312,6 +314,24 @@ def test_power_text_matches_str_across_the_digit_limit():
         assert [cli._power(p, v) for p, v in power_cases()[:20]] == got[:20]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_power_needs_neither_the_digit_limit_nor_context_keywords(monkeypatch):
+    # Pythons before 3.10.7 have no sys.get_int_max_str_digits, and before 3.11
+    # localcontext takes no keywords; the texts are the same without either
+    got = [cli._power(p, v) for p, v in power_cases()]
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    monkeypatch.setattr(cli, "localcontext", lambda: decimal.localcontext())
+    assert [cli._power(p, v) for p, v in power_cases()] == got
+
+
+def test_json_text_refuses_a_record():
+    # records are named tuples, so a tuple test alone would write one as a bare array
+    pi = Permutation((2, 1))
+    for value in [pi, {"crystal": FCyclicCrystal(pi, (0, 1))}, [ComponentStats(1, 2, 3, 4)]]:
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli._json_text(value)
+    assert cli._json_text({"slopes": (0, 1), "gamma": [1, 2]}) == json.dumps({"slopes": [0, 1], "gamma": [1, 2]}, indent=2)
 
 
 def test_power_past_any_decimal_is_a_resource_limit(capsys):
