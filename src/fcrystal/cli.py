@@ -11,9 +11,11 @@ Subcommands:
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input (including
 an --out file that cannot be written, and an integer not written [+-]?[0-9]+
 in ASCII), 3 resource limit hit (a rank, level, sweep crystal count or
---random count past its default cap, or, even with --override-limits, a level
-past any per-level table, a sweep of more than sys.maxsize crystals, or memory
-running out, which prints one line and writes no output).
+--random count past its default cap; a digraph past --vertex-budget, which a
+crystal sweep checks per rank before any crystal; or, even with
+--override-limits, a level past any per-level table, a sweep of more than
+sys.maxsize crystals, a p^b with more digits than this process has bytes of
+memory, or memory running out, which prints one line and writes no output).
 Machine formats (json, csv) are byte deterministic for a given command line.
 """
 
@@ -67,7 +69,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .circseq import census_levels, circular_level, normalize
 from .crystal import (
-    DEFAULT_VERTEX_BUDGET,
     FCyclicCrystal,
     OrbitData,
     ResourceLimitError,
@@ -94,6 +95,9 @@ MAX_CRYSTALS = 2**24
 MAX_TABLE_LEVEL = sys.maxsize // 8
 # Every rank past this has more than sys.maxsize permutations, r! or even (r-1)!.
 MAX_COUNTED_RANK = next(n for n in itertools.count(1) if math.factorial(n) > sys.maxsize)
+# verify's --vertex-budget: the most digraph vertices one --seq level, one
+# --random draw at the top level, or one crystal of a sweep at all its levels may need.
+DEFAULT_VERTEX_BUDGET = 10_000_000
 SCHEMA = "fcrystal/1"
 # Crystals per chunk of scan csv or json: a few hundred keep the writes few (one
 # per permutation, 64 crystals, made the r=6 circular csv scan about 7% slower)
@@ -270,15 +274,32 @@ def _exact(value: int) -> str:
         return str(Decimal(value))
 
 
+def _usable_memory() -> int:
+    """Bytes this process may use: the physical memory, or the soft
+    address-space limit when that is lower."""
+    import resource  # read only for a power past str()'s limit
+
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return memory if soft == resource.RLIM_INFINITY else min(memory, soft)
+
+
 def _power(p: int, v: int) -> str:
     """_exact(p**v) without _exact's quadratic conversion of a huge int: past
     str()'s limit (4,300 digits where Python has none), a Decimal power at v
-    times the digits of p, exact (Inexact trapped)."""
+    times the digits of p, exact (Inexact trapped).  A power whose text alone
+    would not fit in memory is refused before any of it is computed."""
     digits = v * len(_exact(p))
     if digits <= getattr(sys, "get_int_max_str_digits", lambda: 4300)():
         return int.__repr__(p**v)
     if digits > MAX_PREC:
         raise MemoryError(f"{_exact(p)}^{_exact(v)} has more digits than a Decimal can hold")
+    length = int(v * math.log10(p)) + 1
+    memory = _usable_memory()
+    if length > memory:
+        raise MemoryError(
+            f"{_exact(p)}^{_exact(v)} has about {length} digits, more than the {memory} bytes this process may use"
+        )
     with localcontext() as context:
         context.prec, context.Emax, context.traps[Inexact] = digits, MAX_EMAX, True
         return str(Decimal(p) ** v)
@@ -629,10 +650,16 @@ def _verify_sweep(args) -> Output:
         )
     if args.random:
         _check_vertices(args.max_s * args.m_max, args.vertex_budget)
+    if args.m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    for r in ranks:  # a rank-r crystal's orbits hold r * r positions, each with m vertices at level m
+        vertices = r * r * args.m_max * (args.m_max + 1) // 2
+        if vertices > args.vertex_budget:
+            raise ResourceLimitError(
+                f"verification needs about {vertices} digraph vertices, budget is {args.vertex_budget}"
+            )
     crystals, checks, failed = verify_sweep(
-        (pair for r in ranks for pair in enumerate_family("all-fcrystal", r, args.slope_max)),
-        args.m_max,
-        args.vertex_budget,
+        (pair for r in ranks for pair in enumerate_family("all-fcrystal", r, args.slope_max)), args.m_max
     )
     mismatches = [
         {

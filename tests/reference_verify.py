@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from fcrystal.crystal import (
-    DEFAULT_VERTEX_BUDGET,
-    FCyclicCrystal,
-    VerifyCheck,
-    _check,
-    _check_vertex_budget,
-    orbit_data,
-)
+from fcrystal.crystal import FCyclicCrystal, VerifyCheck, _check, orbit_data
 
 
 @dataclass(frozen=True)
@@ -32,11 +25,7 @@ class VerifyReport:
         return not self.mismatches
 
 
-def verify_formula_vs_oracle(
-    crystal: FCyclicCrystal,
-    m_max: int,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> VerifyReport:
+def verify_formula_vs_oracle(crystal: FCyclicCrystal, m_max: int) -> VerifyReport:
     """Rebuild every orbit digraph at every level up to m_max and compare counts.
 
     The closed-form counts, read from the orbit_data records gamma_table uses,
@@ -45,7 +34,6 @@ def verify_formula_vs_oracle(
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    _check_vertex_budget(crystal.r, m_max, vertex_budget)
     checks = [
         _check(index, data.epsilon, m, data.census, data.level)[0]
         for index, data in enumerate(orbit_data(crystal))
@@ -54,13 +42,13 @@ def verify_formula_vs_oracle(
     return VerifyReport(tuple(checks))
 
 
-def verify_sweep(pairs, m_max: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET):
+def verify_sweep(pairs, m_max: int):
     """(crystals, checks, mismatches), each mismatch as (pi, slopes, check)."""
     mismatches = []
     crystals = 0
     checks = 0
     for pi, slopes in pairs:
-        report = verify_formula_vs_oracle(FCyclicCrystal(pi, slopes), m_max, vertex_budget)
+        report = verify_formula_vs_oracle(FCyclicCrystal(pi, slopes), m_max)
         crystals += 1
         checks += len(report.checks)
         mismatches.extend((pi, slopes, c) for c in report.mismatches)

@@ -1,7 +1,7 @@
 """The public names: everything in fcrystal.__all__ resolves, the names the
 benchmark harness in perfbench/ imports or wraps still exist, and the names the
 README's library quick start mentions exist.  Also what importing the cli costs:
-it loads no dataclasses machinery."""
+it loads no dataclasses machinery; and that only the cli refuses for size."""
 
 from __future__ import annotations
 
@@ -124,6 +124,21 @@ def test_labelled_orbit_walk_serves_only_labelled_output():
         "product_orbits": {"crystal.orbit_data", "crystal.verify_sweep"},
         "orbit_data": {"crystal.gamma_table"},
     }
+
+
+def test_only_the_cli_refuses_for_size():
+    # every resource refusal is decided in the cli, before any work; the
+    # library defines and exports ResourceLimitError but raises it nowhere
+    raisers = set()
+    for path in sorted(Path(fcrystal.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else exc.attr if isinstance(exc, ast.Attribute) else None
+                if name == "ResourceLimitError":
+                    raisers.add(path.stem)
+    assert raisers == {"cli"}
+    assert fcrystal.ResourceLimitError is fcrystal.crystal.ResourceLimitError
 
 
 def quick_start_names() -> list[str]:

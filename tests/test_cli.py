@@ -345,6 +345,46 @@ def test_power_past_any_decimal_is_a_resource_limit(capsys):
     assert err == f"resource limit: 2^{10**18} has more digits than a Decimal can hold\n"
 
 
+def no_decimal_power(monkeypatch):
+    """Fail the test if a Decimal power is computed."""
+
+    def localcontext():
+        raise AssertionError("a Decimal power was computed")
+
+    monkeypatch.setattr(cli, "localcontext", localcontext)
+
+
+def test_power_past_memory_is_refused_before_it_is_computed(capsys, monkeypatch):
+    # b = 10**12, so 2^b has 301,029,995,664 digits: a Decimal could hold them,
+    # a process with 8.4 GB of memory could not
+    monkeypatch.setattr(cli, "_usable_memory", lambda: 8_400_000_000)
+    no_decimal_power(monkeypatch)
+    code, out, err = run(
+        capsys, "endo", "--r", "1", "--perm", "(1)", "--slopes", "0", "--m", str(10**12), "--prime", "2",
+        "--override-limits",
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        f"resource limit: 2^{10**12} has about 301029995664 digits,"
+        " more than the 8400000000 bytes this process may use\n"
+    )
+
+
+def test_power_is_refused_only_past_memory(monkeypatch):
+    # 2^20000 has 6,021 digits, past str()'s limit, so it takes the Decimal route
+    monkeypatch.setattr(cli, "_usable_memory", lambda: 6021)
+    assert cli._power(2, 20000) == str(Decimal(2**20000))
+    monkeypatch.setattr(cli, "_usable_memory", lambda: 6020)
+    no_decimal_power(monkeypatch)
+    with pytest.raises(MemoryError, match=r"^2\^20000 has about 6021 digits, more than the 6020 bytes"):
+        cli._power(2, 20000)
+
+
+def test_usable_memory_is_at_most_the_physical_memory():
+    memory = cli._usable_memory()
+    assert 0 < memory <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @pytest.mark.parametrize(
     "argv,code,message",
     [
@@ -1109,6 +1149,36 @@ def test_verify_random_sweep_checks_vertex_budget(capsys):
     # the longest random sequence at the top level must fit, as for --seq
     argv = ("verify", "--r-max", "1", "--m-max", "4", "--vertex-budget", "10", "--random", "3", "--max-s", "50")
     assert run(capsys, *argv) == (3, "", "resource limit: digraph would need 200 vertices, budget is 10\n")
+
+
+@pytest.mark.parametrize(
+    "argv, vertices, budget",
+    [
+        # rank 1 needs 1 * 10 = 10 vertices and fits; rank 2 needs 4 * 10
+        (("verify", "--r-max", "2", "--m-max", "4", "--vertex-budget", "10"), 40, 10),
+        # ranks 1 and 2 fit; rank 3 needs 9 * 3 = 27, so an oracle failing at
+        # rank 2 or 3 is never reached
+        (("verify", "--r-max", "4", "--m-max", "2", "--vertex-budget", "20"), 27, 20),
+        # ranks 1-6 fit; rank 7 needs 49 * 136 = 6664, refused before rank 1 is swept
+        (
+            ("verify", "--r-max", "7", "--slope-max", "2", "--m-max", "16", "--vertex-budget", "5000",
+             "--override-limits"),
+            6664, 5000,
+        ),
+    ],
+    ids=["rank-2", "rank-3", "rank-7"],
+)
+def test_verify_sweep_checks_vertex_budget_before_any_crystal(capsys, no_enumeration, argv, vertices, budget):
+    assert run(capsys, *argv) == (
+        3, "", f"resource limit: verification needs about {vertices} digraph vertices, budget is {budget}\n"
+    )
+
+
+@pytest.mark.parametrize("m_max", ["0", "-5"])
+def test_verify_sweep_refuses_a_level_below_one_before_its_budget(capsys, no_enumeration, m_max):
+    # -5 * -4 / 2 would read as 10 vertices a position, past a budget of 5
+    argv = ("verify", "--r-max", "2", "--m-max", m_max, "--vertex-budget", "5")
+    assert run(capsys, *argv) == (2, "", "invalid input: m_max must be at least 1\n")
 
 
 # ------------------------------------------------------------ file output

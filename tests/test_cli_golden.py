@@ -4,12 +4,17 @@ Each case runs ``main`` in-process from an empty working directory and
 compares everything it produced with ``tests/golden/<case>.json``.  The
 expected files were recorded once from the command line as it stood before
 its output path was rewritten; they are data, not generated by this test.
+The same cases are replayed under every other Python 3.10+ found on PATH, all
+in one child process each, so the package's own floor of 3.10 is checked too.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +22,7 @@ import pytest
 from fcrystal.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 C2 = ("--r", "2", "--perm", "(1 2)", "--slopes", "0,1")
 R8 = ("--r", "8", "--perm", "1 2 3 4 5 6 7 8", "--slopes", "0,0,0,0,0,0,0,0")
@@ -223,3 +229,69 @@ def test_golden(name, argv, out, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     expected = json.loads((GOLDEN / f"{name}.json").read_text())
     assert run_case(argv, out, capsys) == expected
+
+
+# run_case in a child that has only the package: the cases come as JSON on
+# stdin, each runs in a fresh temporary directory, the results go to stdout.
+REPLAY = """
+import contextlib, io, json, os, sys, tempfile
+from fcrystal.cli import main
+
+home = os.getcwd()
+results = {}
+for name, argv, out in json.load(sys.stdin):
+    with tempfile.TemporaryDirectory() as directory:
+        os.chdir(directory)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        text = None
+        if out is not None and os.path.exists(out):
+            with open(out) as handle:
+                text = handle.read()
+        results[name] = {
+            "argv": argv, "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+            "out": text, "files": sorted(os.listdir(".")),
+        }
+        os.chdir(home)
+json.dump(results, sys.stdout)
+"""
+
+
+def other_pythons() -> dict[str, str]:
+    """{version: executable} of each python3.10 ... python3.14 on PATH that
+    starts within 10 s, reports its version and is not this interpreter."""
+    this = os.path.realpath(sys.executable)
+    found: dict[str, str] = {}
+    for minor in range(10, 15):
+        executable = shutil.which(f"python3.{minor}")
+        if executable is None:
+            continue
+        probe = "import os, sys; print(sys.version.split()[0]); print(os.path.realpath(sys.executable))"
+        try:
+            result = subprocess.run([executable, "-c", probe], capture_output=True, text=True, timeout=10)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        lines = result.stdout.splitlines()
+        if result.returncode == 0 and len(lines) == 2 and lines[1] != this:
+            found.setdefault(lines[0], executable)
+    return found
+
+
+def test_golden_under_every_other_python():
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other Python 3.10+ starts from PATH")
+    cases = json.dumps([[name, list(argv), out] for name, argv, out in CASES])
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    failed = {}
+    for version, executable in pythons.items():
+        result = subprocess.run(
+            [executable, "-c", REPLAY], input=cases, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, f"Python {version}: {result.stderr}"
+        got = json.loads(result.stdout)
+        failed[version] = [
+            name for name, _, _ in CASES if got.get(name) != json.loads((GOLDEN / f"{name}.json").read_text())
+        ]
+    assert failed == {version: [] for version in pythons}

@@ -18,7 +18,6 @@ from fcrystal import (
     FCyclicCrystal,
     OrbitData,
     Permutation,
-    ResourceLimitError,
     VerifyCheck,
     circular_count,
     class_tables,
@@ -208,11 +207,6 @@ def test_verify_report_on_small_crystals():
         assert crystals == 1
         assert checks == 2 * 4
         assert mismatches == []
-
-
-def test_verify_honours_vertex_budget():
-    with pytest.raises(ResourceLimitError):
-        verify_sweep([(parse_permutation("(1 2)", 2), (0, 1))], 4, vertex_budget=10)
 
 
 def test_delta_report_strict_case():

@@ -1,7 +1,8 @@
 """The crystal sweep of `verify`: fcrystal.crystal.verify_sweep against the
 per-crystal loop it replaced (tests/reference_verify.py), through the cli's
-text and json output, with forced mismatches and refusals; the scope of its
-memo; and wide exhaustive sweeps."""
+text and json output, with forced mismatches and refusals (the vertex budget
+is the cli's, see tests/test_cli.py); the scope of its memo; and wide
+exhaustive sweeps."""
 
 from __future__ import annotations
 
@@ -34,10 +35,10 @@ def use_reference(monkeypatch):
     reach it)."""
     results = {}
 
-    def reference(pairs, m_max, vertex_budget):
-        key = (tuple(pairs), m_max, vertex_budget)
+    def reference(pairs, m_max):
+        key = (tuple(pairs), m_max)
         if key not in results:
-            results[key] = reference_verify.verify_sweep(key[0], m_max, vertex_budget)
+            results[key] = reference_verify.verify_sweep(*key)
         return results[key]
 
     monkeypatch.setattr(cli, "verify_sweep", reference)
@@ -97,40 +98,37 @@ def all_fcrystal(r_max, slope_max=1):
     return [pair for r in range(1, r_max + 1) for pair in enumerate_family("all-fcrystal", r, slope_max)]
 
 
-def refusal(sweep, pairs, m_max, budget):
+def refusal(sweep, pairs, m_max):
     """(exception type, message, crystals drawn) of a sweep that refuses."""
     seen = [0]
     with pytest.raises((RuntimeError, ValueError)) as info:
-        sweep(counted(pairs, seen), m_max, budget)
+        sweep(counted(pairs, seen), m_max)
     return info.type, str(info.value), seen[0]
 
 
 @pytest.mark.parametrize(
-    "budget, edges_off",
+    "edges_off",
     [
-        (20, None),  # rank 3 needs 9 * 3 = 27 vertices at m_max 2
-        (10**7, (0, 1, -1)),  # first seen at rank 3
-        (20, (0, 1, -1)),  # the budget refuses rank 3 before its first check
-        (20, (1, -1)),  # first seen at rank 2, before the budget refuses rank 3
-        (10**7, (0,)),  # the first crystal's first orbit
+        (0, 1, -1),  # first seen at rank 3
+        (1, -1),  # first seen at rank 2
+        (0,),  # the first crystal's first orbit
     ],
-    ids=["budget", "edges", "budget-first", "edges-first", "first-orbit"],
+    ids=["edges", "edges-first", "first-orbit"],
 )
-def test_refusals_fire_at_the_same_crystal(monkeypatch, budget, edges_off):
-    if edges_off is not None:
-        real = crystal.oracle_counts
+def test_refusals_fire_at_the_same_crystal(monkeypatch, edges_off):
+    real = crystal.oracle_counts
 
-        def oracle_counts(seq, m):
-            stats = real(seq, m)
-            if seq == edges_off and m == 2:
-                return stats._replace(circular_edges=stats.circular_edges + 1)
-            return stats
+    def oracle_counts(seq, m):
+        stats = real(seq, m)
+        if seq == edges_off and m == 2:
+            return stats._replace(circular_edges=stats.circular_edges + 1)
+        return stats
 
-        monkeypatch.setattr(crystal, "oracle_counts", oracle_counts)
+    monkeypatch.setattr(crystal, "oracle_counts", oracle_counts)
     pairs = all_fcrystal(4)
-    new = refusal(crystal.verify_sweep, pairs, 2, budget)
-    assert new == refusal(reference_verify.verify_sweep, pairs, 2, budget)
-    assert new[0] is (crystal.ResourceLimitError if budget == 20 and edges_off != (1, -1) else RuntimeError)
+    new = refusal(crystal.verify_sweep, pairs, 2)
+    assert new == refusal(reference_verify.verify_sweep, pairs, 2)
+    assert new[0] is RuntimeError
 
 
 def test_level_zero_is_refused_before_any_crystal():
