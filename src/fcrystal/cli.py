@@ -21,23 +21,25 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 
 # Output contract: each cmd_* function takes the parsed arguments and returns
 # (exit code, output), where output is the json payload without "schema" and
-# "command", or the text/csv lines.  A command builds only the format asked for
-# and writes nothing.  main adds the header and hands _emit the text as chunks,
-# which it writes as they come: to stdout, or to --out (see _emit); the last
-# newline is a chunk of its own, so adding it copies nothing.  json is rendered
-# by _json_chunks, byte-identical to json.dumps(indent=2), as joins of the
-# pieces it appends down the tree, so no level copies the text below it.  A
-# list of plain ints is one join of texts from a bounded int table.  A gamma
-# orbit's points reach it as the Orbit itself and are rendered from its two
-# columns, interleaving a left piece per i and a right piece per j from label
-# tables made once per render, so no tuple and no % formatting per point (the
-# orbit's census is read once, by circseq.census_levels).
-# A scan may return chunk iterables (_Streamed): its csv, its text when it
-# names violations, and its json records in the payload, whose chunks the json
-# render yields in place, at the position it recorded as it appended them.
-# They are rendered only as they are written, after every step that can raise:
-# argument checks, caps, scan.scan_table and the summary, which weights each
-# class's verdicts by its count in the table.
+# "command", the text/csv lines, or a _Streamed scan output.  A command builds
+# only the format asked for and writes nothing.  main renders a payload with
+# _document and hands _emit the text as chunks, which it writes as they come:
+# to stdout, or to --out (see _emit); the last newline is a chunk of its own,
+# so adding it copies nothing.  json is rendered by _json_text, byte-identical
+# to json.dumps(indent=2), as one join of the pieces it appends down the tree,
+# so no level copies the text below it.  A list of plain ints is one join of
+# texts from a bounded int table.  A gamma orbit's points reach it as the Orbit
+# itself and are rendered from its two columns, interleaving a left piece per i
+# and a right piece per j from label tables made once per render, so no tuple
+# and no % formatting per point (the orbit's census is read once, by
+# circseq.census_levels).
+# Only a command's whole output streams: a scan returns a _Streamed for its csv,
+# its json and its text when it names violations.  Its csv or json is its rows
+# streamed between a rendered head and tail (the json document is rendered once
+# with "records": [] and cut there), and the rows are rendered only as they are
+# written, after every step that can raise: argument checks, caps,
+# scan.scan_table and the summary, which weights each class's verdicts by its
+# count in the table.
 # So a failed command writes nothing, and stdout never gets part of a document
 # followed by an error.  A crystal's csv line or json record is three pieces,
 # its permutation's head, its slope vector's cells and its class's cells, each
@@ -47,9 +49,10 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # and gamma csv print no orbit and read crystal.class_tables over the cycle
 # words, or endo_exponent for endo --m, which builds no level table.
 # main builds its argument parser on its first call and reuses it.
-# The one other write is the scan csv summary line, which main prints after the
-# csv, to the stream the csv does not use (stderr when the csv goes to stdout,
-# stdout with --out); so a failed --out write prints no summary.
+# The one other write is a _Streamed output's note, the scan csv summary line,
+# which main prints after the output, to the stream it does not use (stderr
+# when it goes to stdout, stdout with --out); so a failed --out write prints
+# no note.
 
 from __future__ import annotations
 
@@ -104,7 +107,7 @@ SCHEMA = "fcrystal/1"
 # and memory flat (a json chunk is about 170 KB).
 _SCAN_CHUNK = 256
 
-Output = tuple[int, Union[dict, list]]  # see "Output contract" above
+Output = tuple[int, Union[dict, list, "_Streamed"]]  # see "Output contract" above
 
 _SPLIT = re.compile(r"[,\s]+")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -138,12 +141,13 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> None:
+def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int], table: bool = True) -> None:
     """Refuse a rank or level past the default caps.  One crystal's slope size
     needs no cap: the closed forms cost one pass over the runs of each orbit,
     whatever the slopes, and the oracle's digraphs grow with r and m only.
-    A level past MAX_TABLE_LEVEL is refused even with override_limits."""
-    if m is not None and m > MAX_TABLE_LEVEL:
+    Where the level sizes a per-level table or digraph (table), a level past
+    MAX_TABLE_LEVEL is refused even with override_limits."""
+    if table and m is not None and m > MAX_TABLE_LEVEL:
         raise ResourceLimitError(
             f"level {_exact(m)} needs a table of one entry per level, larger than this platform can address"
         )
@@ -152,7 +156,7 @@ def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int]) -> 
     if r is not None and r > MAX_R:
         raise ResourceLimitError(f"r={_exact(r)} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
     if m is not None and m > MAX_M:
-        raise ResourceLimitError(f"level {m} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
+        raise ResourceLimitError(f"level {_exact(m)} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
 
 
 def _check_family_size(override_limits: bool, family: str, ranks: Sequence[int], slope_max: int) -> None:
@@ -177,7 +181,7 @@ def _check_family_size(override_limits: bool, family: str, ranks: Sequence[int],
 def _check_vertices(vertices: int, budget: int) -> None:
     """Refuse a digraph of more vertices than --vertex-budget allows."""
     if vertices > budget:
-        raise ResourceLimitError(f"digraph would need {_exact(vertices)} vertices, budget is {budget}")
+        raise ResourceLimitError(f"digraph would need {_exact(vertices)} vertices, budget is {_exact(budget)}")
 
 
 def _at_least(args, flag: str, low: int) -> None:
@@ -236,14 +240,16 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
 
 
 class _Streamed:
-    """A value whose text is an iterable of chunks, written as they come: in a
-    json tree (see _json_chunks), or as a scan's whole csv.  Its chunks must
-    not raise, since they are read only while the output is being written."""
+    """A command's whole output as an iterable of chunks, written as they come,
+    and an optional note line that main writes after it, to the other stream.
+    Its chunks must not raise, since they are read only while the output is
+    being written."""
 
-    __slots__ = ("chunks",)
+    __slots__ = ("chunks", "note")
 
-    def __init__(self, chunks: Iterable[str]) -> None:
+    def __init__(self, chunks: Iterable[str], note: Optional[str] = None) -> None:
         self.chunks = chunks
+        self.note = note
 
 
 class _IntTexts(dict):
@@ -324,40 +330,23 @@ def _json_text(value, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
     keys, lists, tuples, str, int, bool and None, where an Orbit stands for the
     list of its points and an int outside a list may have any length (see
-    _exact); anything else, a record or a _Streamed value included, raises
-    TypeError.  The
-    text is one join of the pieces _json_write appends, so no part of it is
-    copied on its way up the tree."""
+    _exact); anything else, a record included, raises TypeError.  The text is
+    one join of the pieces _json_write appends, so no part of it is copied on
+    its way up the tree."""
     out: list[str] = []
     _json_write(value, indent, out, {})
     return "".join(out)
 
 
-def _json_chunks(value) -> Iterable[str]:
-    """_json_text of value as chunks, where a _Streamed value stands for the
-    text of its chunks: the text before each streamed value, then its chunks,
-    then the text after.  The tree is rendered before this returns; only the
-    streamed chunks are read later, as the result is."""
-    out: list[str] = []
-    pieces: dict = {}
-    _json_write(value, "", out, pieces)
-    if _Streamed not in pieces:
-        return ("".join(out),)
-    parts: list[Iterable[str]] = []
-    start = 0
-    for at in pieces[_Streamed]:
-        parts += ("".join(out[start:at]),), out[at].chunks
-        start = at + 1
-    parts.append(("".join(out[start:]),))
-    return itertools.chain.from_iterable(parts)
+def _document(command: str, payload: dict) -> str:
+    """The json document of a command's payload, headed by its schema and command."""
+    return _json_text({"schema": SCHEMA, "command": command, **payload})
 
 
 def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
     """Append the json of value at indent to out.  A list of plain ints is one
     join of texts from a bounded int table; an Orbit's points are label pieces
-    from pieces[indent], made once per render (see _orbit_parts).  A _Streamed
-    value is appended as it is, its position in out listed in
-    pieces[_Streamed]."""
+    from pieces[indent], made once per render (see _orbit_parts)."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -368,9 +357,6 @@ def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, int):
         out.append(_exact(value))
-    elif type(value) is _Streamed:
-        pieces.setdefault(_Streamed, []).append(len(out))
-        out.append(value)
     elif type(value) is Orbit:
         out += _orbit_parts(value, indent, pieces)
     elif isinstance(value, dict):
@@ -542,7 +528,7 @@ def cmd_endo(args) -> Output:
         raise ValueError("pass only one of --m and --m-max")
     single = args.m is not None
     top = args.m if single else args.m_max
-    _check_limits(args.override_limits, args.r, top)
+    _check_limits(args.override_limits, args.r, top, table=not single)  # endo_exponent builds no table
     if top < 1:
         raise ValueError("m_max must be at least 1")
     b = [endo_exponent(crystal, top)] if single else class_tables(cycle_words(crystal), top, {})[2]
@@ -556,7 +542,9 @@ def cmd_endo(args) -> Output:
             payload.update(prime=args.prime, components=powers[0] if single else powers)
         return 0, payload
     if single:
-        return 0, [f"b({top}) = {b[0]}"] + [f"components({top}) = {_exact(args.prime)}^{b[0]} = {p}" for p in powers]
+        level, exponent = _exact(top), _exact(b[0])
+        lines = [f"components({level}) = {_exact(args.prime)}^{exponent} = {p}" for p in powers]
+        return 0, [f"b({level}) = {exponent}", *lines]
     if args.format == "csv":
         lines = ["m,b,components" if powers else "m,b"]
         for n, v in enumerate(b, start=1):
@@ -755,7 +743,9 @@ def cmd_scan(args) -> Output:
     if args.format == "json":
         # A record is an object at depth 2 of the payload, its members at inner: its head (r, perm) is rendered
         # once per permutation, its slopes once per slope vector and its tail (gamma onward) once per class; m_max
-        # is stated once in the payload.  The list's brackets are the first and last chunk's.
+        # is stated once in the payload.  The document is rendered once with no records and cut at its list,
+        # which precedes "summary" (whose own records member is an int), so its two parts are the first and
+        # last chunk's.
         inner = "      "
         sep = ",\n" + inner
         split = names.index("gamma")
@@ -764,15 +754,10 @@ def cmd_scan(args) -> Output:
         tails = [
             sep.join(_json_members(dict(zip(names[split:], record[split:])), inner)) + "\n    }" for record in classes
         ]
-        return code, {
-            "family": args.family,
-            "r": args.r,
-            "slope_max": slope_max,
-            "m_max": args.m_max,
-            "checks": checks,
-            "records": _Streamed(_scan_rows("[\n    ", heads, cells, tails, rows, ",\n    ", "\n  ]")),
-            "summary": summary,
-        }
+        payload = {"family": args.family, "r": args.r, "slope_max": slope_max, "m_max": args.m_max, "checks": checks}
+        before, after = _document("scan", {**payload, "records": [], "summary": summary}).split('"records": []', 1)
+        records = _scan_rows(before + '"records": [\n    ', heads, cells, tails, rows, ",\n    ", "\n  ]" + after)
+        return code, _Streamed(records)
     summary_line = " ".join(f"{k}={v}" for k, v in summary.items())
     if args.format == "csv":
         split = names.index("m_max")  # the cells from m_max on are the class's, rendered once per class
@@ -780,7 +765,7 @@ def cmd_scan(args) -> Output:
         cells = [_csv_cell(vector) + "," for vector in slopes]
         tails = [",".join(map(_csv_cell, record[split:])) for record in classes]
         csv = _scan_rows(",".join(names) + "\n", heads, cells, tails, rows, "\n", "")
-        return code, [_Streamed(csv), summary_line]  # main writes the summary after the csv, to the other stream
+        return code, _Streamed(csv, summary_line)  # main writes the summary after the csv, to the other stream
 
     head = f"scan family={args.family} r={args.r} slope_max={slope_max} m_max={args.m_max}\n{summary_line}"
     if not violations:
@@ -791,7 +776,7 @@ def cmd_scan(args) -> Output:
         "".join(["\nVIOLATION perm=" + perm + cells[s] + named[c] for s, c in enumerate(row) if named[c]])
         for perm, row in zip(perms, rows)
     )
-    return code, [_Streamed(itertools.chain((head,), lines))]
+    return code, _Streamed(itertools.chain((head,), lines))
 
 
 # ---------------------------------------------------------------- minimal
@@ -907,16 +892,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser.parse_args(argv)
     try:
         code, output = args.func(args)
-        summary = output.pop() if args.command == "scan" and args.format == "csv" else None
+        note = None
         if isinstance(output, dict):
-            chunks = _json_chunks({"schema": SCHEMA, "command": args.command, **output})
-        elif type(output[0]) is _Streamed:
-            chunks = output[0].chunks  # a scan's csv, or its text with violations
+            chunks = (_document(args.command, output),)
+        elif type(output) is _Streamed:
+            chunks, note = output.chunks, output.note
         else:
             chunks = ("\n".join(output),)
         _emit(itertools.chain(chunks, ("\n",)), args.out)
-        if summary is not None:
-            (sys.stderr if args.out is None else sys.stdout).write(summary + "\n")
+        if note is not None:
+            (sys.stderr if args.out is None else sys.stdout).write(note + "\n")
     except (ResourceLimitError, MemoryError) as exc:  # a MemoryError's text is usually empty
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3

@@ -1,7 +1,9 @@
 """The public names: everything in fcrystal.__all__ resolves, the names the
 benchmark harness in perfbench/ imports or wraps still exist, and the names the
-README's library quick start mentions exist.  Also what importing the cli costs:
-it loads no dataclasses machinery; and that only the cli refuses for size."""
+README's library quick start mentions exist, and the README's command line
+examples run.  Also what importing the cli costs: it loads no dataclasses
+machinery; that only the cli refuses for size; and that only a command's whole
+output streams."""
 
 from __future__ import annotations
 
@@ -11,11 +13,13 @@ import importlib
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import fcrystal
+from fcrystal.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -141,6 +145,18 @@ def test_only_the_cli_refuses_for_size():
     assert fcrystal.ResourceLimitError is fcrystal.crystal.ResourceLimitError
 
 
+def test_only_a_whole_output_streams():
+    # the json writer renders whole trees, with no streamed value inside one,
+    # and main treats every command and format alike: a command's output is a
+    # payload, lines, or one _Streamed carrying any note for the other stream
+    source = Path(importlib.import_module("fcrystal.cli").__file__).read_text()
+    functions = {node.name: node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
+    writer = [node.id for node in ast.walk(functions["_json_write"]) if isinstance(node, ast.Name)]
+    assert "Orbit" in writer and "_Streamed" not in writer
+    constants = {node.value for node in ast.walk(functions["main"]) if isinstance(node, ast.Constant)}
+    assert constants & {"gamma", "endo", "verify", "scan", "minimal", "text", "json", "csv"} == set()
+
+
 def quick_start_names() -> list[str]:
     """The names the README's "Library quick start" section mentions: every
     backticked span that is a name or a call, `name` or `name(...)`, and every
@@ -178,6 +194,25 @@ def test_readme_quick_start_names_resolve():
         if not any(hasattr(module, name) for module in modules) and name not in members and not hasattr(builtins, name)
     ]
     assert missing == []
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `fcrystal ...` line in the fenced block of the
+    README's "Command line" section."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("fcrystal ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["gamma", "endo", "verify", "verify", "scan", "minimal"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
+    assert (tmp_path / "scan.csv").read_text()
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -762,6 +762,22 @@ def test_scan_output_memory_stays_flat(tmp_path, capsys, fmt, limit_mb):
     assert peak < limit_mb * 2**20
 
 
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+def test_scan_json_renders_its_document_before_any_row(tmp_path, capsys, monkeypatch, out):
+    # a summary the json writer refuses raises at the render, before a row is made or a byte written
+    def no_rows(*args):
+        raise AssertionError("scan rows were rendered before the document")
+
+    monkeypatch.setattr(cli, "summarize", lambda classes, counts: {"records": 1.5})
+    monkeypatch.setattr(cli, "_scan_rows", no_rows)
+    target = tmp_path / "scan.json"
+    argv = ["scan", "--family", "circular-dieudonne", "--r", "3", "--m-max", "3", "--format", "json"]
+    with pytest.raises(TypeError):
+        main(argv + (["--out", str(target)] if out else []))
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture
 def every_class_violates(monkeypatch):
     """Every class of a scan violates nonincreasing, so a text scan names every
@@ -1038,7 +1054,7 @@ HUGE = str(10**20)  # past any per-level table: refused before anything is alloc
     "argv",
     [
         ("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", HUGE),
-        ("endo", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m", HUGE),
+        ("endo", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m-max", HUGE),
         ("scan", "--family", "circular-dieudonne", "--r", "2", "--m-max", HUGE),
         ("verify", "--seq", "1,-1", "--m", HUGE, "--vertex-budget", str(10**27)),
         ("verify", "--r-max", "1", "--m-max", HUGE),
@@ -1051,6 +1067,34 @@ def test_level_past_any_table_is_a_resource_limit(capsys, argv, override):
         3,
         "",
         f"resource limit: level {HUGE} needs a table of one entry per level, larger than this platform can address\n",
+    )
+
+
+ENDO_AT = ("endo", "--r", "2", "--perm", "(1 2)", "--slopes", "0,1", "--m")
+DIGITS_5000 = "1" + "0" * 5000  # past str()'s 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "level, b",
+    [(HUGE, "399999999999999999998"), (DIGITS_5000, "3" + "9" * 4999 + "8")],
+    ids=["huge", "5000-digits"],
+)
+def test_endo_at_one_level_answers_past_any_table(capsys, level, b):
+    # endo --m reads endo_exponent, which builds no table, so only the default
+    # level cap applies; b(m) = 4m - 2 for this crystal
+    assert run(capsys, *ENDO_AT, level) == (
+        3, "", f"resource limit: level {level} exceeds the default cap 16; pass --override-limits to proceed\n"
+    )
+    assert run(capsys, *ENDO_AT, level, "--override-limits") == (0, f"b({level}) = {b}\n", "")
+
+
+def test_endo_at_one_level_past_any_table_in_json_and_with_a_prime(capsys):
+    code, out, err = run(capsys, *ENDO_AT, HUGE, "--override-limits", "--format", "json")
+    payload = json.loads(out)
+    assert (code, err, payload["m"], payload["b"]) == (0, "", 10**20, 4 * 10**20 - 2)
+    # p^b has 4 * 10**20 digits: refused by the p^b guard, not by a table cap
+    assert run(capsys, *ENDO_AT, HUGE, "--override-limits", "--prime", "2") == (
+        3, "", "resource limit: 2^399999999999999999998 has more digits than a Decimal can hold\n"
     )
 
 
@@ -1149,6 +1193,15 @@ def test_verify_random_sweep_checks_vertex_budget(capsys):
     # the longest random sequence at the top level must fit, as for --seq
     argv = ("verify", "--r-max", "1", "--m-max", "4", "--vertex-budget", "10", "--random", "3", "--max-s", "50")
     assert run(capsys, *argv) == (3, "", "resource limit: digraph would need 200 vertices, budget is 10\n")
+
+
+def test_vertex_budget_past_str_digits_is_a_resource_limit(capsys):
+    # a budget of more than 4,300 digits is stated exactly, not misread as invalid input
+    budget = "1" + "0" * 4400
+    argv = ("verify", "--r-max", "1", "--random", "1", "--max-s", DIGITS_5000, "--vertex-budget", budget)
+    assert run(capsys, *argv) == (
+        3, "", f"resource limit: digraph would need 4{'0' * 5000} vertices, budget is {budget}\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """The json writer of the command line against json.dumps(indent=2): the same
 bytes on every tree of dicts, lists, tuples, str, int, bool and None, on an
-Orbit against the list of its points, on streamed values against the text of
-their chunks, and a TypeError on anything else."""
+Orbit against the list of its points, and a TypeError on anything else."""
 
 from __future__ import annotations
 
@@ -87,34 +86,6 @@ def test_matches_json_dumps_on_fast_path_edges(tree):
 def test_refuses_other_types(tree):
     with pytest.raises(TypeError):
         _json_text(tree)
-
-
-def streamed(tree, rng: random.Random):
-    """tree with about a third of its scalars replaced by _Streamed values whose
-    chunks, cut at random, are the scalar's json text."""
-    if isinstance(tree, dict):
-        return {key: streamed(item, rng) for key, item in tree.items()}
-    if isinstance(tree, (list, tuple)):
-        return type(tree)(streamed(item, rng) for item in tree)
-    if rng.random() >= 0.3:
-        return tree
-    text = json.dumps(tree)
-    cuts = sorted(rng.randint(0, len(text)) for _ in range(rng.randint(0, 3)))
-    return cli._Streamed(iter([text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]))
-
-
-@given(trees, st.randoms(use_true_random=False))
-@settings(max_examples=300)
-def test_chunks_with_streamed_values_match_json_dumps(tree, rng):
-    assert "".join(cli._json_chunks(streamed(tree, rng))) == json.dumps(tree, indent=2)
-
-
-def test_chunks_render_the_tree_before_returning():
-    # what can raise does so at the call, before a streamed chunk is read
-    chunks = iter(['"never read"'])
-    with pytest.raises(TypeError):
-        cli._json_chunks({"records": cli._Streamed(chunks), "summary": 1.5})
-    assert next(chunks) == '"never read"'
 
 
 def test_text_refuses_a_streamed_value():
