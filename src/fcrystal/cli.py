@@ -154,9 +154,14 @@ def _check_limits(override_limits: bool, r: Optional[int], m: Optional[int], tab
     if override_limits:
         return
     if r is not None and r > MAX_R:
-        raise ResourceLimitError(f"r={_exact(r)} exceeds the default cap {MAX_R}; pass --override-limits to proceed")
+        raise _over_cap(f"r={_exact(r)} exceeds", MAX_R)
     if m is not None and m > MAX_M:
-        raise ResourceLimitError(f"level {_exact(m)} exceeds the default cap {MAX_M}; pass --override-limits to proceed")
+        raise _over_cap(f"level {_exact(m)} exceeds", MAX_M)
+
+
+def _over_cap(subject: str, cap: int) -> ResourceLimitError:
+    """The refusal of a size past a default cap, which --override-limits lifts."""
+    return ResourceLimitError(f"{subject} the default cap {cap}; pass --override-limits to proceed")
 
 
 def _check_family_size(override_limits: bool, family: str, ranks: Sequence[int], slope_max: int) -> None:
@@ -173,9 +178,7 @@ def _check_family_size(override_limits: bool, family: str, ranks: Sequence[int],
     if override_limits:
         return
     if count > MAX_CRYSTALS:
-        raise ResourceLimitError(
-            f"a sweep of {count} crystals exceeds the default cap {MAX_CRYSTALS}; pass --override-limits to proceed"
-        )
+        raise _over_cap(f"a sweep of {count} crystals exceeds", MAX_CRYSTALS)
 
 
 def _check_vertices(vertices: int, budget: int) -> None:
@@ -632,10 +635,7 @@ def _verify_sweep(args) -> Output:
     ranks = range(1, args.r_max + 1)
     _check_family_size(args.override_limits, "all-fcrystal", ranks, args.slope_max)
     if args.random > MAX_CRYSTALS and not args.override_limits:
-        raise ResourceLimitError(
-            f"{_exact(args.random)} random sequences exceed the default cap {MAX_CRYSTALS};"
-            " pass --override-limits to proceed"
-        )
+        raise _over_cap(f"{_exact(args.random)} random sequences exceed", MAX_CRYSTALS)
     if args.random:
         _check_vertices(args.max_s * args.m_max, args.vertex_budget)
     if args.m_max < 1:

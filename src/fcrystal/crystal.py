@@ -24,11 +24,12 @@ _level_tables, the table arithmetic it shares with gamma_table.
 
 Labels stay only where they are printed.  orbit_data walks the labelled pair
 orbits (permutation.product_orbits), one record per orbit, for gamma_table's
-per-orbit view.  Formula and oracle meet in one place, _check, which builds
-every VerifyCheck and raises RuntimeError unless circular components carry
-circular * length edges.  verify_sweep runs it at every level of each distinct
-exact orbit sequence of a sweep, with each permutation's labelled orbits built
-once, and reports every mismatch under the crystal's own orbit index.
+per-orbit view, and _orbit_sequences is the one gather of slopes along them.
+Formula and oracle meet in one place, _check, which builds every VerifyCheck
+and raises RuntimeError unless circular components carry circular * length
+edges.  verify_sweep runs it at every level of each distinct exact orbit
+sequence of a sweep, with a permutation's labelled orbits built once per run
+of its crystals, and reports every mismatch under the crystal's own orbit index.
 verify_sequence runs _check on one bare sequence and returns the oracle's
 stats as well.
 """
@@ -36,10 +37,10 @@ stats as well.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, groupby, product
 from math import gcd
 from operator import itemgetter, sub
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .circseq import Census, CircularSeq, census_levels, circular_at, linear_at, run_census
 from .digraph import ComponentStats, oracle_counts
@@ -173,26 +174,34 @@ def delta_report(delta: Sequence[int], stabilization: int) -> DeltaReport:
 
 def orbit_epsilon(crystal: FCyclicCrystal, orbit: Orbit) -> tuple[int, ...]:
     """Slope differences E[i] - E[j] along the orbit."""
-    return _epsilon((0, *crystal.slopes), orbit)
+    return next(_orbit_sequences([orbit])(crystal.slopes))
 
 
-def _epsilon(e: tuple[int, ...], orbit: Orbit) -> tuple[int, ...]:
-    """orbit_epsilon from the slopes indexed from 1 (e[0] is a pad): both columns
-    gathered by itemgetter and subtracted by map, with no Python-level loop."""
-    if len(orbit) == 1:  # a one-index itemgetter returns the item, not a tuple
-        return (e[orbit.first[0]] - e[orbit.second[0]],)
-    return tuple(map(sub, itemgetter(*orbit.first)(e), itemgetter(*orbit.second)(e)))
+def _orbit_sequences(orbits: Sequence[Orbit]) -> Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]]:
+    """The slope differences along each of orbits, as a function of the slopes:
+    both columns of all orbits gathered by one pair of getters, one map(sub),
+    and each orbit's sequence a lazy slice of the result, in orbit order."""
+    # the pad index 0 ends both getters, so they return a tuple even for one point
+    firsts = itemgetter(*chain.from_iterable(orbit.first for orbit in orbits), 0)
+    seconds = itemgetter(*chain.from_iterable(orbit.second for orbit in orbits), 0)
+    ends = list(accumulate(map(len, orbits), initial=0))
+    spans = list(map(slice, ends, ends[1:]))
+
+    def sequences(slopes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        e = (0, *slopes)
+        differences = tuple(map(sub, firsts(e), seconds(e)))
+        for span in spans:  # map(differences.__getitem__, spans) costs a method-wrapper call per orbit
+            yield differences[span]
+
+    return sequences
 
 
 def orbit_data(crystal: FCyclicCrystal) -> list[OrbitData]:
     """One walk of the pair orbits, one exact record per orbit (unclamped and
     uncapped, so it serves every level at once)."""
-    e = (0, *crystal.slopes)
-    out = []
-    for orbit in product_orbits(crystal.pi):
-        eps = _epsilon(e, orbit)
-        out.append(OrbitData(orbit, eps, *run_census(eps)))
-    return out
+    orbits = product_orbits(crystal.pi)
+    sequences = _orbit_sequences(orbits)(crystal.slopes)
+    return [OrbitData(orbit, eps, *run_census(eps)) for orbit, eps in zip(orbits, sequences)]
 
 
 def gamma(crystal: FCyclicCrystal, m: int) -> int:
@@ -332,45 +341,34 @@ def verify_sweep(
     Returns (crystals, checks, mismatches) as a per-crystal loop counts and
     lists them: each mismatch is (pi, slopes, check) under the crystal's own
     orbit index.  _check's RuntimeError comes at the same crystal too: the
-    first that holds the failing sequence.  Nothing is refused for size.  A
-    permutation's orbits are built once while its crystals come in a row, and
-    the memo of failing checks lives for one call.
-    A permutation's orbit columns are gathered by one pair of getters, so a
-    crystal's epsilons are one map(sub) over all its orbits, sliced per orbit.
+    first that holds the failing sequence.  Nothing is refused for size.  Each
+    run of crystals with one permutation has its orbits and their gather
+    (_orbit_sequences) built once, and the memo of failing checks lives for
+    one call.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     failing: dict[tuple[int, ...], list[VerifyCheck]] = {}
     crystals = checks = 0
     mismatches = []
-    last = None
-    for pi, slopes in pairs:
-        FCyclicCrystal(pi, slopes)  # checks the slopes
-        if pi != last:
-            orbits = product_orbits(pi)
-            # both getters end with the pad index 0, so they take two or more
-            # indices and return a tuple even at r = 1
-            firsts = itemgetter(*chain.from_iterable(orbit.first for orbit in orbits), 0)
-            seconds = itemgetter(*chain.from_iterable(orbit.second for orbit in orbits), 0)
-            ends = list(accumulate(map(len, orbits), initial=0))
-            spans = list(map(slice, ends, ends[1:]))
-            last = pi
-        crystals += 1
-        checks += len(orbits) * m_max
-        e = (0, *slopes)
-        differences = tuple(map(sub, firsts(e), seconds(e)))
-        for index, span in enumerate(spans):
-            eps = differences[span]
-            found = failing.get(eps)
-            if found is None:
-                census, level = run_census(eps)
-                found = failing[eps] = []
-                for m in range(1, m_max + 1):
-                    check = _check(index, eps, m, census, level)[0]
-                    if not check.match:
-                        found.append(check)
-            if found:
-                mismatches.extend((pi, slopes, check._replace(orbit_index=index)) for check in found)
+    for pi, run in groupby(pairs, itemgetter(0)):
+        orbits = product_orbits(pi)
+        sequences = _orbit_sequences(orbits)
+        for _, slopes in run:
+            FCyclicCrystal(pi, slopes)  # checks the slopes
+            crystals += 1
+            checks += len(orbits) * m_max
+            for index, eps in enumerate(sequences(slopes)):
+                found = failing.get(eps)
+                if found is None:
+                    census, level = run_census(eps)
+                    found = failing[eps] = []
+                    for m in range(1, m_max + 1):
+                        check = _check(index, eps, m, census, level)[0]
+                        if not check.match:
+                            found.append(check)
+                if found:
+                    mismatches.extend((pi, slopes, check._replace(orbit_index=index)) for check in found)
     return crystals, checks, mismatches
 
 

@@ -4,10 +4,14 @@ through a set.  Kept here as the differential reference for
 fcrystal.permutation.product_orbits, which stores each orbit as two columns;
 the walk lists points as pairs, and product_orbits splits them only at the end.
 Beside it, the cycle walk as it was before cycle_decomposition indexed the
-image tuple: one Permutation call per point.
+image tuple: one Permutation call per point; and the slope differences along
+one orbit as they were read before fcrystal.crystal._orbit_sequences gathered
+all orbits of a permutation at once: one getter pair per orbit.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter, sub
 
 from fcrystal.permutation import Orbit, Permutation
 
@@ -51,3 +55,11 @@ def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
             j = p(j)
         cycles.append(tuple(cycle))
     return cycles
+
+
+def epsilon(e: tuple[int, ...], orbit: Orbit) -> tuple[int, ...]:
+    """orbit_epsilon from the slopes indexed from 1 (e[0] is a pad): both columns
+    gathered by itemgetter and subtracted by map, with no Python-level loop."""
+    if len(orbit) == 1:  # a one-index itemgetter returns the item, not a tuple
+        return (e[orbit.first[0]] - e[orbit.second[0]],)
+    return tuple(map(sub, itemgetter(*orbit.first)(e), itemgetter(*orbit.second)(e)))

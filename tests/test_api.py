@@ -1,15 +1,17 @@
 """The public names: everything in fcrystal.__all__ resolves, the names the
 benchmark harness in perfbench/ imports or wraps still exist, and the names the
 README's library quick start mentions exist, and the README's command line
-examples run.  Also what importing the cli costs: it loads no dataclasses
-machinery; that only the cli refuses for size; and that only a command's whole
-output streams."""
+examples run, and the benchmark's traced pass runs.  Also what importing the
+cli costs: it loads no dataclasses machinery; that only the cli refuses for
+size; that only a command's whole output streams; and that one gather reads
+the labelled orbits' columns."""
 
 from __future__ import annotations
 
 import ast
 import builtins
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -17,6 +19,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fcrystal
 from fcrystal.cli import main
@@ -78,6 +82,18 @@ def test_perfbench_names_exist():
     assert callable(fcrystal.digraph.pair_edges.cache_info)
 
 
+@pytest.mark.parametrize("workload", ["scan", "verify", "query"])
+def test_perfbench_traced_pass_runs(workload):
+    # the traced pass wraps every public function and its hooks read library
+    # internals (scan_record's permutation images, product_orbits' points,
+    # build_level_digraph's vertex_count and edges), which the name checks
+    # above do not reach
+    argv = [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "1", "--seconds", "1"]
+    result = subprocess.run(argv + ["--trace", "1"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["correct"] is True
+
+
 def test_oracle_imports_nothing_from_closed_forms():
     # the digraph oracle is the independent check of circseq, so it must not reuse its code
     source = Path(fcrystal.digraph.__file__).read_text()
@@ -128,6 +144,24 @@ def test_labelled_orbit_walk_serves_only_labelled_output():
         "product_orbits": {"crystal.orbit_data", "crystal.verify_sweep"},
         "orbit_data": {"crystal.gamma_table"},
     }
+
+
+def test_one_gather_reads_the_orbit_columns():
+    # inside crystal.py only _orbit_sequences reads an Orbit's two columns:
+    # orbit_data, orbit_epsilon and verify_sweep take their slope differences
+    # from it
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("first", "second"):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(Path(fcrystal.crystal.__file__).read_text()), "<module>")
+    assert readers == {"_orbit_sequences"}
 
 
 def test_only_the_cli_refuses_for_size():
