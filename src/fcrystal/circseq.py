@@ -6,11 +6,12 @@ zero linear, and circular components; this module computes the free linear count
 and the circular count combinatorially, without building the digraph:
 
 * free linear components are counted by a census of balanced negative segments,
-  matched like brackets in one stack pass over the runs of the sequence, which
+  matched like brackets in one stack pass over one lap of the runs, started
+  where the running sums peak so that no segment closes past it, which
   yields the segments as level ranges, exact at every level at once
   (census_levels reads them as a count per level, one step per range);
 * circular components exist only when the signed entries balance, and then number
-  max(0, m - level) where the level is the spread of the running sums.
+  max(0, m - level) where the level is the spread of the same running sums.
 
 Both counts are invariant under merging adjacent entries of the same strict sign
 and under dropping zero entries, which is what the two reduction helpers do; the
@@ -126,43 +127,42 @@ def run_census(seq: CircularSeq) -> tuple[Census, Optional[int]]:
     deepest pair inside it.  A negative run opens a block of nested starts, and
     a positive run closes them from the innermost block out: closing k starts
     of a block whose innermost start already encloses level `inner` makes one
-    segment at each level inner+1..inner+k.  Only segments that start in the
-    first lap are kept.  A second lap closes every one of them (a walk still
-    open after it is below zero and sinks further each lap), and it ends at its
-    first negative run with an empty stack: the blocks of the first lap lie at
-    the bottom of the stack, so none of them is open then, and no later run
-    could add a range.  The level is that of circular_level.
+    segment at each level inner+1..inner+k.  One lap is enough when it starts
+    where the running sums peak, the lap's end counted as its start: a start at
+    height h closes at the next return to h, and when the total is not negative
+    the lap ends at or above every height in it, so each start closes within
+    it; when the total is negative no later height passes the lap's end, which
+    a start still open there lies above, so it never closes.  The level is that
+    of circular_level: the spread of the same sums, when they end at 0.
     """
     _check_seq(seq)
     runs = list(filter(None, seq))
-    s = len(runs)
+    sums = list(accumulate(runs, initial=0))
+    high = max(sums)
+    top = sums.index(high)
     census: list[tuple[int, int]] = []
-    blocks: list[list[int]] = []  # open negative runs [run index, starts left, inner level], innermost last
-    for index, e in enumerate(runs + runs):
+    blocks: list[list[int]] = []  # open negative runs [starts left, inner level], innermost last
+    for e in runs[top:] + runs[:top]:
         if e < 0:
-            if index >= s and not blocks:
-                break
-            blocks.append([index, -e, 0])
+            blocks.append([-e, 0])
             continue
         while blocks:
             block = blocks[-1]
-            run, left, inner = block
+            left, inner = block
             if e < left:
-                if run < s:
-                    census.append((inner + 1, inner + e))
-                block[1] = left - e
-                block[2] = inner + e
+                census.append((inner + 1, inner + e))
+                block[0] = left - e
+                block[1] = inner + e
                 break
             blocks.pop()
             hi = inner + left
-            if run < s:
-                census.append((inner + 1, hi))
-            if blocks and blocks[-1][2] < hi:
-                blocks[-1][2] = hi
+            census.append((inner + 1, hi))
+            if blocks and blocks[-1][1] < hi:
+                blocks[-1][1] = hi
             e -= left
             if not e:
                 break
-    return tuple(census), _spread(runs)
+    return tuple(census), high - min(sums) if sums[-1] == 0 else None
 
 
 def linear_at(census: Census, m: int) -> int:
@@ -188,19 +188,6 @@ def census_levels(census: Iterable[tuple[int, int]], m: int) -> list[int]:
     return list(accumulate(diff))
 
 
-def _spread(seq: CircularSeq) -> Optional[int]:
-    total = 0
-    high = 0
-    low = 0
-    for e in seq:
-        total += e
-        if total > high:
-            high = total
-        elif total < low:
-            low = total
-    return high - low if total == 0 else None
-
-
 def circular_level(norm: NormalizedSeq) -> Optional[int]:
     """Spread of the running sums: max partial sum minus min partial sum.
 
@@ -210,7 +197,7 @@ def circular_level(norm: NormalizedSeq) -> Optional[int]:
     """
     if isinstance(norm, AllZero):
         return 0
-    return _spread(norm.entries)
+    return run_census(norm.entries)[1]
 
 
 def circular_count(seq: CircularSeq, m: int) -> int:

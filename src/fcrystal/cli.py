@@ -565,7 +565,11 @@ def cmd_endo(args) -> Output:
 def cmd_verify(args) -> Output:
     _at_least(args, "--vertex-budget", 1)
     if args.seq is None:
+        if args.dump_digraph:
+            raise ValueError("--dump-digraph needs --seq")
         return _verify_sweep(args)
+    if args.random:
+        raise ValueError("pass only one of --seq and --random")
     seq = _parse_ints(args.seq, "--seq")
     m = args.m if args.m is not None else args.m_max
     _check_limits(args.override_limits, None, m)

@@ -74,15 +74,15 @@ class Orbit:
 _TOKEN = re.compile(r"\(|\)|[0-9]+|[\s,]+|.")
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    # Token kinds: "(" / ")" / "num"; separators are dropped, anything else is an error.
-    tokens: list[tuple[str, int, int]] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    # Token kinds: "(" / ")" / "num" with its digits; separators are dropped, anything else is an error.
+    tokens: list[tuple[str, str, int]] = []
     for match in _TOKEN.finditer(text):
         tok = match.group()
         if tok in "()":
-            tokens.append((tok, 0, match.start()))
+            tokens.append((tok, tok, match.start()))
         elif tok[0] in "0123456789":
-            tokens.append(("num", int(tok), match.start()))
+            tokens.append(("num", tok, match.start()))
         elif tok[0] in ", \t\r\n":
             continue
         else:
@@ -90,9 +90,14 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     return tokens
 
 
-def _check_point(value: int, r: int, pos: int) -> None:
+def _check_point(digits: str, r: int, pos: int) -> int:
+    """The point a token's digits name, if it lies in 1..r.  Digits longer than
+    r's are out of range unread: int() refuses strings past its digit limit."""
+    digits = digits.lstrip("0") or "0"
+    value = int(digits) if len(digits) <= len(str(r)) else 0
     if not 1 <= value <= r:
-        raise ParseError(f"point {value} at position {pos} is outside 1..{r}")
+        raise ParseError(f"point {digits} at position {pos} is outside 1..{r}")
+    return value
 
 
 def parse_permutation(text: str, r: int) -> Permutation:
@@ -111,11 +116,10 @@ def parse_permutation(text: str, r: int) -> Permutation:
         return _parse_cycles(tokens, r)
 
     images: list[int] = []
-    for kind, value, pos in tokens:
+    for kind, digits, pos in tokens:
         if kind != "num":
             raise ParseError(f"unexpected {kind!r} at position {pos} in one-line form")
-        _check_point(value, r, pos)
-        images.append(value)
+        images.append(_check_point(digits, r, pos))
     if len(images) != r:
         raise ParseError(f"one-line form needs exactly {r} images, got {len(images)}")
     if len(set(images)) != r:
@@ -124,7 +128,7 @@ def parse_permutation(text: str, r: int) -> Permutation:
     return Permutation(tuple(images))
 
 
-def _parse_cycles(tokens: list[tuple[str, int, int]], r: int) -> Permutation:
+def _parse_cycles(tokens: list[tuple[str, str, int]], r: int) -> Permutation:
     images = list(range(1, r + 1))
     seen: set[int] = set()
     idx = 0
@@ -135,8 +139,8 @@ def _parse_cycles(tokens: list[tuple[str, int, int]], r: int) -> Permutation:
         idx += 1
         cycle: list[int] = []
         while idx < len(tokens) and tokens[idx][0] == "num":
-            _, value, pos = tokens[idx]
-            _check_point(value, r, pos)
+            _, digits, pos = tokens[idx]
+            value = _check_point(digits, r, pos)
             if value in seen:
                 raise ParseError(f"point {value} at position {pos} appears twice")
             seen.add(value)

@@ -1,6 +1,8 @@
-"""The run census as it was before its second lap stopped early: two full laps
-over the runs, keeping the segments that start in the first.  Kept here as the
-differential reference for fcrystal.circseq.run_census.
+"""The run census as two full laps over the runs, keeping the segments that
+start in the first: the pass fcrystal.circseq.run_census replaced by one lap
+from the highest point of the walk.  Kept here as its differential reference.
+The two list the same segments in different orders, and nothing reads that
+order, so they are compared through canonical: sorted ranges and the level.
 
 Also the census read as a {level: count} dict, as it was before
 fcrystal.circseq.census_levels read it as a list by one difference array:
@@ -49,6 +51,13 @@ def run_census(seq: CircularSeq) -> tuple[Census, Optional[int]]:
             if not e:
                 break
     return tuple(census), spread(runs)
+
+
+def canonical(result: tuple[Census, Optional[int]]) -> tuple[list[tuple[int, int]], Optional[int]]:
+    """A run census result with its ranges sorted: equal for two results that
+    list the same multiset of segments and the same circular level."""
+    census, level = result
+    return sorted(census), level
 
 
 def spread(seq: CircularSeq) -> Optional[int]:

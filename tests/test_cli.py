@@ -439,6 +439,25 @@ def test_verify_dump_digraph(capsys):
     assert '"0:1" -> "0:2" [weight="0"];' in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seq", "1,-1", "--m", "2", "--random", "3"], "pass only one of --seq and --random"),
+        (["--r-max", "2", "--m-max", "2", "--dump-digraph"], "--dump-digraph needs --seq"),
+    ],
+    ids=["seq-random", "sweep-dump"],
+)
+def test_verify_refuses_a_flag_of_its_other_mode(capsys, argv, message):
+    assert run(capsys, "verify", *argv) == (2, "", f"invalid input: {message}\n")
+
+
+@pytest.mark.parametrize("perm", ["(1 " + "9" * 5000 + ")", "9" * 5000 + " 1"], ids=["cycle", "one-line"])
+def test_point_past_the_int_digit_limit_is_a_parse_error(capsys, perm):
+    code, out, err = run(capsys, "gamma", "--r", "2", "--perm", perm, "--slopes", "0,1", "--m-max", "2")
+    position = 3 if perm[0] == "(" else 0
+    assert (code, out, err) == (2, "", f"invalid input: point {'9' * 5000} at position {position} is outside 1..2\n")
+
+
 def test_verify_sweep(capsys):
     code, out, _ = run(capsys, "verify", "--r-max", "2", "--slope-max", "2", "--m-max", "3", "--random", "50")
     assert code == 0

@@ -95,6 +95,21 @@ def test_parse_takes_ascii_digits_only(text, bad, pos):
         parse_permutation(text, 20)
 
 
+@pytest.mark.parametrize("text, pos", [("(1 " + "9" * 5000 + ")", 3), ("9" * 5000 + " 1", 0)], ids=["cycle", "one-line"])
+def test_parse_refuses_a_point_past_the_int_digit_limit(text, pos):
+    # int() would refuse these digits with its own message, past its 4,300-digit default limit
+    with pytest.raises(ParseError, match=f"^point 9{{5000}} at position {pos} is outside 1..2$"):
+        parse_permutation(text, 2)
+
+
+def test_parse_reads_a_point_behind_leading_zeros_past_the_int_digit_limit():
+    zeros = "0" * 5000
+    assert parse_permutation(f"(1 {zeros}2)", 2) == Permutation((2, 1))
+    assert parse_permutation(f"{zeros}2 1", 2) == Permutation((2, 1))
+    with pytest.raises(ParseError, match="^point 3 at position 3 is outside 1..2$"):
+        parse_permutation(f"(1 {zeros}3)", 2)
+
+
 def test_images_must_be_bijection():
     with pytest.raises(ValueError):
         Permutation((1, 1))
