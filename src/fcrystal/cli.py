@@ -562,14 +562,27 @@ def cmd_endo(args) -> Output:
 # ---------------------------------------------------------------- verify
 
 
+# verify's sweep-only options, each with the value the sweep reads when it is not passed
+_SWEEP_DEFAULTS = {"r_max": 3, "slope_max": 1, "seed": 0, "max_s": 10, "max_entry": 6}
+
+
 def cmd_verify(args) -> Output:
     _at_least(args, "--vertex-budget", 1)
+    if args.m is not None and args.m_max is not None:
+        raise ValueError("pass only one of --m and --m-max")
+    if args.m_max is None:  # the sweep's top level, and --seq's level without --m
+        args.m_max = 4
     if args.seq is None:
-        if args.dump_digraph:
-            raise ValueError("--dump-digraph needs --seq")
+        for flag, passed in (("--dump-digraph", args.dump_digraph), ("--m", args.m is not None)):
+            if passed:
+                raise ValueError(f"{flag} needs --seq")
+        vars(args).update((dest, value) for dest, value in _SWEEP_DEFAULTS.items() if getattr(args, dest) is None)
         return _verify_sweep(args)
     if args.random:
         raise ValueError("pass only one of --seq and --random")
+    for dest in _SWEEP_DEFAULTS:
+        if getattr(args, dest) is not None:
+            raise ValueError(f"pass only one of --seq and --{dest.replace('_', '-')}")
     seq = _parse_ints(args.seq, "--seq")
     m = args.m if args.m is not None else args.m_max
     _check_limits(args.override_limits, None, m)
@@ -853,13 +866,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed-form counts vs the digraph census")
     p.add_argument("--seq", help="verify one circular sequence, e.g. \"3,0,-1,-2\"")
     p.add_argument("--m", type=_integer, help="level for --seq mode")
-    p.add_argument("--r-max", type=_integer, default=3, help="sweep mode: all permutations up to this rank")
-    p.add_argument("--slope-max", type=_integer, default=1, help="sweep mode: slope entries range over 0..this")
-    p.add_argument("--m-max", type=_integer, default=4)
+    p.add_argument("--r-max", type=_integer, help="sweep mode: all permutations up to this rank (default 3)")
+    p.add_argument("--slope-max", type=_integer, help="sweep mode: slope entries range over 0..this (default 1)")
+    p.add_argument("--m-max", type=_integer, help="sweep: levels 1..this; --seq: the level without --m (default 4)")
     p.add_argument("--random", type=_integer, default=0, help="extra random sequences to verify")
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--max-s", type=_integer, default=10, help="random mode: longest sequence")
-    p.add_argument("--max-entry", type=_integer, default=6, help="random mode: largest entry magnitude")
+    p.add_argument("--seed", type=_integer, help="random mode: the seed (default 0)")
+    p.add_argument("--max-s", type=_integer, help="random mode: longest sequence (default 10)")
+    p.add_argument("--max-entry", type=_integer, help="random mode: largest entry magnitude (default 6)")
     p.add_argument("--vertex-budget", type=_integer, default=DEFAULT_VERTEX_BUDGET)
     p.add_argument("--dump-digraph", action="store_true", help="with --seq: dump the digraph in DOT format")
     _add_common_output(p, formats=("text", "json"))

@@ -10,6 +10,7 @@ plain slotted class, because its len counts points, not fields.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -123,7 +124,7 @@ def parse_permutation(text: str, r: int) -> Permutation:
     if len(images) != r:
         raise ParseError(f"one-line form needs exactly {r} images, got {len(images)}")
     if len(set(images)) != r:
-        dup = next(v for v in images if images.count(v) > 1)
+        dup = next(v for v, count in Counter(images).items() if count > 1)  # in order of first place
         raise ParseError(f"image {dup} repeats in one-line form")
     return Permutation(tuple(images))
 

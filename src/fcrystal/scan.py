@@ -15,9 +15,11 @@ types.  scan_record builds a record from one cycle decomposition: the cycles'
 slope words give its tables through crystal.class_tables, whose pair tables
 are memoized for the whole scan in a dict that scan_table makes and drops,
 and its minimality through crystal.is_minimal_words; its one crystal object
-only checks the slopes, and it makes no second decomposition.  _class_key
-takes each least rotation as one min over slices of the word read twice.  A
-crystal's slope word is looked up only when its row is read, at C speed.
+only checks the slopes, and it makes no second decomposition.  It computes
+every verdict, each linear in the levels, and masks those not requested.
+_class_key takes each least rotation as one min over slices of the word read
+twice.  A crystal's slope word is looked up only when its row is read, at C
+speed.
 scan_table is the one scan path: the cli renders each class's part once, and
 a text scan with no violation reads no row.  scan_record over
 enumerate_family is the per-crystal definition the table is tested against.
@@ -35,15 +37,8 @@ from .permutation import Permutation, cycle_decomposition, cycles_text
 
 FAMILIES = ("circular-dieudonne", "all-dieudonne", "circular-fcrystal", "all-fcrystal")
 
-# Each property check's name and the ScanRecord field that holds its verdict.
-CHECK_FIELDS = {
-    "nonincreasing": "nonincreasing",
-    "strict": "strict",
-    "increasing-to-stab": "increasing_to_stab",
-    "ratio": "ratio",
-    "minimal": "minimal_matches_stab",
-}
-CHECKS = tuple(CHECK_FIELDS)
+# The property checks, in the order of their verdicts, a ScanRecord's last fields.
+CHECKS = ("nonincreasing", "strict", "increasing-to-stab", "ratio", "minimal")
 
 
 class ScanRecord(NamedTuple):
@@ -72,7 +67,7 @@ class ScanRecord(NamedTuple):
 
     @property
     def violations(self) -> list[str]:
-        return [name for name, field in CHECK_FIELDS.items() if getattr(self, field) is False]
+        return [name for name, verdict in zip(CHECKS, self[-len(CHECKS) :]) if verdict is False]
 
 
 def cycles_of_length_r(r: int) -> Iterator[Permutation]:
@@ -132,15 +127,12 @@ def family_size(family: str, r: int, slope_max: int = 1) -> int:
 
 
 def _ratio_holds(gamma: Sequence[int]) -> bool:
-    # gamma(i) * j < gamma(j) * i for all i > j >= 1 with gamma(j) > 0.
-    m_max = len(gamma) - 1
-    for j in range(1, m_max + 1):
-        if gamma[j] == 0:
-            continue
-        for i in range(j + 1, m_max + 1):
-            if gamma[i] * j >= gamma[j] * i:
-                return False
-    return True
+    # gamma(i) * j < gamma(j) * i for all i > j >= 1 with gamma(j) > 0.  gamma
+    # never falls (its increments are segment counts), so those j run from its
+    # first positive level on, and the bound is gamma(n) / n strictly falling
+    # from each such level to the next.
+    first = next((n for n in range(1, len(gamma)) if gamma[n]), len(gamma))
+    return all(gamma[n + 1] * n < gamma[n] * (n + 1) for n in range(first, len(gamma) - 1))
 
 
 def scan_record(
@@ -150,46 +142,38 @@ def scan_record(
     checks: Sequence[str] = CHECKS,
     pairs: Optional[dict] = None,
 ) -> ScanRecord:
-    """Compute one crystal's tables and evaluate the requested property checks.
+    """One crystal's tables and the verdicts of the checks named in checks.
     One cycle_decomposition of pi gives the record's cycle string, the circular
     test of the strict check and the cycles' slope words, whose pair tables
     (crystal.class_tables, memoized in pairs) give the tables and whose
     windows give minimality (crystal.is_minimal_words).  FCyclicCrystal
-    checks the slopes."""
+    checks the slopes.  Every verdict is computed, whatever checks names, as a
+    function of the class alone; checks only masks the rest to None."""
     dieudonne = FCyclicCrystal(pi, slopes).is_dieudonne
     cycles = cycle_decomposition(pi)
     words = [tuple([slopes[i - 1] for i in cycle]) for cycle in cycles]
     gamma, delta, b, stab = class_tables(words, m_max, {} if pairs is None else pairs)
-    # Verdicts stay None where a check is not applicable or not requested.
-    ordinary = minimal = nonincreasing = strict = increasing = ratio = matches = None
+    ordinary = minimal = None
     if dieudonne:
         ordinary = gamma[1] == 0
         minimal = is_minimal_words(words)
-    if "nonincreasing" in checks or "strict" in checks:
-        report = delta_report(delta, stab)
-        if "nonincreasing" in checks:
-            nonincreasing = report.nonincreasing
-        # The strict decrease only holds for circular nonordinary Dieudonne
-        # crystals; elsewhere it is reported as not applicable.
-        if "strict" in checks and ordinary is False and len(cycles) == 1 and m_max >= stab + 1:
-            strict = report.strict_through_stabilization
-    if "increasing-to-stab" in checks:
+    report = delta_report(delta, stab)
+    bound = min(stab, m_max)
+    # In CHECKS order, None where a check does not apply: the strict decrease
+    # and the ratio bound concern nonordinary Dieudonne crystals only, the
+    # strict one only a circular one read past its stabilization level.
+    verdicts = (
+        report.nonincreasing,
+        report.strict_through_stabilization if ordinary is False and len(cycles) == 1 and m_max > stab else None,
         # gamma rises at every level up to the stabilization level and is constant from there
-        bound = min(stab, m_max)
-        increasing = all(step > 0 for step in delta[:bound]) and not any(delta[bound:])
-    if "ratio" in checks and ordinary is False:
-        ratio = _ratio_holds(gamma)
-    if "minimal" in checks and dieudonne:
-        matches = minimal == (stab <= 1)
+        all(step > 0 for step in delta[:bound]) and not any(delta[bound:]),
+        _ratio_holds(gamma) if ordinary is False else None,
+        minimal == (stab <= 1) if dieudonne else None,
+    )
     return ScanRecord(
         pi.size, cycles_text(cycles), slopes, m_max, gamma, delta, b, stab, dieudonne, ordinary, minimal,
-        nonincreasing, strict, increasing, ratio, matches,
+        *[verdict if name in checks else None for name, verdict in zip(CHECKS, verdicts)],
     )
-
-
-# word length -> its rotations as slices of the word read twice: immutable, and
-# n(n + 1) / 2 slices in all once words of every length up to n are keyed
-_ROTATIONS: dict[int, tuple[slice, ...]] = {}
 
 
 def _class_key(cycles: Sequence[tuple[int, ...]], slopes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -200,11 +184,8 @@ def _class_key(cycles: Sequence[tuple[int, ...]], slopes: tuple[int, ...]) -> tu
     words = []
     for cycle in cycles:
         length = len(cycle)
-        rotations = _ROTATIONS.get(length)
-        if rotations is None:
-            rotations = _ROTATIONS[length] = tuple(map(slice, range(length), range(length, 2 * length)))
         doubled = tuple([slopes[i - 1] for i in cycle + cycle])
-        words.append(min(map(doubled.__getitem__, rotations)))
+        words.append(min([doubled[k : k + length] for k in range(length)]))
     words.sort()
     return tuple(words)
 
@@ -279,6 +260,6 @@ def summarize(records: Sequence[ScanRecord], counts: Optional[Sequence[int]] = N
     if counts is None:
         counts = [1] * len(records)
     summary = {"records": sum(counts)}
-    for name, field in CHECK_FIELDS.items():
-        summary[f"violations[{name}]"] = sum(n for record, n in zip(records, counts) if getattr(record, field) is False)
+    for k, name in enumerate(CHECKS, len(ScanRecord._fields) - len(CHECKS)):
+        summary[f"violations[{name}]"] = sum(n for record, n in zip(records, counts) if record[k] is False)
     return summary

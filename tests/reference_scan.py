@@ -9,7 +9,9 @@ were before scan records were built from one cycle decomposition: a crystal
 object, a second decomposition inside is_minimal, a verdict dict and a key
 of least rotations formed one by one.  They are the references for
 fcrystal.scan.scan_record, fcrystal.crystal.is_minimal and
-fcrystal.scan._class_key.
+fcrystal.scan._class_key.  ratio_holds is the ratio bound as it was before one
+pass over adjacent levels: every pair of levels compared, the reference for
+fcrystal.scan._ratio_holds.
 """
 
 from __future__ import annotations
@@ -83,6 +85,28 @@ def is_minimal(crystal: FCyclicCrystal) -> bool:
     return True
 
 
+# Each property check's name and the ScanRecord field that holds its verdict.
+CHECK_FIELDS = {
+    "nonincreasing": "nonincreasing",
+    "strict": "strict",
+    "increasing-to-stab": "increasing_to_stab",
+    "ratio": "ratio",
+    "minimal": "minimal_matches_stab",
+}
+
+
+def ratio_holds(gamma: Sequence[int]) -> bool:
+    """gamma(i) * j < gamma(j) * i for all i > j >= 1 with gamma(j) > 0."""
+    m_max = len(gamma) - 1
+    for j in range(1, m_max + 1):
+        if gamma[j] == 0:
+            continue
+        for i in range(j + 1, m_max + 1):
+            if gamma[i] * j >= gamma[j] * i:
+                return False
+    return True
+
+
 def scan_record(
     pi: Permutation,
     slopes: tuple[int, ...],
@@ -115,7 +139,7 @@ def scan_record(
             gamma[n] == gamma[bound] for n in range(bound, m_max + 1)
         )
     if "ratio" in checks and dieudonne and ordinary is False:
-        verdict["ratio"] = scan._ratio_holds(gamma)
+        verdict["ratio"] = ratio_holds(gamma)
     if "minimal" in checks and dieudonne:
         verdict["minimal"] = minimal == (stab <= 1)
 
@@ -131,7 +155,7 @@ def scan_record(
         dieudonne=dieudonne,
         ordinary=ordinary,
         minimal=minimal,
-        **{scan.CHECK_FIELDS[name]: value for name, value in verdict.items()},
+        **{CHECK_FIELDS[name]: value for name, value in verdict.items()},
     )
 
 

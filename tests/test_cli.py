@@ -11,10 +11,12 @@ import os
 import random
 import re
 import stat
+import subprocess
 import sys
 import time
 import tracemalloc
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_timed_out(argv: str, timeout: float):
+    """(code, out, err) of main(argv) in a fresh interpreter, argv a Python
+    expression evaluated there (a 50,000-point --perm is past the OS limit on
+    one argument), killed and failed after timeout seconds."""
+    code = f"import sys; from fcrystal.cli import main; sys.exit(main({argv}))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout)
+    return result.returncode, result.stdout, result.stderr
 
 
 # ------------------------------------------------------------ gamma
@@ -444,8 +459,16 @@ def test_verify_dump_digraph(capsys):
     [
         (["--seq", "1,-1", "--m", "2", "--random", "3"], "pass only one of --seq and --random"),
         (["--r-max", "2", "--m-max", "2", "--dump-digraph"], "--dump-digraph needs --seq"),
+        (["--r-max", "1", "--m", "3"], "--m needs --seq"),
+        (["--seq", "1,-1", "--m", "2", "--r-max", "7"], "pass only one of --seq and --r-max"),
+        (["--seq", "1,-1", "--m", "2", "--slope-max", "3"], "pass only one of --seq and --slope-max"),
+        (["--seq", "1,-1", "--m", "2", "--seed", "3"], "pass only one of --seq and --seed"),
+        (["--seq", "1,-1", "--m", "2", "--max-s", "2"], "pass only one of --seq and --max-s"),
+        (["--seq", "1,-1", "--m", "2", "--max-entry", "1"], "pass only one of --seq and --max-entry"),
+        (["--seq", "1,-1", "--m", "2", "--m-max", "5"], "pass only one of --m and --m-max"),
     ],
-    ids=["seq-random", "sweep-dump"],
+    ids=["seq-random", "sweep-dump", "sweep-m", "seq-r-max", "seq-slope-max", "seq-seed", "seq-max-s", "seq-max-entry",
+         "seq-m-and-m-max"],
 )
 def test_verify_refuses_a_flag_of_its_other_mode(capsys, argv, message):
     assert run(capsys, "verify", *argv) == (2, "", f"invalid input: {message}\n")
@@ -456,6 +479,24 @@ def test_point_past_the_int_digit_limit_is_a_parse_error(capsys, perm):
     code, out, err = run(capsys, "gamma", "--r", "2", "--perm", perm, "--slopes", "0,1", "--m-max", "2")
     position = 3 if perm[0] == "(" else 0
     assert (code, out, err) == (2, "", f"invalid input: point {'9' * 5000} at position {position} is outside 1..2\n")
+
+
+def test_verify_sweep_reads_its_documented_defaults(capsys):
+    assert run(capsys, "verify") == run(capsys, "verify", "--r-max", "3", "--slope-max", "1", "--m-max", "4")
+    random = ("verify", "--r-max", "1", "--random", "20")
+    assert run(capsys, *random) == run(capsys, *random, "--seed", "0", "--max-s", "10", "--max-entry", "6")
+    assert run(capsys, "verify", "--seq", "1,-1") == run(capsys, "verify", "--seq", "1,-1", "--m", "4")
+    assert run(capsys, "verify", "--seq", "1,-1", "--m-max", "3") == run(capsys, "verify", "--seq", "1,-1", "--m", "3")
+
+
+def test_a_repeated_image_is_refused_in_linear_time():
+    # images 1..n-1 and n-1 again: one count per image value, where counting
+    # each image in turn scans all n images n times, past the timeout here
+    argv = (
+        "['gamma', '--r', '50000', '--perm', ' '.join(map(str, [*range(1, 50000), 49999])),"
+        " '--slopes', ','.join(['0'] * 50000), '--m-max', '1']"
+    )
+    assert run_timed_out(argv, 10) == (2, "", "invalid input: image 49999 repeats in one-line form\n")
 
 
 def test_verify_sweep(capsys):
@@ -885,6 +926,20 @@ def test_scan_text_summary(capsys):
     assert "all checks passed" in out
 
 
+def test_ratio_scan_is_linear_in_its_levels():
+    # one comparison per adjacent pair of levels, where comparing every pair
+    # of levels makes about 5 * 10**9 comparisons per class here
+    argv = "'scan --family circular-dieudonne --r 2 --m-max 100000 --override-limits --check ratio'.split()"
+    assert run_timed_out(argv, 30) == (
+        0,
+        "scan family=circular-dieudonne r=2 slope_max=1 m_max=100000\n"
+        "records=4 violations[nonincreasing]=0 violations[strict]=0 violations[increasing-to-stab]=0"
+        " violations[ratio]=0 violations[minimal]=0\n"
+        "all checks passed\n",
+        "",
+    )
+
+
 def test_reused_parser_leaks_no_flags(capsys, monkeypatch):
     # main builds its parser once per process; a repeatable flag of one call
     # must not reach the next call, which prints what a fresh parser prints
@@ -1028,7 +1083,7 @@ def test_crystal_count_cap(capsys, no_enumeration, argv, crystals):
     "argv",
     [argv + ("--override-limits",) for argv, _ in CRYSTAL_CAP_REFUSED]
     + [("scan", "--family", family, "--r", "8", "--m-max", "2") for family in cli.FAMILIES]
-    + [("verify", "--r-max", "8")],
+    + [("verify", "--r-max", "8", "--slope-max", "1")],
 )
 def test_crystal_count_cap_admits(argv):
     # every r <= 8 sweep at slope bound 1 is admitted, and --override-limits lifts

@@ -110,6 +110,12 @@ def test_parse_reads_a_point_behind_leading_zeros_past_the_int_digit_limit():
         parse_permutation(f"(1 {zeros}3)", 2)
 
 
+@pytest.mark.parametrize("text, image", [("1 3 3 1", 1), ("2 3 3 1", 3), ("2 1 4 4", 4)])
+def test_a_repeated_image_is_named_at_its_first_place(text, image):
+    with pytest.raises(ParseError, match=f"^image {image} repeats in one-line form$"):
+        parse_permutation(text, 4)
+
+
 def test_images_must_be_bijection():
     with pytest.raises(ValueError):
         Permutation((1, 1))

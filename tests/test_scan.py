@@ -1,6 +1,7 @@
 """Family scans: the class table against one scan_record per crystal, and
-against the per-crystal table loop it replaced; scan_record and _class_key
-against the record and key they replaced (all in tests/reference_scan.py)."""
+against the per-crystal table loop it replaced; scan_record, _class_key and
+_ratio_holds against the record, key and pairwise ratio bound they replaced
+(all in tests/reference_scan.py)."""
 
 from __future__ import annotations
 
@@ -242,6 +243,29 @@ def test_scan_record_matches_the_reference_at_every_level_and_check_subset(famil
 def test_scan_record_refuses_bad_slopes(record, slopes, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         record(Permutation((2, 3, 1)), slopes, 3)
+
+
+def nondecreasing_gammas(length: int, top_step: int):
+    """Every gamma(0..length-1) with gamma(0) = 0 and each step in 0..top_step."""
+    for steps in itertools.product(range(top_step + 1), repeat=length - 1):
+        yield tuple(itertools.accumulate(steps, initial=0))
+
+
+def test_ratio_check_matches_the_pairwise_reference_on_every_short_gamma():
+    gammas = [gamma for length in range(1, 8) for gamma in nondecreasing_gammas(length, 3)]
+    assert len(gammas) == 5461
+    assert [scan._ratio_holds(gamma) for gamma in gammas] == [reference_scan.ratio_holds(gamma) for gamma in gammas]
+    assert {reference_scan.ratio_holds(gamma) for gamma in gammas} == {True, False}
+
+
+@pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
+def test_ratio_check_matches_the_pairwise_reference_on_every_class(family, r, slope_max):
+    # every class's gamma at m_max = 8, and each of its shorter tables
+    _, _, classes, _, _ = scan_table(family, r, 8, slope_max)
+    for record in classes:
+        for top in range(1, 10):
+            gamma = record.gamma[:top]
+            assert scan._ratio_holds(gamma) == reference_scan.ratio_holds(gamma), (record.perm, record.slopes, top)
 
 
 @pytest.mark.parametrize("family,r,slope_max", SMALL_FAMILIES)
