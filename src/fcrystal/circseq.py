@@ -167,7 +167,13 @@ def run_census(seq: CircularSeq) -> tuple[Census, Optional[int]]:
 
 def linear_at(census: Census, m: int) -> int:
     """Segments of the census at levels up to m: the free linear count at level m."""
-    return sum(max(0, min(hi, m) - lo + 1) for lo, hi in census)
+    count = 0
+    for lo, hi in census:
+        if hi > m:
+            hi = m
+        if hi >= lo:
+            count += hi - lo + 1
+    return count
 
 
 def circular_at(level: Optional[int], m: int) -> int:

@@ -576,6 +576,10 @@ def cmd_verify(args) -> Output:
         for flag, passed in (("--dump-digraph", args.dump_digraph), ("--m", args.m is not None)):
             if passed:
                 raise ValueError(f"{flag} needs --seq")
+        if not args.random:
+            for flag, value in (("--seed", args.seed), ("--max-s", args.max_s), ("--max-entry", args.max_entry)):
+                if value is not None:
+                    raise ValueError(f"{flag} needs --random")
         vars(args).update((dest, value) for dest, value in _SWEEP_DEFAULTS.items() if getattr(args, dest) is None)
         return _verify_sweep(args)
     if args.random:

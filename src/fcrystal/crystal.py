@@ -174,24 +174,25 @@ def delta_report(delta: Sequence[int], stabilization: int) -> DeltaReport:
 
 def orbit_epsilon(crystal: FCyclicCrystal, orbit: Orbit) -> tuple[int, ...]:
     """Slope differences E[i] - E[j] along the orbit."""
-    return next(_orbit_sequences([orbit])(crystal.slopes))
+    return _orbit_sequences([orbit])(crystal.slopes)[0]
 
 
-def _orbit_sequences(orbits: Sequence[Orbit]) -> Callable[[tuple[int, ...]], Iterator[tuple[int, ...]]]:
+def _orbit_sequences(orbits: Sequence[Orbit]) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], ...]]:
     """The slope differences along each of orbits, as a function of the slopes:
     both columns of all orbits gathered by one pair of getters, one map(sub),
-    and each orbit's sequence a lazy slice of the result, in orbit order."""
+    and every orbit's sequence sliced from the result by one more getter, in
+    orbit order."""
     # the pad index 0 ends both getters, so they return a tuple even for one point
     firsts = itemgetter(*chain.from_iterable(orbit.first for orbit in orbits), 0)
     seconds = itemgetter(*chain.from_iterable(orbit.second for orbit in orbits), 0)
     ends = list(accumulate(map(len, orbits), initial=0))
     spans = list(map(slice, ends, ends[1:]))
+    # a getter of one slice returns that slice's items, not a 1-tuple of them
+    slices = itemgetter(*spans) if len(spans) > 1 else lambda differences: (differences[spans[0]],)
 
-    def sequences(slopes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def sequences(slopes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         e = (0, *slopes)
-        differences = tuple(map(sub, firsts(e), seconds(e)))
-        for span in spans:  # map(differences.__getitem__, spans) costs a method-wrapper call per orbit
-            yield differences[span]
+        return slices(tuple(map(sub, firsts(e), seconds(e))))
 
     return sequences
 

@@ -14,9 +14,11 @@ a = max(eps_t, 0) and b = max(0, -eps_{t+1}):
 
 Every vertex has in- and out-degree at most one, so the graph is a disjoint
 union of simple paths and cycles, and a marked vertex never lies between two
-arcs; the builder checks both as it goes.  Classification walks each path from
-its vertex with no predecessor to its end, and every vertex no path reaches
-lies on a cycle, walked once.  Components are counted as
+arcs; the builder checks both as it goes.  Classification is one walk over
+the predecessor list: each vertex with no predecessor starts a path, followed
+to its end on the spot.  Every vertex no path reaches lies on a cycle; only
+when such a vertex is left are the unseen vertices listed and each cycle
+walked once.  Components are counted as
 
 * circular: a cycle (a one-vertex loop counts),
 * zero linear: a path containing a marked vertex,
@@ -137,12 +139,14 @@ def build_level_digraph(seq: CircularSeq, m: int) -> LevelDigraph:
     marked: list[int] = []
     base = 0
     for x, y in zip(seq, seq[1:] + seq[:1]):
-        base_next = (base + m) % n
+        base_next = base + m
+        if base_next == n:  # the last column's successor is the first
+            base_next = 0
         left, right, pair_arcs = pair_edges(x, y, m)
-        if left:
-            marked.extend(base + i for i in left)
-        if right:
-            marked.extend(base_next + j for j in right)
+        for i in left:
+            marked.append(base + i)
+        for j in right:
+            marked.append(base_next + j)
         for i, j, w in pair_arcs:
             u = base + i
             v = base_next + j
@@ -183,16 +187,19 @@ def propagate_zeros(g: LevelDigraph) -> LevelDigraph:
 def classify_components(g: LevelDigraph) -> ComponentStats:
     """Count components by kind.
 
-    Each path is walked from its vertex with no predecessor to its end, and is
-    zero linear if any vertex on it is marked.  Every vertex left unvisited lies
-    on a cycle, walked once and counted with its edges; a mark there is an
-    error.  Marks are read as path properties, so the counts do not depend on
-    whether propagate_zeros already ran.
+    Each path is walked from its vertex with no predecessor to its end, met in
+    one pass over pred, and is zero linear if any vertex on it is marked.  Every
+    vertex left unvisited lies on a cycle, walked once and counted with its
+    edges; a mark there is an error.  With no vertex left there is no cycle.
+    Marks are read as path properties, so the counts do not depend on whether
+    propagate_zeros already ran.
     """
     succ, pred, mark = g.succ, g.pred, g.mark
     seen = [False] * len(succ)
     free_linear = zero_linear = 0
-    for v in [v for v, p in enumerate(pred) if p < 0]:
+    for v, p in enumerate(pred):
+        if p >= 0:
+            continue
         zero = False
         while v >= 0:
             if seen[v]:
@@ -206,6 +213,8 @@ def classify_components(g: LevelDigraph) -> ComponentStats:
         else:
             free_linear += 1
 
+    if False not in seen:  # every vertex lies on a path: no cycle
+        return ComponentStats(free_linear, 0, 0, zero_linear)
     circular = circular_edges = 0
     for start in [v for v, visited in enumerate(seen) if not visited]:
         if seen[start]:

@@ -8,6 +8,9 @@ Also the census read as a {level: count} dict, as it was before
 fcrystal.circseq.census_levels read it as a list by one difference array:
 level_counts expands each range level by level, and segment_census reads a
 sign word's census (by the shipped fcrystal.circseq.run_census) that way.
+
+And linear_at as one generator of min/max calls, the sum
+fcrystal.circseq.linear_at replaced by a plain loop.
 """
 
 from __future__ import annotations
@@ -70,6 +73,11 @@ def spread(seq: CircularSeq) -> Optional[int]:
         elif total < low:
             low = total
     return high - low if total == 0 else None
+
+
+def linear_at(census: Census, m: int) -> int:
+    """Segments of the census at levels up to m."""
+    return sum(max(0, min(hi, m) - lo + 1) for lo, hi in census)
 
 
 def level_counts(census: Census, m: int) -> dict[int, int]:

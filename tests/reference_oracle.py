@@ -3,6 +3,13 @@ frozenset of zero marks, dict adjacency, mark propagation and a full
 union-find.  Kept here as the differential reference for fcrystal.digraph; it
 shares only the pair rule, pair_edges.
 
+flat_build_level_digraph and flat_classify_components are the flat-list
+builder and classifier as they were before their loops were trimmed: marks
+added through a generator per pair, the column base advanced by %, path starts
+listed in a pass of their own and the unseen vertices listed even when every
+vertex was seen.  They give fcrystal.digraph.LevelDigraph and ComponentStats,
+so the tests compare the shipped functions with them field for field.
+
 pair_edges_case_table, the eleven-case transcription of the pair rule that the
 unified rule in fcrystal.digraph.pair_edges replaced, is kept here as the
 reference the tests check pair_edges against.
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from fcrystal import digraph
 from fcrystal.digraph import ComponentStats, pair_edges
 
 Vertex = tuple[int, int]
@@ -148,6 +156,86 @@ def to_dot(g: LevelDigraph) -> str:
         lines.append(f'  "{i}:{t}" -> "{j}:{u}" [weight="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def flat_build_level_digraph(seq: tuple[int, ...], m: int) -> digraph.LevelDigraph:
+    if len(seq) == 0:
+        raise ValueError("a circular sequence must have at least one entry")
+    if m < 1:
+        raise ValueError("level must be at least 1")
+    s = len(seq)
+    n = s * m
+    weight = [0] * n
+    mark = [False] * n
+
+    if s == 1:
+        if seq[0] == 0:
+            return digraph.LevelDigraph(1, m, list(range(m)), list(range(m)), weight, mark)
+        return digraph.LevelDigraph(1, m, [-1] * m, [-1] * m, weight, [True] * m)
+
+    succ = [-1] * n
+    pred = [-1] * n
+    marked: list[int] = []
+    base = 0
+    for x, y in zip(seq, seq[1:] + seq[:1]):
+        base_next = (base + m) % n
+        left, right, pair_arcs = digraph.pair_edges(x, y, m)  # read where a test can patch it
+        if left:
+            marked.extend(base + i for i in left)
+        if right:
+            marked.extend(base_next + j for j in right)
+        for i, j, w in pair_arcs:
+            u = base + i
+            v = base_next + j
+            if succ[u] >= 0 or pred[v] >= 0:
+                t, t_next = base // m + 1, base_next // m + 1
+                raise RuntimeError(f"arc {i}:{t} -> {j}:{t_next} gives a vertex a second arc")
+            succ[u] = v
+            pred[v] = u
+            weight[u] = w
+        base = base_next
+    for v in marked:
+        mark[v] = True
+        if succ[v] >= 0 and pred[v] >= 0:
+            raise RuntimeError(f"zero mark at {v % m}:{v // m + 1} has degree 2: an arc in and an arc out")
+    return digraph.LevelDigraph(s, m, succ, pred, weight, mark)
+
+
+def flat_classify_components(g: digraph.LevelDigraph) -> ComponentStats:
+    succ, pred, mark = g.succ, g.pred, g.mark
+    seen = [False] * len(succ)
+    free_linear = zero_linear = 0
+    for v in [v for v, p in enumerate(pred) if p < 0]:
+        zero = False
+        while v >= 0:
+            if seen[v]:
+                raise RuntimeError("component is neither a path nor a single cycle")
+            seen[v] = True
+            if mark[v]:
+                zero = True
+            v = succ[v]
+        if zero:
+            zero_linear += 1
+        else:
+            free_linear += 1
+
+    circular = circular_edges = 0
+    for start in [v for v, visited in enumerate(seen) if not visited]:
+        if seen[start]:
+            continue
+        v = start
+        while True:
+            if mark[v]:
+                raise RuntimeError("circular component contains a zero mark")
+            seen[v] = True
+            circular_edges += 1
+            v = succ[v]
+            if v == start:
+                break
+            if v < 0 or seen[v]:
+                raise RuntimeError("component is neither a path nor a single cycle")
+        circular += 1
+    return ComponentStats(free_linear, circular, circular_edges, zero_linear)
 
 
 def pair_edges_case_table(eps_t: int, eps_next: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int, int], ...]]:

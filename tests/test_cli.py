@@ -474,6 +474,12 @@ def test_verify_refuses_a_flag_of_its_other_mode(capsys, argv, message):
     assert run(capsys, "verify", *argv) == (2, "", f"invalid input: {message}\n")
 
 
+@pytest.mark.parametrize("random", [[], ["--random", "0"]], ids=["absent", "zero"])
+@pytest.mark.parametrize("flag", ["--seed", "--max-s", "--max-entry"])
+def test_verify_refuses_a_random_flag_without_random_draws(capsys, flag, random):
+    assert run(capsys, "verify", "--r-max", "1", *random, flag, "3") == (2, "", f"invalid input: {flag} needs --random\n")
+
+
 @pytest.mark.parametrize("perm", ["(1 " + "9" * 5000 + ")", "9" * 5000 + " 1"], ids=["cycle", "one-line"])
 def test_point_past_the_int_digit_limit_is_a_parse_error(capsys, perm):
     code, out, err = run(capsys, "gamma", "--r", "2", "--perm", perm, "--slopes", "0,1", "--m-max", "2")
