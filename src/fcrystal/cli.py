@@ -187,19 +187,29 @@ def _check_vertices(vertices: int, budget: int) -> None:
         raise ResourceLimitError(f"digraph would need {_exact(vertices)} vertices, budget is {_exact(budget)}")
 
 
-def _at_least(args, flag: str, low: int) -> None:
-    value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
-    if value is not None and value < low:
-        raise ValueError(f"{flag} must be at least {low}, got {_exact(value)}")
+# The lowest value of each bounded integer option, whichever command has it, in the
+# order main checks them; --seed and --workers take any integer.
+_FLOORS = {"--r": 1, "--vertex-budget": 1, "--r-max": 1, "--slope-max": 0, "--random": 0, "--max-s": 1,
+           "--max-entry": 0, "--prime": 2}
+
+
+def _check_flags(args) -> None:
+    """Refuse an option below its floor in _FLOORS, then --m passed with --m-max,
+    before the command reads any of its input."""
+    values = vars(args)
+    for flag, low in _FLOORS.items():
+        value = values.get(flag[2:].replace("-", "_"))
+        if value is not None and value < low:
+            raise ValueError(f"{flag} must be at least {low}, got {_exact(value)}")
+    if values.get("m") is not None and values.get("m_max") is not None:
+        raise ValueError("pass only one of --m and --m-max")
 
 
 def _crystal(args) -> FCyclicCrystal:
-    """The crystal named by --r, --perm and --slopes; also checks --prime where the command has it."""
-    _at_least(args, "--r", 1)
+    """The crystal named by --r, --perm and --slopes."""
     slopes = _parse_ints(args.slopes, "--slopes")
     if len(slopes) != args.r:
         raise ValueError(f"--slopes needs exactly {_exact(args.r)} entries, got {len(slopes)}")
-    _at_least(args, "--prime", 2)
     return FCyclicCrystal(parse_permutation(args.perm, args.r), slopes)
 
 
@@ -527,8 +537,6 @@ def cmd_endo(args) -> Output:
     crystal = _crystal(args)
     if args.m is None and args.m_max is None:
         raise ValueError("endo needs --m or --m-max")
-    if args.m is not None and args.m_max is not None:
-        raise ValueError("pass only one of --m and --m-max")
     single = args.m is not None
     top = args.m if single else args.m_max
     _check_limits(args.override_limits, args.r, top, table=not single)  # endo_exponent builds no table
@@ -562,31 +570,32 @@ def cmd_endo(args) -> Output:
 # ---------------------------------------------------------------- verify
 
 
-# verify's sweep-only options, each with the value the sweep reads when it is not passed
-_SWEEP_DEFAULTS = {"r_max": 3, "slope_max": 1, "seed": 0, "max_s": 10, "max_entry": 6}
+# verify's mode flags in the order they are checked, each with the flag it needs
+# (None for a sweep flag, which --seq refuses) and the value it takes when not passed.
+_VERIFY_FLAGS = {
+    "--dump-digraph": ("--seq", False), "--m": ("--seq", None),
+    "--random": (None, 0), "--r-max": (None, 3), "--slope-max": (None, 1),
+    "--seed": ("--random", 0), "--max-s": ("--random", 10), "--max-entry": ("--random", 6),
+}
 
 
 def cmd_verify(args) -> Output:
-    _at_least(args, "--vertex-budget", 1)
-    if args.m is not None and args.m_max is not None:
-        raise ValueError("pass only one of --m and --m-max")
+    values = vars(args)
+    # The modes.  A mode flag counts as passed only when its mode is on: --random 0
+    # draws nothing, so --seq accepts it.
+    on = {"--seq": args.seq is not None, "--random": bool(args.random)}
+    for flag, (need, absent) in _VERIFY_FLAGS.items():
+        dest = flag[2:].replace("-", "_")
+        if not on.get(flag, values[dest] is not None):
+            values[dest] = absent
+        elif on["--seq"] and need != "--seq":
+            raise ValueError(f"pass only one of --seq and {flag}")
+        elif need is not None and not on[need]:
+            raise ValueError(f"{flag} needs {need}")
     if args.m_max is None:  # the sweep's top level, and --seq's level without --m
         args.m_max = 4
     if args.seq is None:
-        for flag, passed in (("--dump-digraph", args.dump_digraph), ("--m", args.m is not None)):
-            if passed:
-                raise ValueError(f"{flag} needs --seq")
-        if not args.random:
-            for flag, value in (("--seed", args.seed), ("--max-s", args.max_s), ("--max-entry", args.max_entry)):
-                if value is not None:
-                    raise ValueError(f"{flag} needs --random")
-        vars(args).update((dest, value) for dest, value in _SWEEP_DEFAULTS.items() if getattr(args, dest) is None)
         return _verify_sweep(args)
-    if args.random:
-        raise ValueError("pass only one of --seq and --random")
-    for dest in _SWEEP_DEFAULTS:
-        if getattr(args, dest) is not None:
-            raise ValueError(f"pass only one of --seq and --{dest.replace('_', '-')}")
     seq = _parse_ints(args.seq, "--seq")
     m = args.m if args.m is not None else args.m_max
     _check_limits(args.override_limits, None, m)
@@ -647,11 +656,6 @@ def _random_draws(seed: int, n: int, max_s: int, max_entry: int, m_max: int) -> 
 
 
 def _verify_sweep(args) -> Output:
-    _at_least(args, "--r-max", 1)
-    _at_least(args, "--slope-max", 0)
-    _at_least(args, "--random", 0)
-    _at_least(args, "--max-s", 1)
-    _at_least(args, "--max-entry", 0)
     _check_limits(args.override_limits, args.r_max, args.m_max)
     ranks = range(1, args.r_max + 1)
     _check_family_size(args.override_limits, "all-fcrystal", ranks, args.slope_max)
@@ -749,8 +753,6 @@ def _scan_rows(
 
 
 def cmd_scan(args) -> Output:
-    _at_least(args, "--r", 1)
-    _at_least(args, "--slope-max", 0)
     _check_limits(args.override_limits, args.r, args.m_max)
     _check_family_size(args.override_limits, args.family, [args.r], args.slope_max)
     checks = tuple(args.check) if args.check else CHECKS
@@ -873,12 +875,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_integer, help="sweep mode: all permutations up to this rank (default 3)")
     p.add_argument("--slope-max", type=_integer, help="sweep mode: slope entries range over 0..this (default 1)")
     p.add_argument("--m-max", type=_integer, help="sweep: levels 1..this; --seq: the level without --m (default 4)")
-    p.add_argument("--random", type=_integer, default=0, help="extra random sequences to verify")
+    p.add_argument("--random", type=_integer, help="extra random sequences to verify")
     p.add_argument("--seed", type=_integer, help="random mode: the seed (default 0)")
     p.add_argument("--max-s", type=_integer, help="random mode: longest sequence (default 10)")
     p.add_argument("--max-entry", type=_integer, help="random mode: largest entry magnitude (default 6)")
     p.add_argument("--vertex-budget", type=_integer, default=DEFAULT_VERTEX_BUDGET)
-    p.add_argument("--dump-digraph", action="store_true", help="with --seq: dump the digraph in DOT format")
+    p.add_argument("--dump-digraph", action="store_true", default=None, help="with --seq: dump the digraph in DOT format")
     _add_common_output(p, formats=("text", "json"))
     p.set_defaults(func=cmd_verify)
 
@@ -912,6 +914,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
+        _check_flags(args)
         code, output = args.func(args)
         note = None
         if isinstance(output, dict):
