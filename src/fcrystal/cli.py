@@ -190,7 +190,7 @@ def _check_vertices(vertices: int, budget: int) -> None:
 # The lowest value of each bounded integer option, whichever command has it, in the
 # order main checks them; --seed and --workers take any integer.
 _FLOORS = {"--r": 1, "--vertex-budget": 1, "--r-max": 1, "--slope-max": 0, "--random": 0, "--max-s": 1,
-           "--max-entry": 0, "--prime": 2}
+           "--max-entry": 0, "--prime": 2, "--m": 1, "--m-max": 1}
 
 
 def _check_flags(args) -> None:
@@ -540,8 +540,6 @@ def cmd_endo(args) -> Output:
     single = args.m is not None
     top = args.m if single else args.m_max
     _check_limits(args.override_limits, args.r, top, table=not single)  # endo_exponent builds no table
-    if top < 1:
-        raise ValueError("m_max must be at least 1")
     b = [endo_exponent(crystal, top)] if single else class_tables(cycle_words(crystal), top, {})[2]
     # p^b for the printed levels only; empty without --prime
     powers = [] if args.prime is None else [_power(args.prime, v) for v in b]
@@ -663,8 +661,6 @@ def _verify_sweep(args) -> Output:
         raise _over_cap(f"{_exact(args.random)} random sequences exceed", MAX_CRYSTALS)
     if args.random:
         _check_vertices(args.max_s * args.m_max, args.vertex_budget)
-    if args.m_max < 1:
-        raise ValueError("m_max must be at least 1")
     for r in ranks:  # a rank-r crystal's orbits hold r * r positions, each with m vertices at level m
         vertices = r * r * args.m_max * (args.m_max + 1) // 2
         if vertices > args.vertex_budget:

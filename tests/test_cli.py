@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import decimal
 import errno
 import functools
+import itertools
 import json
 import math
 import os
@@ -1036,7 +1038,7 @@ def test_rank_cap_override(capsys):
         (("verify", "--random", "-1"), "--random must be at least 0, got -1"),
         (("verify", "--slope-max", "-1"), "--slope-max must be at least 0, got -1"),
         (("verify", "--r-max", "0"), "--r-max must be at least 1, got 0"),
-        (("verify", "--seq", "1,-1", "--m-max", "0"), "level must be at least 1"),
+        (("verify", "--seq", "1,-1", "--m-max", "0"), "--m-max must be at least 1, got 0"),
         (("scan", "--family", "circular-fcrystal", "--r", "2", "--m-max", "2", "--slope-max", "-1"),
          "--slope-max must be at least 0, got -1"),
         (("scan", "--family", "circular-dieudonne", "--r", "0", "--m-max", "2"), "--r must be at least 1, got 0"),
@@ -1052,6 +1054,98 @@ def test_rank_cap_override(capsys):
 def test_bad_numeric_flag_is_invalid_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
+def subcommand_options() -> dict[str, dict[str, argparse.Action]]:
+    """command -> {long option: its argparse action}, for every subcommand of the parser."""
+    parser = cli.build_parser()
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return {
+        command: {action.option_strings[-1]: action for action in subparser._actions if action.option_strings}
+        for command, subparser in sub.choices.items()
+    }
+
+
+# the integer options that take any value: a seed, and scan's ignored --workers
+UNBOUNDED = {"--seed", "--workers"}
+# verify options that belong to both modes, so no _VERIFY_FLAGS row
+VERIFY_SHARED = {"--help", "--seq", "--m-max", "--vertex-budget", "--format", "--out", "--override-limits"}
+
+
+def test_every_integer_option_has_its_rules_stated_once():
+    options = subcommand_options()
+    integers = {flag for actions in options.values() for flag, action in actions.items() if action.type is cli._integer}
+    assert integers == set(cli._FLOORS) | UNBOUNDED
+    assert not set(cli._FLOORS) & UNBOUNDED
+    assert set(options["verify"]) - VERIFY_SHARED == set(cli._VERIFY_FLAGS)
+    needs = {need for need, _ in cli._VERIFY_FLAGS.values()} - {None}
+    assert needs == {"--seq", "--random"}
+
+
+# every required option of each command, with a value it accepts
+REQUIRED = {
+    "gamma": {"--r": "2", "--perm": "(1 2)", "--slopes": "0,1", "--m-max": "2"},
+    "endo": {"--r": "2", "--perm": "(1 2)", "--slopes": "0,1"},
+    "verify": {},
+    "scan": {"--family": "all-dieudonne", "--r": "2", "--m-max": "2"},
+    "minimal": {"--r": "2", "--perm": "(1 2)", "--slopes": "0,1"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, actions in subcommand_options().items() for flag in actions if flag in cli._FLOORS],
+)
+def test_every_floor_is_refused_in_every_command(capsys, command, flag):
+    low = cli._FLOORS[flag]
+    argv = [command, *itertools.chain.from_iterable({**REQUIRED[command], flag: str(low - 1)}.items())]
+    assert run(capsys, *argv) == (2, "", f"invalid input: {flag} must be at least {low}, got {low - 1}\n")
+
+
+C2 = ("--r", "2", "--perm", "(1 2)", "--slopes", "0,1")
+R9 = ("--r", "9", "--perm", "1 2 3 4 5 6 7 8 9", "--slopes", "0,0,0,0,0,0,0,0,0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # floors first, in _FLOORS order, whatever else the command line breaks
+        (("verify", "--seq", "1,-1", "--random", "3", "--r-max", "0"), "--r-max must be at least 1, got 0"),
+        (("verify", "--seq", "1,-1", "--r-max", "0"), "--r-max must be at least 1, got 0"),
+        (("verify", "--seq", "1,-1", "--random", "-1"), "--random must be at least 0, got -1"),
+        (("verify", "--max-s", "0"), "--max-s must be at least 1, got 0"),
+        (("verify", "--seq", "1,-1", "--m", "20", "--max-entry", "-1"), "--max-entry must be at least 0, got -1"),
+        (("verify", "--random", "0", "--seed", "-5", "--max-entry", "-1"), "--max-entry must be at least 0, got -1"),
+        (("verify", "--r-max", "0", "--m-max", "0"), "--r-max must be at least 1, got 0"),
+        (("verify", "--vertex-budget", "0", "--m", "2", "--m-max", "3"), "--vertex-budget must be at least 1, got 0"),
+        (("scan", "--family", "all-dieudonne", "--r", "0", "--slope-max", "-1", "--m-max", "2"),
+         "--r must be at least 1, got 0"),
+        (("gamma", "--r", "0", "--perm", "x", "--slopes", "0,1", "--m-max", "0"), "--r must be at least 1, got 0"),
+        (("gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0", "--m-max", "0"), "--m-max must be at least 1, got 0"),
+        (("endo", "--r", "2", "--perm", "(1 2)", "--slopes", "0", "--m", "2", "--prime", "1"),
+         "--prime must be at least 2, got 1"),
+        (("endo", *C2, "--m", "0", "--prime", "1"), "--prime must be at least 2, got 1"),
+        (("endo", *C2, "--prime", "1"), "--prime must be at least 2, got 1"),
+        # a floor before a cap
+        (("verify", "--r-max", "9", "--m-max", "0"), "--m-max must be at least 1, got 0"),
+        (("gamma", *R9, "--m-max", "0"), "--m-max must be at least 1, got 0"),
+        (("endo", *R9, "--m-max", "0"), "--m-max must be at least 1, got 0"),
+        (("scan", "--family", "all-dieudonne", "--r", "9", "--m-max", "0"), "--m-max must be at least 1, got 0"),
+        # then --m with --m-max
+        (("endo", *C2, "--m", "2", "--m-max", "3", "--prime", "1"), "--prime must be at least 2, got 1"),
+        (("endo", *C2, "--m", "0", "--m-max", "3"), "--m must be at least 1, got 0"),
+        (("verify", "--seq", "1,-1", "--m", "0", "--m-max", "3"), "--m must be at least 1, got 0"),
+        (("verify", "--m", "2", "--m-max", "3", "--seed", "1"), "pass only one of --m and --m-max"),
+        # then the verify modes, in _VERIFY_FLAGS order
+        (("verify", "--m", "2", "--seed", "1"), "--m needs --seq"),
+        (("verify", "--dump-digraph", "--seed", "1"), "--dump-digraph needs --seq"),
+        (("verify", "--seq", "1,-1", "--dump-digraph", "--r-max", "2", "--seed", "1"),
+         "pass only one of --seq and --r-max"),
+        (("verify", "--seq", "", "--r-max", "2"), "pass only one of --seq and --r-max"),
+    ],
+)
+def test_the_first_broken_rule_names_the_refusal(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"invalid input: {message}\n")
 
 
 class Enumerated(Exception):
@@ -1311,7 +1405,7 @@ def test_verify_sweep_checks_vertex_budget_before_any_crystal(capsys, no_enumera
 def test_verify_sweep_refuses_a_level_below_one_before_its_budget(capsys, no_enumeration, m_max):
     # -5 * -4 / 2 would read as 10 vertices a position, past a budget of 5
     argv = ("verify", "--r-max", "2", "--m-max", m_max, "--vertex-budget", "5")
-    assert run(capsys, *argv) == (2, "", "invalid input: m_max must be at least 1\n")
+    assert run(capsys, *argv) == (2, "", f"invalid input: --m-max must be at least 1, got {m_max}\n")
 
 
 # ------------------------------------------------------------ file output
