@@ -48,7 +48,11 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # only to name violations, streamed a permutation at a time.  endo, minimal
 # and gamma csv print no orbit and read crystal.class_tables over the cycle
 # words, or endo_exponent for endo --m, which builds no level table.
-# main builds its argument parser on its first call and reuses it.
+# main builds its argument parser on its first call and reuses it.  Each flag
+# rule is stated once, in one of two tables: _FLOORS, the lowest value of every
+# bounded integer option, which main checks (with --m against --m-max) before
+# any command runs; and _VERIFY_FLAGS, the flag each verify mode flag needs and
+# the value it takes when not passed, which cmd_verify reads.
 # The one other write is a _Streamed output's note, the scan csv summary line,
 # which main prints after the output, to the stream it does not use (stderr
 # when it goes to stdout, stdout with --out); so a failed --out write prints
