@@ -21,25 +21,29 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 
 # Output contract: each cmd_* function takes the parsed arguments and returns
 # (exit code, output), where output is the json payload without "schema" and
-# "command", the text/csv lines, or a _Streamed scan output.  A command builds
-# only the format asked for and writes nothing.  main renders a payload with
+# "command", the text/csv lines, or a _Streamed output.  A command builds only
+# the format asked for and writes nothing.  main renders a payload with
 # _document and hands _emit the text as chunks, which it writes as they come:
 # to stdout, or to --out (see _emit); the last newline is a chunk of its own,
 # so adding it copies nothing.  json is rendered by _json_text, byte-identical
 # to json.dumps(indent=2), as one join of the pieces it appends down the tree,
 # so no level copies the text below it.  A list of plain ints is one join of
-# texts from a bounded int table.  A gamma orbit's points reach it as the Orbit
-# itself and are rendered from its two columns, interleaving a left piece per i
-# and a right piece per j from label tables made once per render, so no tuple
-# and no % formatting per point (the orbit's census is read once, by
-# circseq.census_levels).
+# texts from a bounded int table.  An Orbit stands for the list of its points,
+# rendered from its two columns (_orbit_parts): a left piece per i and a right
+# piece per j from label tables made once per render, so no tuple and no %
+# formatting per point, and each first column's left pieces made once per
+# render (product_orbits shares one among the orbits of a cycle pair).
 # Only a command's whole output streams: a scan returns a _Streamed for its csv,
-# its json and its text when it names violations.  Its csv or json is its rows
-# streamed between a rendered head and tail (the json document is rendered once
-# with "records": [] and cut there), and the rows are rendered only as they are
-# written, after every step that can raise: argument checks, caps,
-# scan.scan_table and the summary, which weights each class's verdicts by its
-# count in the table.
+# its json and its text when it names violations, and gamma for its json.  A
+# scan's csv or json is its rows streamed between a rendered head and tail (the
+# json document is rendered once with "records": [] and cut there), and the
+# rows are rendered only as they are written, after every step that can raise:
+# argument checks, caps, scan.scan_table and the summary, which weights each
+# class's verdicts by its count in the table.  gamma json cuts its document at
+# "orbits": [] the same way, and _orbits_write appends every orbit's record
+# between the two parts straight from _orbit_fields, which gamma text's orbit
+# lines read too, with no dict per orbit; the whole text is joined once, in
+# the command.
 # So a failed command writes nothing, and stdout never gets part of a document
 # followed by an error.  A crystal's csv line or json record is three pieces,
 # its permutation's head, its slope vector's cells and its class's cells, each
@@ -409,7 +413,9 @@ def _orbit_parts(orbit: Orbit, indent: str, pieces: dict) -> list[str]:
     """An Orbit's points at indent as text pieces, laid out as _json_text lays
     out a list of int pairs.  Point (i, j) is a left piece of i (the separator,
     the open bracket and i) and a right piece of j (j and the close bracket);
-    pieces[indent] holds both label tables, made once per render, and the first
+    pieces[indent] holds both label tables, made once per render, and the left
+    pieces of each first column met so far, keyed by identity (product_orbits
+    shares one first column among the orbits of a cycle pair).  The first
     point's separator ',' becomes the list's '['."""
     if not orbit:
         return ["[]"]
@@ -420,10 +426,15 @@ def _orbit_parts(orbit: Orbit, indent: str, pieces: dict) -> list[str]:
         labels = pieces[indent] = (
             _Labels(",\n" + inner + "[\n" + deeper, ",\n" + deeper).__getitem__,
             _Labels("", "\n" + inner + "]").__getitem__,
+            {},
         )
-    left, right = labels
-    parts = [""] * (2 * len(orbit))
-    parts[::2] = map(left, orbit.first)
+    left, right, columns = labels
+    first = orbit.first
+    column = columns.get(id(first))
+    if column is None:  # the column is kept with its pieces, so its id names no other object this render
+        column = columns[id(first)] = (first, list(map(left, first)))
+    parts = [""] * (2 * len(first))
+    parts[::2] = column[1]
     parts[1::2] = map(right, orbit.second)
     parts[0] = "[" + parts[0][1:]
     parts.append("\n" + indent + "]")
@@ -436,32 +447,74 @@ def _json_members(mapping: dict, inner: str) -> list[str]:
     return [encode_basestring_ascii(key) + ": " + _json_text(item, inner) for key, item in mapping.items()]
 
 
-def _orbit_view(data: OrbitData, m_max: int) -> dict:
-    """One orbit as gamma output shows it at level m_max, in text and json: the
-    sign form clamped at m_max (see circseq.normalize) with its circular level,
-    and the census up to m_max, which the clamp leaves as it is.  The sign form
-    is spelled out only for entries past +-1, and the level taken from the
-    clamped form only when the clamp cuts an entry; otherwise it is data.level."""
+def _orbit_fields(
+    data: OrbitData, m_max: int
+) -> tuple[Optional[tuple[int, ...]], list[tuple[int, int]], Optional[int]]:
+    """What gamma shows of one orbit at level m_max besides its points and
+    epsilon, in text and json: the sign form clamped at m_max (see
+    circseq.normalize), None when epsilon is all zero; the census up to m_max
+    as (level, count) pairs with count > 0, which the clamp leaves as it is;
+    and the circular level.  The sign form is spelled out only for entries
+    past +-1, and the level taken from the clamped form only when the clamp
+    cuts an entry; otherwise it is data.level."""
     eps = data.epsilon
     top = max(max(eps), -min(eps))
     level = data.level
     if top == 0:
-        normalized = {"kind": "all-zero", "length": len(eps)}
+        entries = None
     elif top == 1:
-        normalized = {"kind": "signs", "entries": tuple(filter(None, eps))}
+        entries = tuple(filter(None, eps))
     else:
         norm = normalize(eps, m_max)
-        normalized = {"kind": "signs", "entries": norm.entries}
+        entries = norm.entries
         if top > m_max + 1:
             level = circular_level(norm)
-    counts = census_levels(data.census, m_max)
-    return {
-        "points": data.orbit,  # rendered from its columns by _json_text
-        "epsilon": eps,
-        "normalized": normalized,
-        "census": {str(n): count for n, count in enumerate(counts) if count},
-        "level": level,
-    }
+    census = [(n, count) for n, count in enumerate(census_levels(data.census, m_max)) if count]
+    return entries, census, level
+
+
+# The fixed text of gamma's json orbit records, objects at depth 2 of the
+# document, between the values _orbits_write appends.
+_POINTS = '{\n      "points": '
+_EPSILON = ',\n      "epsilon": [\n        '
+_ALL_ZERO = '\n      ],\n      "normalized": {\n        "kind": "all-zero",\n        "length": '
+_SIGNS = '\n      ],\n      "normalized": {\n        "kind": "signs",\n        "entries": [\n          '
+_CENSUS = '\n      },\n      "census": '
+_LEVEL = ',\n      "level": '
+
+
+def _orbits_write(orbits: Sequence[OrbitData], m_max: int, out: list[str]) -> None:
+    """Append to out gamma's json "orbits" list, never empty, as a member value
+    of the document: the text _json_text gives for each orbit's record
+    {points, epsilon, normalized, census, level}, written straight from
+    _orbit_fields, its points through _orbit_parts and no dict per orbit."""
+    pieces: dict = {}
+    sep = "[\n    "
+    for data in orbits:
+        entries, census, level = _orbit_fields(data, m_max)
+        out += sep, _POINTS
+        out += _orbit_parts(data.orbit, "      ", pieces)
+        out += _EPSILON, ",\n        ".join(map(_INT_TEXT, data.epsilon))
+        if entries is None:
+            out += _ALL_ZERO, _INT_TEXT(len(data.epsilon)), _CENSUS
+        else:
+            out += _SIGNS, ",\n          ".join(map(_INT_TEXT, entries)), "\n        ]", _CENSUS
+        if census:
+            out += "{\n        ", ",\n        ".join([f'"{n}": {count}' for n, count in census]), "\n      }"
+        else:
+            out.append("{}")
+        out += _LEVEL, "null" if level is None else _INT_TEXT(level), "\n    }"
+        sep = ",\n    "
+    out.append("\n  ]")
+
+
+def _orbit_line(k: int, data: OrbitData, m_max: int) -> str:
+    """gamma text's line for orbit k, read from _orbit_fields."""
+    entries, census, level = _orbit_fields(data, m_max)
+    return (
+        f"orbit {k}: len={len(data.orbit)} eps={_seq_text(data.epsilon)} level={'none' if level is None else level}"
+        f" census={{{','.join(f'{n}:{count}' for n, count in census)}}}{' all-zero' if entries is None else ''}"
+    )
 
 
 def _crystal_json(crystal: FCyclicCrystal) -> dict:
@@ -503,7 +556,8 @@ def cmd_gamma(args) -> Output:
     report = gamma_table(crystal, args.m_max)
 
     if args.format == "json":
-        return 0, {
+        # The document is rendered once with no orbits and cut at its list, the last member.
+        payload = {
             **_crystal_json(crystal),
             "m_max": report.m_max,
             "gamma": report.gamma,
@@ -512,8 +566,13 @@ def cmd_gamma(args) -> Output:
             "stabilization": report.stabilization,
             "stabilization_is_isomorphism_number": report.stabilization_is_isomorphism_number,
             "ordinary": report.ordinary,
-            "orbits": [_orbit_view(data, report.m_max) for data in report.orbits],
+            "orbits": [],
         }
+        before, after = _document("gamma", payload).split('"orbits": []', 1)
+        out = [before + '"orbits": ']
+        _orbits_write(report.orbits, report.m_max, out)
+        out.append(after)
+        return 0, _Streamed(("".join(out),))
     lines = [
         f"crystal r={crystal.r} perm={cycle_string(crystal.pi)} slopes={_seq_text(crystal.slopes)}"
         f" dieudonne={_YESNO[crystal.is_dieudonne]} ordinary={_YESNO[report.ordinary]}",
@@ -524,13 +583,7 @@ def cmd_gamma(args) -> Output:
         + ("" if report.stabilization_is_isomorphism_number else " (level only; not an isomorphism number here)"),
     ]
     for k, data in enumerate(report.orbits, start=1):
-        view = _orbit_view(data, report.m_max)
-        census = ",".join(f"{level}:{count}" for level, count in view["census"].items())
-        kind = " all-zero" if view["normalized"]["kind"] == "all-zero" else ""
-        level = "none" if view["level"] is None else str(view["level"])
-        lines.append(
-            f"orbit {k}: len={len(data.orbit)} eps={_seq_text(data.epsilon)} level={level} census={{{census}}}{kind}"
-        )
+        lines.append(_orbit_line(k, data, report.m_max))
     return 0, lines
 
 

@@ -101,6 +101,15 @@ def pair_edges(eps_t: int, eps_next: int, m: int) -> tuple[tuple[int, ...], tupl
     digits of column t+1 forced to zero, and (source_digit, target_digit, weight)
     triples.  Pure, with a bounded cache.  One rule covers the eleven sign and
     size regions of (eps_t, eps_next) that the tests transcribe case by case.
+
+    The pair is read only through a = max(eps_t, 0) and b = max(0, -eps_next),
+    and only through min(a, m) and min(b, m).  Once a >= m or b >= m, no digit
+    l has max(a, b) <= l < m, so no arc remains.  The marks saturate: the left
+    count min(b, m) - a reads b only through min(b, m), and is at most 0 once
+    a >= m, whatever a is; the right count min(a, m) - b likewise with a and b
+    swapped.  So clamping both entries into [-m, m] leaves the marks and arcs
+    as they are, and the level-m digraph of a sequence equals that of the
+    sequence with every entry clamped into [-m, m].
     """
     if m < 1:
         raise ValueError("level must be at least 1")

@@ -9,6 +9,8 @@ functions under test.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +251,21 @@ def test_census_levels_matches_level_counts(seqs, m):
     census = tuple(segment for seq in seqs for segment in run_census(seq)[0])
     counts = level_counts(census, m)
     assert census_levels(census, m) == [0] + [counts.get(level, 0) for level in range(1, m + 1)]
+
+
+def test_census_and_level_survive_negation_and_reversal():
+    # Measured, not argued (reversal with negation has an argument; either one
+    # alone has none), so nothing in src/ uses it: every sequence of up to six
+    # entries in [-3, 3] (137,256) against its negation and its reversal, by
+    # the segment count at every level and the circular level.
+    for s in range(1, 7):
+        top = 3 * s  # no segment is deeper than the sum of the magnitudes
+        for seq in itertools.product(range(-3, 4), repeat=s):
+            census, level = run_census(seq)
+            counts = census_levels(census, top)
+            for image in (tuple(-e for e in seq), seq[::-1]):
+                other, other_level = run_census(image)
+                assert (census_levels(other, top), other_level) == (counts, level), (seq, image)
 
 
 # ------------------------------------------------------------ circular level

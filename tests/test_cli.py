@@ -28,6 +28,7 @@ from fcrystal.digraph import ComponentStats
 from fcrystal.permutation import cycle_decomposition
 from fcrystal.scan import ScanRecord, enumerate_family, summarize
 from reference_cli import scan_rows as reference_scan_rows
+from reference_gamma import gamma_output as reference_gamma_output
 from reference_gamma import orbit_view as reference_orbit_view
 from reference_scan import records as per_crystal_records
 from test_scan import SMALL_FAMILIES
@@ -106,14 +107,27 @@ def test_orbit_view_matches_normalize_on_every_orbit():
         crystals.append(FCyclicCrystal(Permutation(tuple(images)), slopes))
     clamped = 0
     for c in crystals:
-        for data in orbit_data(c):
-            for m_max in (1, 2, 3, 6):
+        orbits = orbit_data(c)
+        for m_max in (1, 2, 3, 6):
+            for data in orbits:
                 clamped += max(map(abs, data.epsilon)) > m_max + 1 and data.level is not None
-                view = cli._orbit_view(data, m_max)
+                entries, census, level = cli._orbit_fields(data, m_max)
                 expected = reference_orbit_view(data.orbit.points, data.epsilon, data.census, m_max)
-                # every field, points read from the Orbit's columns, and the rendered json
-                assert {**view, "points": view["points"].points} == expected, (c, m_max)
-                assert cli._json_text(view) == json.dumps(expected, indent=2), (c, m_max)
+                # every field, and the json record written from them, points read from the Orbit's columns
+                normalized = (
+                    {"kind": "all-zero", "length": len(data.epsilon)}
+                    if entries is None
+                    else {"kind": "signs", "entries": entries}
+                )
+                assert normalized == expected["normalized"], (c, m_max)
+                assert {str(n): count for n, count in census} == expected["census"], (c, m_max)
+                assert level == expected["level"], (c, m_max)
+                out: list[str] = []
+                cli._orbits_write([data], m_max, out)
+                assert "".join(out) == json.dumps([expected], indent=2).replace("\n", "\n  "), (c, m_max)
+            # the text lines, one per orbit, against the reference's
+            text = [cli._orbit_line(k, data, m_max) for k, data in enumerate(orbits, start=1)]
+            assert text == reference_gamma_output(c, m_max, "text").splitlines()[5:], (c, m_max)
     assert clamped
 
 
@@ -258,7 +272,7 @@ def test_gamma_slope_past_str_digit_limit(capsys, fmt):
         assert payload["slopes"] == [0, NINES_INT]
         assert payload["gamma"] == list(table.gamma)
         assert payload["stabilization"] == NINES_INT
-        # the level shown is that of the sign form clamped at m_max (see cli._orbit_view)
+        # the level shown is that of the sign form clamped at m_max (see cli._orbit_fields)
         assert [(orbit["epsilon"], orbit["level"]) for orbit in payload["orbits"]] == [([0, 0], 0), ([-NINES_INT, NINES_INT], 4)]
     else:
         lines = out.splitlines()

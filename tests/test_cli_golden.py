@@ -172,7 +172,7 @@ CASES = [
     ("error-perm-non-ascii-digit", ("gamma", "--r", "2", "--perm", "(1 \u0662)", "--slopes", "0,1", "--m-max", "2"), None),
     ("error-slopes-negative", ("gamma", *C2[:4], "--slopes", "0,-1", "--m-max", "2"), None),
     ("error-slopes-before-perm", ("gamma", "--r", "2", "--perm", "(1 3)", "--slopes", "0", "--m-max", "2"), None),
-    ("error-perm-before-prime", ("endo", "--r", "2", "--perm", "(1 3)", "--slopes", "0,1", "--m", "2", "--prime", "1"), None),
+    ("error-prime-floor-before-perm", ("endo", "--r", "2", "--perm", "(1 3)", "--slopes", "0,1", "--m", "2", "--prime", "1"), None),
     ("error-gamma-level-zero", ("gamma", *C2, "--m-max", "0"), None),
     ("error-endo-no-level", ("endo", *C2), None),
     ("error-endo-both-levels", ("endo", *C2, "--m", "2", "--m-max", "3"), None),

@@ -3,6 +3,8 @@ digraph assembly, and classification."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -133,6 +135,29 @@ def test_build_rejects_bad_input():
         build_level_digraph((), 3)
     with pytest.raises(ValueError):
         build_level_digraph((1, 2), 0)
+
+
+def test_build_reads_entries_only_up_to_the_level():
+    # pair_edges' docstring: past the level an entry saturates, so the level-m
+    # digraph equals that of the sequence clamped into [-m, m]; every sequence
+    # of up to four entries in [-6, 6] at every level up to 4 (123,760 cases)
+    for s in range(1, 5):
+        for seq in itertools.product(range(-6, 7), repeat=s):
+            for m in range(1, 5):
+                clamped = tuple(max(-m, min(m, e)) for e in seq)
+                assert build_level_digraph(seq, m) == build_level_digraph(clamped, m), (seq, m)
+
+
+def test_oracle_counts_survive_reversal_with_negation():
+    # Reversal with negation turns the pair (x, y) into (-y, -x), which swaps a
+    # and b in the pair rule and so transposes the digraph.  Tested, not relied
+    # on: nothing in src/ uses it.  Every sequence of up to four entries in
+    # [-4, 4] at every level up to 4.
+    for s in range(1, 5):
+        for seq in itertools.product(range(-4, 5), repeat=s):
+            mirror = tuple(-e for e in reversed(seq))
+            for m in range(1, 5):
+                assert oracle_counts(seq, m) == oracle_counts(mirror, m), (seq, m)
 
 
 # ------------------------------------------------------------ propagation

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fcrystal import cli
+from fcrystal import cli, gamma_table
 from fcrystal.cli import _json_text
 from fcrystal.permutation import Orbit
 
@@ -150,8 +150,8 @@ def test_int_lists_past_the_table(values):
 
 
 def test_render_keeps_nothing_that_grows_with_rank():
-    # Label pieces live for one render: rendering a rank-300 gamma payload
-    # (300 orbits of 300 points) twice leaves almost nothing behind.
+    # Label pieces live for one render: writing the orbit list of a rank-300
+    # gamma report (300 orbits of 300 points) twice leaves almost nothing behind.
     rng = random.Random(300)
     order = list(range(1, 301))
     rng.shuffle(order)
@@ -160,17 +160,18 @@ def test_render_keeps_nothing_that_grows_with_rank():
         "--slopes", ",".join(str(rng.randint(0, 1)) for _ in range(300)),
         "--m-max", "3", "--override-limits", "--format", "json",
     ]
-    _, payload = cli.cmd_gamma(cli.build_parser().parse_args(argv))
-    # every int of the payload enters the bounded int table here, through a
-    # render without the orbits' points
-    _json_text({**payload, "orbits": [{**view, "points": []} for view in payload["orbits"]]})
+    args = cli.build_parser().parse_args(argv)
+    report = gamma_table(cli._crystal(args), args.m_max)
+    # every int the orbit list holds enters the bounded int table here, through
+    # the records' other members written without their points
+    cli._orbits_write([data._replace(orbit=Orbit((), ())) for data in report.orbits], args.m_max, [])
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _json_text(payload)
+        cli._orbits_write(report.orbits, args.m_max, [])
         gc.collect()
-        _json_text(payload)
+        cli._orbits_write(report.orbits, args.m_max, [])
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
