@@ -27,12 +27,9 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # to stdout, or to --out (see _emit); the last newline is a chunk of its own,
 # so adding it copies nothing.  json is rendered by _json_text, byte-identical
 # to json.dumps(indent=2), as one join of the pieces it appends down the tree,
-# so no level copies the text below it.  A list of plain ints is one join of
-# texts from a bounded int table.  An Orbit stands for the list of its points,
-# rendered from its two columns (_orbit_parts): a left piece per i and a right
-# piece per j from label tables made once per render, so no tuple and no %
-# formatting per point, and each first column's left pieces made once per
-# render (product_orbits shares one among the orbits of a cycle pair).
+# so no level copies the text below it.  It renders plain trees only: dicts,
+# lists, tuples, str, int, bool and None.  A list of plain ints is one join of
+# texts from a bounded int table.
 # Only a command's whole output streams: a scan returns a _Streamed for its csv,
 # its json and its text when it names violations, and gamma for its json.  A
 # scan's csv or json is its rows streamed between a rendered head and tail (the
@@ -42,8 +39,9 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # class's verdicts by its count in the table.  gamma json cuts its document at
 # "orbits": [] the same way, and _orbits_write appends every orbit's record
 # between the two parts straight from _orbit_fields, which gamma text's orbit
-# lines read too, with no dict per orbit; the whole text is joined once, in
-# the command.
+# lines read too, with no dict per orbit.  _orbits_write is the one place that
+# writes orbit points, straight from each orbit's two columns.  The whole text
+# is joined once, in the command.
 # So a failed command writes nothing, and stdout never gets part of a document
 # followed by an error.  A crystal's csv line or json record is three pieces,
 # its permutation's head, its slope vector's cells and its class's cells, each
@@ -93,7 +91,7 @@ from .crystal import (
     verify_sweep,
 )
 from .digraph import build_level_digraph, propagate_zeros, to_dot
-from .permutation import Orbit, ParseError, cycle_string, parse_permutation
+from .permutation import ParseError, cycle_string, parse_permutation
 from .scan import CHECKS, FAMILIES, ScanRecord, enumerate_family, family_size, scan_table, slope_bound, summarize
 
 MAX_R = 8
@@ -334,7 +332,7 @@ def _power(p: int, v: int) -> str:
 
 class _Labels(dict):
     """label -> head + label + tail, made on first lookup: the text pieces of
-    one Orbit column at one indent, kept for one render (see _orbit_parts)."""
+    one orbit column, kept for one _orbits_write call."""
 
     __slots__ = ("head", "tail")
 
@@ -348,14 +346,13 @@ class _Labels(dict):
 
 
 def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, indent=2), byte for byte, for trees of dicts with str
-    keys, lists, tuples, str, int, bool and None, where an Orbit stands for the
-    list of its points and an int outside a list may have any length (see
-    _exact); anything else, a record included, raises TypeError.  The text is
-    one join of the pieces _json_write appends, so no part of it is copied on
-    its way up the tree."""
+    """json.dumps(value, indent=2), byte for byte, for plain trees: dicts with
+    str keys, lists, tuples, str, int, bool and None, where an int outside a
+    list may have any length (see _exact); anything else, an Orbit or a record
+    included, raises TypeError.  The text is one join of the pieces _json_write
+    appends, so no part of it is copied on its way up the tree."""
     out: list[str] = []
-    _json_write(value, indent, out, {})
+    _json_write(value, indent, out)
     return "".join(out)
 
 
@@ -364,10 +361,9 @@ def _document(command: str, payload: dict) -> str:
     return _json_text({"schema": SCHEMA, "command": command, **payload})
 
 
-def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
+def _json_write(value, indent: str, out: list[str]) -> None:
     """Append the json of value at indent to out.  A list of plain ints is one
-    join of texts from a bounded int table; an Orbit's points are label pieces
-    from pieces[indent], made once per render (see _orbit_parts)."""
+    join of texts from a bounded int table."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -378,8 +374,6 @@ def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, int):
         out.append(_exact(value))
-    elif type(value) is Orbit:
-        out += _orbit_parts(value, indent, pieces)
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -389,7 +383,7 @@ def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
         for key, item in value.items():
             # encode_basestring_ascii raises TypeError on a key that is not a str
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _json_write(item, inner, out, pieces)
+            _json_write(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
     elif type(value) is not list and type(value) is not tuple:  # a record is a tuple subclass: refused
@@ -404,41 +398,9 @@ def _json_write(value, indent: str, out: list[str], pieces: dict) -> None:
         sep = "[\n" + inner
         for item in value:
             out.append(sep)
-            _json_write(item, inner, out, pieces)
+            _json_write(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
-
-
-def _orbit_parts(orbit: Orbit, indent: str, pieces: dict) -> list[str]:
-    """An Orbit's points at indent as text pieces, laid out as _json_text lays
-    out a list of int pairs.  Point (i, j) is a left piece of i (the separator,
-    the open bracket and i) and a right piece of j (j and the close bracket);
-    pieces[indent] holds both label tables, made once per render, and the left
-    pieces of each first column met so far, keyed by identity (product_orbits
-    shares one first column among the orbits of a cycle pair).  The first
-    point's separator ',' becomes the list's '['."""
-    if not orbit:
-        return ["[]"]
-    labels = pieces.get(indent)
-    if labels is None:
-        inner = indent + "  "
-        deeper = inner + "  "
-        labels = pieces[indent] = (
-            _Labels(",\n" + inner + "[\n" + deeper, ",\n" + deeper).__getitem__,
-            _Labels("", "\n" + inner + "]").__getitem__,
-            {},
-        )
-    left, right, columns = labels
-    first = orbit.first
-    column = columns.get(id(first))
-    if column is None:  # the column is kept with its pieces, so its id names no other object this render
-        column = columns[id(first)] = (first, list(map(left, first)))
-    parts = [""] * (2 * len(first))
-    parts[::2] = column[1]
-    parts[1::2] = map(right, orbit.second)
-    parts[0] = "[" + parts[0][1:]
-    parts.append("\n" + indent + "]")
-    return parts
 
 
 def _json_members(mapping: dict, inner: str) -> list[str]:
@@ -456,7 +418,11 @@ def _orbit_fields(
     as (level, count) pairs with count > 0, which the clamp leaves as it is;
     and the circular level.  The sign form is spelled out only for entries
     past +-1, and the level taken from the clamped form only when the clamp
-    cuts an entry; otherwise it is data.level."""
+    cuts an entry; otherwise it is data.level.  The census is counted only up
+    to its highest level, past which no count exists, so an orbit costs the
+    same at any m_max.  A balanced orbit's highest level is its circular
+    level: each dip of the running sums below their peak is a segment, and
+    none is deeper than their spread."""
     eps = data.epsilon
     top = max(max(eps), -min(eps))
     level = data.level
@@ -469,14 +435,15 @@ def _orbit_fields(
         entries = norm.entries
         if top > m_max + 1:
             level = circular_level(norm)
-    census = [(n, count) for n, count in enumerate(census_levels(data.census, m_max)) if count]
+    highest = data.level if data.level is not None else max([hi for _, hi in data.census], default=0)
+    census = [(n, count) for n, count in enumerate(census_levels(data.census, min(m_max, highest))) if count]
     return entries, census, level
 
 
 # The fixed text of gamma's json orbit records, objects at depth 2 of the
 # document, between the values _orbits_write appends.
 _POINTS = '{\n      "points": '
-_EPSILON = ',\n      "epsilon": [\n        '
+_EPSILON = '\n      ],\n      "epsilon": [\n        '
 _ALL_ZERO = '\n      ],\n      "normalized": {\n        "kind": "all-zero",\n        "length": '
 _SIGNS = '\n      ],\n      "normalized": {\n        "kind": "signs",\n        "entries": [\n          '
 _CENSUS = '\n      },\n      "census": '
@@ -487,13 +454,30 @@ def _orbits_write(orbits: Sequence[OrbitData], m_max: int, out: list[str]) -> No
     """Append to out gamma's json "orbits" list, never empty, as a member value
     of the document: the text _json_text gives for each orbit's record
     {points, epsilon, normalized, census, level}, written straight from
-    _orbit_fields, its points through _orbit_parts and no dict per orbit."""
-    pieces: dict = {}
+    _orbit_fields with no dict per orbit.  It is the one writer of orbit
+    points, each read from the orbit's two columns with no tuple and no %
+    formatting per point: point (i, j) is a left piece of i (the separator,
+    the open bracket and i) and a right piece of j (j and the close bracket),
+    and the first point's separator ',' becomes the list's '['.  The two label
+    tables are made once per call, and so are each first column's left pieces,
+    kept by identity: product_orbits shares one first column among the orbits
+    of a cycle pair."""
+    left = _Labels(",\n        [\n          ", ",\n          ").__getitem__
+    right = _Labels("", "\n        ]").__getitem__
+    columns: dict = {}
     sep = "[\n    "
     for data in orbits:
         entries, census, level = _orbit_fields(data, m_max)
+        first = data.orbit.first
+        column = columns.get(id(first))
+        if column is None:  # the column is kept with its pieces, so its id names no other object this call
+            column = columns[id(first)] = (first, list(map(left, first)))
+        points = [""] * (2 * len(first))  # a pair orbit has at least one point
+        points[::2] = column[1]
+        points[1::2] = map(right, data.orbit.second)
+        points[0] = "[" + points[0][1:]
         out += sep, _POINTS
-        out += _orbit_parts(data.orbit, "      ", pieces)
+        out += points
         out += _EPSILON, ",\n        ".join(map(_INT_TEXT, data.epsilon))
         if entries is None:
             out += _ALL_ZERO, _INT_TEXT(len(data.epsilon)), _CENSUS

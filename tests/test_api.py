@@ -186,7 +186,7 @@ def test_only_a_whole_output_streams():
     source = Path(importlib.import_module("fcrystal.cli").__file__).read_text()
     functions = {node.name: node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)}
     writer = [node.id for node in ast.walk(functions["_json_write"]) if isinstance(node, ast.Name)]
-    assert "Orbit" in writer and "_Streamed" not in writer
+    assert "Orbit" not in writer and "_Streamed" not in writer
     constants = {node.value for node in ast.walk(functions["main"]) if isinstance(node, ast.Constant)}
     assert constants & {"gamma", "endo", "verify", "scan", "minimal", "text", "json", "csv"} == set()
 

@@ -287,6 +287,20 @@ def test_circular_level_matches_naive_interval_sums(entries):
         assert circular_level(norm) == naive_circular_level(entries)
 
 
+def test_balanced_census_tops_out_at_the_circular_level():
+    # every dip of the running sums below their peak is a segment, so a
+    # balanced sequence's deepest segment lies at its circular level (gamma's
+    # orbit census is counted up to it); every sequence of length <= 5 over -3..3
+    balanced = 0
+    for s in range(1, 6):
+        for seq in itertools.product(range(-3, 4), repeat=s):
+            census, level = run_census(seq)
+            if level is not None:
+                balanced += 1
+                assert max([hi for _, hi in census], default=0) == level, seq
+    assert balanced > 1000
+
+
 # ------------------------------------------------------------ closed counts
 
 

@@ -23,9 +23,10 @@ from pathlib import Path
 import pytest
 
 from fcrystal import FCyclicCrystal, Permutation, cli, gamma_table, orbit_data, scan
+from fcrystal.circseq import census_levels
 from fcrystal.cli import main
 from fcrystal.digraph import ComponentStats
-from fcrystal.permutation import cycle_decomposition
+from fcrystal.permutation import cycle_decomposition, parse_permutation
 from fcrystal.scan import ScanRecord, enumerate_family, summarize
 from reference_cli import scan_rows as reference_scan_rows
 from reference_gamma import gamma_output as reference_gamma_output
@@ -129,6 +130,30 @@ def test_orbit_view_matches_normalize_on_every_orbit():
             text = [cli._orbit_line(k, data, m_max) for k, data in enumerate(orbits, start=1)]
             assert text == reference_gamma_output(c, m_max, "text").splitlines()[5:], (c, m_max)
     assert clamped
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_orbit_census_is_counted_only_to_its_highest_level(capsys, monkeypatch, fmt):
+    # no census count exists past an orbit's highest level, so gamma text and
+    # json count each orbit's census only that far: an orbit costs the same at
+    # any --m-max.  A 40-cycle and a 10-cycle whose slopes average apart give
+    # balanced orbits and unbalanced ones.
+    calls = []
+
+    def recording(census, m):
+        calls.append((m, max([hi for _, hi in census], default=0)))
+        return census_levels(census, m)
+
+    monkeypatch.setattr(cli, "census_levels", recording)
+    perm = "(" + " ".join(map(str, range(1, 41))) + ")(" + " ".join(map(str, range(41, 51))) + ")"
+    slopes = tuple(k * k % 3 % 2 for k in range(40)) + (1,) * 10
+    orbits = orbit_data(FCyclicCrystal(parse_permutation(perm, 50), slopes))
+    assert {data.level is None for data in orbits} == {True, False}
+    argv = ["gamma", "--r", "50", "--perm", perm, "--slopes", ",".join(map(str, slopes)), "--m-max", "100000"]
+    code, out, err = run(capsys, *argv, "--override-limits", "--format", fmt)
+    assert (code, err) == (0, "") and out
+    assert len(calls) == len(orbits) == 70
+    assert all(m <= highest for m, highest in calls), max(calls)
 
 
 def test_gamma_ordinary_crystal(capsys):

@@ -1,7 +1,8 @@
 """`fcrystal gamma` json and text against the path it replaced (see
 reference_gamma.py): the same bytes on large cycles, one with slopes of
 10**23, on mixed cycle lengths with fixed points, and on random crystals with
-small and clamped slopes, at every level bound 1..6."""
+small and clamped slopes, at every level bound 1..6, and at a level bound far
+past every census level."""
 
 from __future__ import annotations
 
@@ -73,3 +74,18 @@ def test_gamma_matches_old_path_on_random_crystals(capsys, fmt):
                 crystal,
                 m_max,
             )
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_gamma_matches_old_path_far_past_the_census(capsys, fmt):
+    # --m-max 1000 lies far past every census level here (slopes reach 40), so
+    # every orbit's census is cut at its own highest level, not at --m-max
+    rng = random.Random(17)
+    crystals = [large_crystals()[1]]
+    for _ in range(10):
+        r = rng.randint(1, 8)
+        images = list(range(1, r + 1))
+        rng.shuffle(images)
+        crystals.append(FCyclicCrystal(Permutation(tuple(images)), tuple(rng.choice(SLOPES) for _ in range(r))))
+    for crystal in crystals:
+        assert lines(cli_output(capsys, crystal, 1000, fmt)) == lines(gamma_output(crystal, 1000, fmt)), crystal

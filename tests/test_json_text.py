@@ -1,6 +1,9 @@
-"""The json writer of the command line against json.dumps(indent=2): the same
-bytes on every tree of dicts, lists, tuples, str, int, bool and None, on an
-Orbit against the list of its points, and a TypeError on anything else."""
+"""The json writers of the command line against json.dumps(indent=2).  The
+generic writer renders plain trees: the same bytes on every tree of dicts,
+lists, tuples, str, int, bool and None, and a TypeError on anything else, an
+Orbit included.  Gamma's orbit record writer is the one place that writes
+orbit points: the same bytes as json.dumps of the records, points read from
+each Orbit's two columns."""
 
 from __future__ import annotations
 
@@ -15,8 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcrystal import cli, gamma_table
+from fcrystal.circseq import run_census
 from fcrystal.cli import _json_text
+from fcrystal.crystal import OrbitData
 from fcrystal.permutation import Orbit
+from reference_gamma import orbit_view
 
 # non-ASCII, quote, backslash, control characters and a lone surrogate, besides any character
 characters = st.one_of(st.sampled_from('"\\\x00\x08\x1f\x7fé \U0001f600\ud800/'), st.characters())
@@ -80,8 +86,14 @@ def test_matches_json_dumps_on_fast_path_edges(tree):
 
 @pytest.mark.parametrize(
     "tree",
-    [1.5, [0, 1.5], Fraction(1, 2), [(1, Fraction(1, 2))], {"a": {1: 2}}, {None: 1}, {"a": [{"b": 0.0}]}],
-    ids=["float", "float-in-list", "fraction", "fraction-in-row", "int-key", "none-key", "nested-float"],
+    [
+        1.5, [0, 1.5], Fraction(1, 2), [(1, Fraction(1, 2))], {"a": {1: 2}}, {None: 1}, {"a": [{"b": 0.0}]},
+        Orbit((1,), (2,)), {"points": Orbit((1, 2), (2, 1))},
+    ],
+    ids=[
+        "float", "float-in-list", "fraction", "fraction-in-row", "int-key", "none-key", "nested-float",
+        "orbit", "orbit-in-dict",
+    ],
 )
 def test_refuses_other_types(tree):
     with pytest.raises(TypeError):
@@ -93,11 +105,13 @@ def test_text_refuses_a_streamed_value():
         _json_text({"records": cli._Streamed(["[]"])})
 
 
-# Orbits of 1-6 points, labels from 1 up to past the int table's -1024..1024.
+# Orbits of 1-6 points, labels from 1 up to past the int table's -1024..1024,
+# each with an epsilon of its length.
 labels = st.one_of(st.integers(1, 9), st.integers(1, 2000), st.integers(1, 10**30))
 orbits = st.integers(1, 6).flatmap(
     lambda n: st.tuples(st.tuples(*[labels] * n), st.tuples(*[labels] * n)).map(lambda columns: Orbit(*columns))
 )
+epsilons = st.lists(st.integers(-5, 5), min_size=6, max_size=6)  # entries past +-3 are clamped at m_max 2
 INDENTS = ["", "  ", "      "]
 
 
@@ -105,35 +119,48 @@ def reindented(text: str, indent: str) -> str:
     return text.replace("\n", "\n" + indent)
 
 
-@given(orbits)
+def orbit_data(orbit: Orbit, eps) -> OrbitData:
+    epsilon = tuple(eps[: len(orbit)])
+    return OrbitData(orbit, epsilon, *run_census(epsilon))
+
+
+def assert_records_match(group: list[OrbitData], m_max: int = 2) -> None:
+    # the orbits list as a member value of gamma's document, against json.dumps of its records
+    out: list[str] = []
+    cli._orbits_write(group, m_max, out)
+    records = [orbit_view(data.orbit.points, data.epsilon, data.census, m_max) for data in group]
+    assert "".join(out) == reindented(json.dumps(records, indent=2), "  ")
+
+
+@given(orbits, epsilons)
 @settings(max_examples=300)
-def test_orbit_matches_json_dumps_of_its_points(orbit):
-    for indent in INDENTS:
-        assert _json_text(orbit, indent) == reindented(json.dumps(orbit.points, indent=2), indent)
+def test_orbit_record_matches_json_dumps(orbit, eps):
+    assert_records_match([orbit_data(orbit, eps)])
 
 
-@pytest.mark.parametrize("indent", INDENTS)
 @pytest.mark.parametrize(
     "orbit",
-    [Orbit((1,), (1,)), Orbit((3,), (1025,)), Orbit((2000, 1), (1, 10**30)), Orbit((), ())],
-    ids=["one-point", "one-point-past-table", "labels-past-table", "empty"],
+    [Orbit((1,), (1,)), Orbit((3,), (1025,)), Orbit((10**30,), (2000,)), Orbit((2000, 1), (1, 10**30))],
+    ids=["one-point", "one-point-past-table", "one-point-huge-label", "labels-past-table"],
 )
-def test_orbit_edges(orbit, indent):
-    assert _json_text(orbit, indent) == reindented(json.dumps(orbit.points, indent=2), indent)
+@pytest.mark.parametrize("eps", [(0, 0), (1, -1), (5, -5)], ids=["all-zero", "signs", "clamped"])
+def test_orbit_record_edges(orbit, eps):
+    assert_records_match([orbit_data(orbit, eps)])
 
 
-@given(st.lists(orbits, min_size=1, max_size=4))
+@given(st.lists(st.tuples(labels, labels), min_size=1, max_size=6), st.integers(1, 4), epsilons)
 @settings(max_examples=100)
-def test_orbits_share_label_pieces_within_one_render(group):
-    # one render holds one label table per indent: orbits at two depths, and
-    # the same orbit twice
-    tree = {"orbits": [{"points": orbit} for orbit in group], "deeper": [[group[0]]], "again": group[0]}
-    expected = {
-        "orbits": [{"points": orbit.points} for orbit in group],
-        "deeper": [[group[0].points]],
-        "again": group[0].points,
-    }
-    assert _json_text(tree) == json.dumps(expected, indent=2)
+def test_orbits_sharing_a_first_column_in_one_call(points, count, eps):
+    # product_orbits shares one first column object among the orbits of a cycle
+    # pair, and the writer keeps its left pieces by identity: several orbits
+    # over one column object, an equal column held by another object, another
+    # column of the same length, and the same orbit twice
+    first = tuple(i for i, _ in points)
+    seconds = [tuple(j + k for _, j in points) for k in range(count)]
+    shared = [orbit_data(Orbit(first, second), eps) for second in seconds]
+    others = [Orbit(tuple(list(first)), seconds[0]), Orbit(tuple(i + 1 for i in first), seconds[-1])]
+    group = shared + [orbit_data(orbit, eps) for orbit in others] + [shared[0]]
+    assert_records_match(group)
 
 
 @pytest.mark.parametrize(
@@ -150,8 +177,9 @@ def test_int_lists_past_the_table(values):
 
 
 def test_render_keeps_nothing_that_grows_with_rank():
-    # Label pieces live for one render: writing the orbit list of a rank-300
-    # gamma report (300 orbits of 300 points) twice leaves almost nothing behind.
+    # Label pieces live for one _orbits_write call: writing the orbit list of a
+    # rank-300 gamma report (300 orbits of 300 points) twice leaves almost
+    # nothing behind.
     rng = random.Random(300)
     order = list(range(1, 301))
     rng.shuffle(order)
@@ -162,9 +190,8 @@ def test_render_keeps_nothing_that_grows_with_rank():
     ]
     args = cli.build_parser().parse_args(argv)
     report = gamma_table(cli._crystal(args), args.m_max)
-    # every int the orbit list holds enters the bounded int table here, through
-    # the records' other members written without their points
-    cli._orbits_write([data._replace(orbit=Orbit((), ())) for data in report.orbits], args.m_max, [])
+    # a full write first: every int the records hold enters the bounded int table here
+    cli._orbits_write(report.orbits, args.m_max, [])
     gc.collect()
     tracemalloc.start()
     try:
