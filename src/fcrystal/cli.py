@@ -36,7 +36,10 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # json document is rendered once with "records": [] and cut there), and the
 # rows are rendered only as they are written, after every step that can raise:
 # argument checks, caps, scan.scan_table and the summary, which weights each
-# class's verdicts by its count in the table.  gamma json cuts its document at
+# class's verdicts by its count in the table.  scan.scan_table returns whole
+# class records; cmd_scan is the one place that applies --check, blanking the
+# verdicts not asked for once per class record, so the summary, the exit code
+# and every format read the same records.  gamma json cuts its document at
 # "orbits": [] the same way, and _orbits_write appends every orbit's record
 # between the two parts straight from _orbit_fields, which gamma text's orbit
 # lines read too, with no dict per orbit.  _orbits_write is the one place that
@@ -792,13 +795,16 @@ def _scan_rows(
 def cmd_scan(args) -> Output:
     _check_limits(args.override_limits, args.r, args.m_max)
     _check_family_size(args.override_limits, args.family, [args.r], args.slope_max)
-    checks = tuple(args.check) if args.check else CHECKS
+    names = ScanRecord._fields  # the record fields in order, the csv columns
+    checks = tuple(dict.fromkeys(args.check or CHECKS))  # each named once, in first-seen order
     slope_max = slope_bound(args.family, args.slope_max)
-    perms, slopes, classes, counts, rows = scan_table(args.family, args.r, args.m_max, slope_max, checks)
+    perms, slopes, classes, counts, rows = scan_table(args.family, args.r, args.m_max, slope_max)
+    # --check applies here and nowhere else: every output below reads these class records
+    blank = {field: None for name, field in zip(CHECKS, names[-len(CHECKS) :]) if name not in checks}
+    classes = [record._replace(**blank) for record in classes]
     summary = summarize(classes, counts)
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
     code = 0 if violations == 0 else 1
-    names = ScanRecord._fields  # the record fields in order, the csv columns
 
     if args.format == "json":
         # A record is an object at depth 2 of the payload, its members at inner: its head (r, perm) is rendered

@@ -110,6 +110,15 @@ def pair_edges(eps_t: int, eps_next: int, m: int) -> tuple[tuple[int, ...], tupl
     swapped.  So clamping both entries into [-m, m] leaves the marks and arcs
     as they are, and the level-m digraph of a sequence equals that of the
     sequence with every entry clamped into [-m, m].
+
+    Past both entries the pair only grows.  Once m >= max(a, b), min(b, m) = b
+    and min(a, m) = a, so the left marks are the digits below b - a and the
+    right ones those below a - b, whatever m is; and the digits l with
+    max(a, b) <= l < m + 1 are those of level m plus l = m, so level m + 1
+    keeps level m's marks and arcs and appends the one arc (m - a, m - b,
+    a - b).  That each level past every pair's max(a, b) then extends each
+    path, and adds one cycle exactly when the sequence sums to 0, is not
+    argued here: the tests check it on a box only.
     """
     if m < 1:
         raise ValueError("level must be at least 1")

@@ -16,7 +16,9 @@ slope words give its tables through crystal.class_tables, whose pair tables
 are memoized for the whole scan in a dict that scan_table makes and drops,
 and its minimality through crystal.is_minimal_words; its one crystal object
 only checks the slopes, and it makes no second decomposition.  It computes
-every verdict, each linear in the levels, and masks those not requested.
+every verdict, each linear in the levels, so a record is always whole: a
+verdict is None only where its check does not apply.  Which verdicts print is
+the cli's choice (scan --check blanks the others on the class records).
 _class_key takes each least rotation as one min over slices of the word read
 twice.  A crystal's slope word is looked up only when its row is read, at C
 speed.
@@ -45,7 +47,7 @@ class ScanRecord(NamedTuple):
     """Invariants and property verdicts for one crystal.
 
     Verdict fields are True (holds), False (violated), or None (not applicable
-    to this crystal or not requested).
+    to this crystal).
     """
 
     r: int
@@ -135,20 +137,14 @@ def _ratio_holds(gamma: Sequence[int]) -> bool:
     return all(gamma[n + 1] * n < gamma[n] * (n + 1) for n in range(first, len(gamma) - 1))
 
 
-def scan_record(
-    pi: Permutation,
-    slopes: tuple[int, ...],
-    m_max: int,
-    checks: Sequence[str] = CHECKS,
-    pairs: Optional[dict] = None,
-) -> ScanRecord:
-    """One crystal's tables and the verdicts of the checks named in checks.
-    One cycle_decomposition of pi gives the record's cycle string, the circular
-    test of the strict check and the cycles' slope words, whose pair tables
-    (crystal.class_tables, memoized in pairs) give the tables and whose
-    windows give minimality (crystal.is_minimal_words).  FCyclicCrystal
-    checks the slopes.  Every verdict is computed, whatever checks names, as a
-    function of the class alone; checks only masks the rest to None."""
+def scan_record(pi: Permutation, slopes: tuple[int, ...], m_max: int, pairs: Optional[dict] = None) -> ScanRecord:
+    """One crystal's tables and the verdicts of every check, None where a check
+    does not apply.  One cycle_decomposition of pi gives the record's cycle
+    string, the circular test of the strict check and the cycles' slope words,
+    whose pair tables (crystal.class_tables, memoized in pairs) give the tables
+    and whose windows give minimality (crystal.is_minimal_words).
+    FCyclicCrystal checks the slopes.  Every verdict is a function of the
+    class alone."""
     dieudonne = FCyclicCrystal(pi, slopes).is_dieudonne
     cycles = cycle_decomposition(pi)
     words = [tuple([slopes[i - 1] for i in cycle]) for cycle in cycles]
@@ -159,20 +155,18 @@ def scan_record(
         minimal = is_minimal_words(words)
     report = delta_report(delta, stab)
     bound = min(stab, m_max)
-    # In CHECKS order, None where a check does not apply: the strict decrease
-    # and the ratio bound concern nonordinary Dieudonne crystals only, the
-    # strict one only a circular one read past its stabilization level.
-    verdicts = (
+    # The verdicts in CHECKS order, None where a check does not apply: the
+    # strict decrease and the ratio bound concern nonordinary Dieudonne
+    # crystals only, the strict one only a circular one read past its
+    # stabilization level.
+    return ScanRecord(
+        pi.size, cycles_text(cycles), slopes, m_max, gamma, delta, b, stab, dieudonne, ordinary, minimal,
         report.nonincreasing,
         report.strict_through_stabilization if ordinary is False and len(cycles) == 1 and m_max > stab else None,
         # gamma rises at every level up to the stabilization level and is constant from there
         all(step > 0 for step in delta[:bound]) and not any(delta[bound:]),
         _ratio_holds(gamma) if ordinary is False else None,
         minimal == (stab <= 1) if dieudonne else None,
-    )
-    return ScanRecord(
-        pi.size, cycles_text(cycles), slopes, m_max, gamma, delta, b, stab, dieudonne, ordinary, minimal,
-        *[verdict if name in checks else None for name, verdict in zip(CHECKS, verdicts)],
     )
 
 
@@ -191,15 +185,12 @@ def _class_key(cycles: Sequence[tuple[int, ...]], slopes: tuple[int, ...]) -> tu
 
 
 def scan_table(
-    family: str,
-    r: int,
-    m_max: int,
-    slope_max: int = 1,
-    checks: Sequence[str] = CHECKS,
+    family: str, r: int, m_max: int, slope_max: int = 1
 ) -> tuple[list[str], list[tuple[int, ...]], list[ScanRecord], list[int], Iterator[Iterator[int]]]:
     """A family as one class table (perms, slopes, classes, counts, rows): the
-    cycle strings and the slope vectors in enumeration order, one scan_record
-    per isomorphism class in order of first member, counts[c], how many crystals
+    cycle strings and the slope vectors in enumeration order, one whole
+    scan_record per isomorphism class in order of first member (a verdict is
+    None only where its check does not apply), counts[c], how many crystals
     class c holds, and rows, an iterator read once that yields one row per
     permutation in order: an iterator over the class indices of crystals
     (perms[p], slopes[s]) for each s, each looked up as it is read.
@@ -211,17 +202,14 @@ def scan_table(
     at its first permutation, so _class_key runs once per distinct key and
     scan_record once per class, in enumeration order; the counts come from the
     cycle types, and no per-crystal list is built."""
-    checks = tuple(checks)
     permutations = _permutations(family, r)
     slopes = list(_slope_vectors(slope_bound(family, slope_max), r))
     perms: list[str] = []
     classes: list[ScanRecord] = []
-    getters: list[itemgetter] = []
-    memos: list[dict] = []  # per permutation, its cycle type's memo
+    readers: list[tuple[itemgetter, dict]] = []  # per permutation, its word getter and its cycle type's memo
     pairs: dict = {}  # (u, v) -> crystal.pair_table(u, v)
     by_class: dict[tuple[tuple[int, ...], ...], int] = {}
-    by_type: dict[tuple[int, ...], dict] = {}  # sorted cycle lengths -> {word: class index}
-    members: dict[tuple[int, ...], int] = {}  # sorted cycle lengths -> permutations of that type
+    by_type: dict[tuple[int, ...], list] = {}  # sorted cycle lengths -> [{word: class index}, permutation count]
     for pi in permutations:
         cycles = cycle_decomposition(pi)
         perm = cycles_text(cycles)
@@ -230,35 +218,32 @@ def scan_table(
         # names the word as well as a 1-tuple would.
         word_of = itemgetter(*[i - 1 for cycle in cycles for i in cycle])
         lengths = tuple(map(len, cycles))
-        memo = by_type.get(lengths)
-        if memo is None:
+        entry = by_type.get(lengths)
+        if entry is None:
             # word_of permutes coordinates, so the words of this permutation's
             # crystals are every word of its type: no later permutation misses.
-            memo = by_type[lengths] = {}
+            entry = by_type[lengths] = [{}, 0]
             for vector in slopes:
                 key = _class_key(cycles, vector)
                 index = by_class.get(key)
                 if index is None:
                     index = by_class[key] = len(classes)
-                    classes.append(scan_record(pi, vector, m_max, checks, pairs))
-                memo[word_of(vector)] = index
-        members[lengths] = members.get(lengths, 0) + 1
+                    classes.append(scan_record(pi, vector, m_max, pairs))
+                entry[0][word_of(vector)] = index
+        entry[1] += 1
         perms.append(perm)
-        getters.append(word_of)
-        memos.append(memo)
+        readers.append((word_of, entry[0]))
     counts = [0] * len(classes)
-    for lengths, memo in by_type.items():
+    for memo, members in by_type.values():
         for index in memo.values():
-            counts[index] += members[lengths]
-    rows = (map(memo.__getitem__, map(word_of, slopes)) for word_of, memo in zip(getters, memos))
+            counts[index] += members
+    rows = (map(memo.__getitem__, map(word_of, slopes)) for word_of, memo in readers)
     return perms, slopes, classes, counts, rows
 
 
-def summarize(records: Sequence[ScanRecord], counts: Optional[Sequence[int]] = None) -> dict[str, int]:
-    """Violation counts per property over a scan, plus the record total.  With
-    counts, records[i] stands for counts[i] crystals."""
-    if counts is None:
-        counts = [1] * len(records)
+def summarize(records: Sequence[ScanRecord], counts: Sequence[int]) -> dict[str, int]:
+    """Violation counts per property over a scan, plus the record total, where
+    records[i] stands for counts[i] crystals."""
     summary = {"records": sum(counts)}
     for k, name in enumerate(CHECKS, len(ScanRecord._fields) - len(CHECKS)):
         summary[f"violations[{name}]"] = sum(n for record, n in zip(records, counts) if record[k] is False)

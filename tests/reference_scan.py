@@ -9,7 +9,9 @@ were before scan records were built from one cycle decomposition: a crystal
 object, a second decomposition inside is_minimal, a verdict dict and a key
 of least rotations formed one by one.  They are the references for
 fcrystal.scan.scan_record, fcrystal.crystal.is_minimal and
-fcrystal.scan._class_key.  ratio_holds is the ratio bound as it was before one
+fcrystal.scan._class_key; scan_record still takes the checks to report, as
+scan_record did before the cli took over --check, so it is also the
+reference for the class records the cli blanks.  ratio_holds is the ratio bound as it was before one
 pass over adjacent levels: every pair of levels compared, the reference for
 fcrystal.scan._ratio_holds.
 """
@@ -25,11 +27,10 @@ from fcrystal.crystal import FCyclicCrystal, class_tables, delta_report
 from fcrystal.permutation import Permutation, cycle_decomposition, cycle_string, cycles_text
 
 
-def scan_table(family, r, m_max, slope_max=1, checks=scan.CHECKS):
+def scan_table(family, r, m_max, slope_max=1):
     """(perms, slopes, classes, rows): rows[p][s] is the index in classes of
     crystal (perms[p], slopes[s]); _class_key and scan_record are called
     through the scan module, as scan.scan_table calls them."""
-    checks = tuple(checks)
     permutations = scan._permutations(family, r)
     slopes = list(scan._slope_vectors(scan.slope_bound(family, slope_max), r))
     perms = []
@@ -50,7 +51,7 @@ def scan_table(family, r, m_max, slope_max=1, checks=scan.CHECKS):
                 index = by_class.get(key)
                 if index is None:
                     index = by_class[key] = len(classes)
-                    classes.append(scan.scan_record(pi, vector, m_max, checks))
+                    classes.append(scan.scan_record(pi, vector, m_max))
                 memo[word] = index
             row.append(index)
         perms.append(cycle_string(pi))
@@ -58,11 +59,11 @@ def scan_table(family, r, m_max, slope_max=1, checks=scan.CHECKS):
     return perms, slopes, classes, rows
 
 
-def records(family, r, m_max, slope_max=1, checks=scan.CHECKS):
+def records(family, r, m_max, slope_max=1):
     """One scan_record per crystal of the family, in enumeration order: the
     definition scan.scan_table's classes, counts and rows must expand to.
     scan_record is called through the scan module, so a patched one applies."""
-    return [scan.scan_record(pi, slopes, m_max, checks) for pi, slopes in scan.enumerate_family(family, r, slope_max)]
+    return [scan.scan_record(pi, slopes, m_max) for pi, slopes in scan.enumerate_family(family, r, slope_max)]
 
 
 def is_minimal(crystal: FCyclicCrystal) -> bool:

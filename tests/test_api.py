@@ -249,6 +249,18 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "scan.csv").read_text()
 
 
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; this is the offline
+    # guard of that floor for syntax (it cannot see a library call that 3.10
+    # lacks).  A 3.11-only form is refused, so the check has teeth.
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    paths = sorted(path for folder in ("src", "tests", "demos", "perfbench") for path in (ROOT / folder).rglob("*.py"))
+    assert len(paths) > 40
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_cli_import_loads_no_dataclasses():
     # import dataclasses pulls in inspect, ast, dis and tokenize, and each
     # dataclass execs its generated methods at every import: together about half

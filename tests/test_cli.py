@@ -32,7 +32,8 @@ from reference_cli import scan_rows as reference_scan_rows
 from reference_gamma import gamma_output as reference_gamma_output
 from reference_gamma import orbit_view as reference_orbit_view
 from reference_scan import records as per_crystal_records
-from test_scan import SMALL_FAMILIES
+from reference_scan import scan_record as reference_scan_record
+from test_scan import SMALL_FAMILIES, typed_fields
 
 
 def run(capsys, *argv):
@@ -722,7 +723,7 @@ def test_scan_csv_matches_the_hand_written_rows(capsys, family, r, slope_max):
         "--format", "csv",
     )
     records = scan_family_records(family, r, slope_max)
-    summary = summarize(records)
+    summary = summarize(records, [1] * len(records))
     assert code == (1 if any(v for k, v in summary.items() if k != "records") else 0)
     assert out == "\n".join(scan_csv_by_hand(records)) + "\n"
     assert err == " ".join(f"{k}={v}" for k, v in summary.items()) + "\n"
@@ -740,14 +741,14 @@ def scan_json_by_hand(family, r, slope_max, m_max, checks, records) -> str:
         "m_max": m_max,
         "checks": checks,
         "records": [{k: v for k, v in rec._asdict().items() if k != "m_max"} for rec in records],
-        "summary": summarize(records),
+        "summary": summarize(records, [1] * len(records)),
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def scan_text_by_hand(family, r, slope_max, m_max, records) -> str:
     """The scan text as the per-record loop wrote it; kept as the reference."""
-    summary = summarize(records)
+    summary = summarize(records, [1] * len(records))
     lines = [f"scan family={family} r={r} slope_max={slope_max} m_max={m_max}",
              " ".join(f"{k}={v}" for k, v in summary.items())]
     for rec in records:
@@ -776,8 +777,59 @@ def test_scan_json_with_chosen_checks_matches_the_per_record_payload(capsys):
         capsys, "scan", "--family", "circular-fcrystal", "--r", "4", "--slope-max", "2", "--m-max", "4",
         "--format", "json", "--check", "strict", "--check", "ratio",
     )
-    records = per_crystal_records("circular-fcrystal", 4, 4, 2, checks)
+    family = enumerate_family("circular-fcrystal", 4, 2)
+    records = [reference_scan_record(pi, slopes, 4, checks) for pi, slopes in family]
     assert out == scan_json_by_hand("circular-fcrystal", 4, 2, 4, checks, records)
+
+
+def test_scan_names_each_check_once_in_first_seen_order(capsys):
+    scan = ("scan", "--family", "circular-dieudonne", "--r", "3", "--m-max", "3", "--format", "json")
+    _, twice, _ = run(capsys, *scan, "--check", "ratio", "--check", "ratio")
+    _, once, _ = run(capsys, *scan, "--check", "ratio")
+    assert json.loads(twice)["checks"] == ["ratio"]
+    assert twice == once
+    _, repeated, _ = run(capsys, *scan, "--check", "ratio", "--check", "strict", "--check", "ratio")
+    _, plain, _ = run(capsys, *scan, "--check", "ratio", "--check", "strict")
+    assert json.loads(repeated)["checks"] == ["ratio", "strict"]
+    assert repeated == plain
+
+
+# Every subset of the checks as --check flags; the empty one passes no flag, which asks for every check.
+SUBSETS = [subset for k in range(len(cli.CHECKS) + 1) for subset in itertools.combinations(cli.CHECKS, k)]
+
+
+@pytest.mark.parametrize("family, r, slope_max", SMALL_FAMILIES)
+def test_scan_blanks_the_checks_not_asked_for(capsys, monkeypatch, family, r, slope_max):
+    # the class records cmd_scan summarizes and prints, under all 32 --check
+    # subsets at levels 1..6, against the reference record that computes only
+    # the checks asked for.  The whole table is made once per level (its rows
+    # kept as lists), since only the blanking varies with the subset.
+    tables = {}
+
+    def table(family, r, m_max, slope_max):
+        if m_max not in tables:
+            *whole, rows = scan.scan_table(family, r, m_max, slope_max)
+            tables[m_max] = whole, [list(row) for row in rows]
+        whole, rows = tables[m_max]
+        return (*whole, map(iter, rows))
+
+    seen = []
+    real = cli.summarize
+    monkeypatch.setattr(cli, "scan_table", table)
+    monkeypatch.setattr(cli, "summarize", lambda classes, counts: seen.append(classes) or real(classes, counts))
+    argv = ["scan", "--family", family, "--r", str(r), "--slope-max", str(slope_max)]
+    pairs = {}
+    pis = {}
+    for m_max, subset in itertools.product(range(1, 7), SUBSETS):
+        main(argv + ["--m-max", str(m_max)] + [arg for name in subset for arg in ("--check", name)])
+        capsys.readouterr()
+        [classes] = seen
+        seen.clear()
+        checks = subset or cli.CHECKS
+        for record in classes:
+            pi = pis.get(record.perm) or pis.setdefault(record.perm, parse_permutation(record.perm, r))
+            expected = reference_scan_record(pi, record.slopes, m_max, checks, pairs)
+            assert typed_fields(record) == typed_fields(expected), (record.perm, record.slopes, m_max, subset)
 
 
 @pytest.fixture
@@ -786,8 +838,8 @@ def forced_violations(monkeypatch):
     past level 0 as violating nonincreasing."""
     real = scan.scan_record
 
-    def failing(pi, slopes, m_max, checks=cli.CHECKS, pairs=None):
-        record = real(pi, slopes, m_max, checks, pairs)
+    def failing(pi, slopes, m_max, pairs=None):
+        record = real(pi, slopes, m_max, pairs)
         return record._replace(nonincreasing=False) if record.stabilization >= 1 else record
 
     monkeypatch.setattr(scan, "scan_record", failing)
@@ -891,8 +943,8 @@ def every_class_violates(monkeypatch):
     crystal (test_scan_violations_name_every_member checks those lines' text)."""
     real = scan.scan_record
 
-    def failing(pi, slopes, m_max, checks=cli.CHECKS, pairs=None):
-        return real(pi, slopes, m_max, checks, pairs)._replace(nonincreasing=False)
+    def failing(pi, slopes, m_max, pairs=None):
+        return real(pi, slopes, m_max, pairs)._replace(nonincreasing=False)
 
     monkeypatch.setattr(scan, "scan_record", failing)
 

@@ -160,6 +160,33 @@ def test_oracle_counts_survive_reversal_with_negation():
                 assert oracle_counts(seq, m) == oracle_counts(mirror, m), (seq, m)
 
 
+def test_pair_edges_past_both_entries_add_one_arc_per_level():
+    # pair_edges' docstring: once m >= max(a, b) the marks stop changing and
+    # level m + 1 appends exactly the arc at digit m; every pair in [-6, 6] at
+    # every such level up to 11
+    for x, y in itertools.product(range(-6, 7), repeat=2):
+        a, b = max(x, 0), max(0, -y)
+        for m in range(max(a, b, 1), 12):
+            left, right, arcs = pair_edges(x, y, m)
+            assert pair_edges(x, y, m + 1) == (left, right, arcs + ((m - a, m - b, a - b),)), (x, y, m)
+
+
+def test_oracle_counts_settle_past_half_the_total_size():
+    # a measured bound whose whole-digraph argument is still open (pair_edges'
+    # docstring): with T = floor(sum |e| / 2), levels T + 2 to T + 5 keep level
+    # T + 1's free linear count, and the circular count rises by exactly 1 per
+    # level if and only if the sequence sums to 0; every sequence of up to
+    # five entries in [-2, 2] (3,905 sequences)
+    sequences = [seq for s in range(1, 6) for seq in itertools.product(range(-2, 3), repeat=s)]
+    assert len(sequences) == 3905
+    for seq in sequences:
+        top = sum(map(abs, seq)) // 2 + 1
+        counts = [oracle_counts(seq, m) for m in range(top, top + 5)]
+        assert {stats.free_linear for stats in counts} == {counts[0].free_linear}, seq
+        rises = {later.circular - earlier.circular for earlier, later in zip(counts, counts[1:])}
+        assert (rises == {1}) == (sum(seq) == 0), seq
+
+
 # ------------------------------------------------------------ propagation
 
 

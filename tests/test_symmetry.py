@@ -55,7 +55,7 @@ def test_inverse_is_an_involution_on_the_images():
     assert inverse(inverse(pi)) == pi
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_all_fcrystal_symmetries(r):
     # every crystal of rank r with slopes 0..2
     table = records("all-fcrystal", r, 2)
@@ -69,7 +69,7 @@ def test_all_fcrystal_symmetries(r):
     assert changed
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
 def test_cartier_duality_on_all_dieudonne(r):
     # every Dieudonne crystal of rank r: pi -> pi^-1 with E -> max E - E keeps every field
     table = records("all-dieudonne", r, 1)
