@@ -62,6 +62,15 @@ Machine formats (json, csv) are byte deterministic for a given command line.
 # which main prints after the output, to the stream it does not use (stderr
 # when it goes to stdout, stdout with --out); so a failed --out write prints
 # no note.
+# A module that only some commands use is imported where it is used, so that
+# starting the cli, most of a small command's time, loads none of them: json
+# (its string encoder) on the first json render, by the encode_basestring_ascii
+# stub that rebinds itself; decimal in _integer, _exact and _power, only for an
+# int past str()'s digit limit; tempfile in _emit, only for --out; random in
+# _random_draws, only for verify --random; fractions in crystal.newton_slopes,
+# only for minimal.  None of them runs per json key, record, check or draw:
+# json's runs once per process, and decimal's only beside a conversion of an
+# int that costs far more than the import.
 
 from __future__ import annotations
 
@@ -70,13 +79,9 @@ import errno
 import itertools
 import math
 import os
-import random
 import re
 import stat
 import sys
-import tempfile
-from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .circseq import census_levels, circular_level, normalize
@@ -131,6 +136,8 @@ def _integer(text: str) -> int:
     try:
         return int(text)
     except ValueError:  # more digits than sys.get_int_max_str_digits(); Decimal reads them exactly
+        from decimal import Decimal
+
         return int(Decimal(text))
 
 
@@ -248,6 +255,8 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
                 handle.writelines(chunks)
             return
         mode = stat.S_IMODE(target)
+    import tempfile
+
     directory = os.path.dirname(out)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fcrystal-")
     try:
@@ -299,6 +308,8 @@ def _exact(value: int) -> str:
     try:
         return int.__repr__(value)
     except ValueError:
+        from decimal import Decimal
+
         return str(Decimal(value))
 
 
@@ -320,6 +331,8 @@ def _power(p: int, v: int) -> str:
     digits = v * len(_exact(p))
     if digits <= getattr(sys, "get_int_max_str_digits", lambda: 4300)():
         return int.__repr__(p**v)
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+
     if digits > MAX_PREC:
         raise MemoryError(f"{_exact(p)}^{_exact(v)} has more digits than a Decimal can hold")
     length = int(v * math.log10(p)) + 1
@@ -346,6 +359,16 @@ class _Labels(dict):
     def __missing__(self, label: int) -> str:
         text = self[label] = self.head + int.__repr__(label) + self.tail
         return text
+
+
+def encode_basestring_ascii(text: str) -> str:
+    """json's ASCII string encoder: this stub imports json.encoder on the first
+    call and binds the module global to its encoder, so later calls reach the
+    encoder directly and a command that writes no json never imports json."""
+    global encode_basestring_ascii
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
 
 
 def _json_text(value, indent: str = "") -> str:
@@ -679,7 +702,12 @@ def cmd_verify(args) -> Output:
 def _random_draws(seed: int, n: int, max_s: int, max_entry: int, m_max: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The n (seq, m) pairs of a random sweep, each a length s in 1..max_s, then s
     entries in -max_entry..max_entry, then a level in 1..m_max: the very draws
-    random.Random(seed).randint makes, from the same stream, without its layers."""
+    random.Random(seed).randint makes, from the same stream, without its layers.
+    random is imported once per sweep, and only when it draws."""
+    if not n:
+        return
+    import random
+
     getrandbits = random.Random(seed).getrandbits
 
     def below(bound: int) -> int:
@@ -802,7 +830,7 @@ def cmd_scan(args) -> Output:
     # --check applies here and nowhere else: every output below reads these class records
     blank = {field: None for name, field in zip(CHECKS, names[-len(CHECKS) :]) if name not in checks}
     classes = [record._replace(**blank) for record in classes]
-    summary = summarize(classes, counts)
+    summary = summarize(classes, counts, checks)
     violations = sum(v for k, v in summary.items() if k.startswith("violations"))
     code = 0 if violations == 0 else 1
 

@@ -36,15 +36,17 @@ stats as well.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain, groupby, product
 from math import gcd
 from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .circseq import Census, CircularSeq, census_levels, circular_at, linear_at, run_census
 from .digraph import ComponentStats, oracle_counts
 from .permutation import Orbit, Permutation, cycle_decomposition, is_single_cycle, parse_permutation, product_orbits
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ResourceLimitError(RuntimeError):
@@ -376,6 +378,8 @@ def verify_sweep(
 def newton_slopes(crystal: FCyclicCrystal) -> tuple[Fraction, ...]:
     """Newton slopes with multiplicity: each pi-cycle C contributes its average
     slope, repeated len(C) times.  Sorted ascending, exact rationals."""
+    from fractions import Fraction  # loads decimal and numbers; only minimal asks for Newton slopes
+
     slopes: list[Fraction] = []
     for word in cycle_words(crystal):
         slopes += [Fraction(sum(word), len(word))] * len(word)

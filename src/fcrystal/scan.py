@@ -241,10 +241,11 @@ def scan_table(
     return perms, slopes, classes, counts, rows
 
 
-def summarize(records: Sequence[ScanRecord], counts: Sequence[int]) -> dict[str, int]:
-    """Violation counts per property over a scan, plus the record total, where
-    records[i] stands for counts[i] crystals."""
+def summarize(records: Sequence[ScanRecord], counts: Sequence[int], checks: Sequence[str] = CHECKS) -> dict[str, int]:
+    """The record total of a scan, then the violation count of each of checks,
+    in their order, where records[i] stands for counts[i] crystals."""
     summary = {"records": sum(counts)}
-    for k, name in enumerate(CHECKS, len(ScanRecord._fields) - len(CHECKS)):
+    for name in checks:
+        k = len(ScanRecord._fields) - len(CHECKS) + CHECKS.index(name)  # the record ends with the CHECKS verdicts
         summary[f"violations[{name}]"] = sum(n for record, n in zip(records, counts) if record[k] is False)
     return summary

@@ -2,9 +2,10 @@
 benchmark harness in perfbench/ imports or wraps still exist, and the names the
 README's library quick start mentions exist, and the README's command line
 examples run, and the benchmark's traced pass runs.  Also what importing the
-cli costs: it loads no dataclasses machinery; that only the cli refuses for
-size; that only a command's whole output streams; and that one gather reads
-the labelled orbits' columns."""
+cli costs: it loads no dataclasses machinery, nor the standard modules only
+some commands use, whose first use prints what a later one does; that only
+the cli refuses for size; that only a command's whole output streams; and
+that one gather reads the labelled orbits' columns."""
 
 from __future__ import annotations
 
@@ -261,14 +262,66 @@ def test_every_source_file_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
+# The modules the cli imports only on the path that uses them, with what they
+# pull in: json for json output, decimal for ints past str()'s digit limit,
+# fractions for minimal's Newton slopes, tempfile for --out and random for
+# verify --random; decimal loads numbers, fractions both, and tempfile random.
+DEFERRED = {"json", "decimal", "fractions", "numbers", "tempfile", "random"}
+
+
 def test_cli_import_loads_no_dataclasses():
     # import dataclasses pulls in inspect, ast, dis and tokenize, and each
     # dataclass execs its generated methods at every import: together about half
-    # of a command's start-up, for records that named tuples hold as well
+    # of a command's start-up, for records that named tuples hold as well.  Run
+    # with -S, since a site module may import some of these (tempfile, random)
+    # itself and so hide a module-level import of them.
     code = "import sys; before = set(sys.modules); import fcrystal.cli; print(sorted(set(sys.modules) - before))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     loaded = set(ast.literal_eval(result.stdout))
     assert "fcrystal.cli" in loaded
     assert loaded & {"dataclasses", "inspect"} == set()
+    assert loaded & DEFERRED == set()
+
+
+# main in a fresh interpreter without site; the deferred modules it loaded on
+# the way are the last line of stderr.
+FIRST_USE = (
+    "import sys; from fcrystal.cli import main; code = main(sys.argv[1:]); "
+    f"print(*sorted({sorted(DEFERRED)!r} & sys.modules.keys()), file=sys.stderr); sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["gamma", "--r", "2", "--perm", "(1 2)", "--slopes", "0,4", "--m-max", "6", "--format", "json"], {"json"}),
+        (["minimal", "--r", "4", "--perm", "(1 2)(3 4)", "--slopes", "0,1,1,0"], {"fractions", "decimal", "numbers"}),
+        # b(16) = 16 * 64, so p^b has 6,145 digits, past str()'s 4,300
+        (["endo", "--r", "8", "--perm", "1 2 3 4 5 6 7 8", "--slopes", "1,1,1,1,1,1,1,1", "--m", "16",
+          "--prime", "1000003"], {"decimal", "numbers"}),
+        (["verify", "--random", "3", "--seed", "7" * 5000], {"decimal", "numbers", "random"}),
+        (["scan", "--family", "circular-dieudonne", "--r", "3", "--m-max", "3", "--format", "csv", "--out", "{out}"],
+         {"tempfile", "random"}),
+    ],
+    ids=["gamma-json", "minimal", "endo-long-power", "verify-random-long-seed", "scan-out"],
+)
+def test_deferred_imports_give_the_same_output_on_first_use(argv, loads, tmp_path, capsys):
+    # each path that imports a module on first use prints in a fresh interpreter
+    # what it prints in this one, where the module is long loaded
+    def out_file(name):
+        return [str(tmp_path / name) if arg == "{out}" else arg for arg in argv]
+
+    code = main(out_file("here"))
+    here = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", FIRST_USE, *out_file("fresh")], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == code, result.stderr
+    assert result.stdout == here
+    assert set(result.stderr.splitlines()[-1].split()) == loads
+    if "{out}" in argv:
+        assert (tmp_path / "fresh").read_text() == (tmp_path / "here").read_text()

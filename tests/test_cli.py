@@ -378,7 +378,7 @@ def test_power_needs_neither_the_digit_limit_nor_context_keywords(monkeypatch):
     # localcontext takes no keywords; the texts are the same without either
     got = [cli._power(p, v) for p, v in power_cases()]
     monkeypatch.delattr(sys, "get_int_max_str_digits")
-    monkeypatch.setattr(cli, "localcontext", lambda: decimal.localcontext())
+    monkeypatch.setattr(decimal, "localcontext", lambda real=decimal.localcontext: real())
     assert [cli._power(p, v) for p, v in power_cases()] == got
 
 
@@ -408,7 +408,7 @@ def no_decimal_power(monkeypatch):
     def localcontext():
         raise AssertionError("a Decimal power was computed")
 
-    monkeypatch.setattr(cli, "localcontext", localcontext)
+    monkeypatch.setattr(decimal, "localcontext", localcontext)
 
 
 def test_power_past_memory_is_refused_before_it_is_computed(capsys, monkeypatch):
@@ -741,7 +741,7 @@ def scan_json_by_hand(family, r, slope_max, m_max, checks, records) -> str:
         "m_max": m_max,
         "checks": checks,
         "records": [{k: v for k, v in rec._asdict().items() if k != "m_max"} for rec in records],
-        "summary": summarize(records, [1] * len(records)),
+        "summary": summarize(records, [1] * len(records), checks),
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -794,6 +794,20 @@ def test_scan_names_each_check_once_in_first_seen_order(capsys):
     assert repeated == plain
 
 
+def test_scan_summary_counts_only_the_checks_asked_for(capsys):
+    # the text line, the csv note and the json summary name the checks in --check's order, and every one without it
+    scan = ("scan", "--family", "circular-dieudonne", "--r", "3", "--m-max", "3")
+    for checks in (["ratio"], ["ratio", "strict"], list(cli.CHECKS)[::-1], []):
+        flags = [arg for name in checks for arg in ("--check", name)]
+        line = " ".join(["records=16", *(f"violations[{name}]=0" for name in checks or cli.CHECKS)])
+        _, text, _ = run(capsys, *scan, *flags)
+        assert text.splitlines()[1] == line
+        _, _, note = run(capsys, *scan, *flags, "--format", "csv")
+        assert note == line + "\n"
+        _, document, _ = run(capsys, *scan, *flags, "--format", "json")
+        assert " ".join(f"{k}={v}" for k, v in json.loads(document)["summary"].items()) == line
+
+
 # Every subset of the checks as --check flags; the empty one passes no flag, which asks for every check.
 SUBSETS = [subset for k in range(len(cli.CHECKS) + 1) for subset in itertools.combinations(cli.CHECKS, k)]
 
@@ -816,7 +830,9 @@ def test_scan_blanks_the_checks_not_asked_for(capsys, monkeypatch, family, r, sl
     seen = []
     real = cli.summarize
     monkeypatch.setattr(cli, "scan_table", table)
-    monkeypatch.setattr(cli, "summarize", lambda classes, counts: seen.append(classes) or real(classes, counts))
+    monkeypatch.setattr(
+        cli, "summarize", lambda classes, counts, checks: seen.append(classes) or real(classes, counts, checks)
+    )
     argv = ["scan", "--family", family, "--r", str(r), "--slope-max", str(slope_max)]
     pairs = {}
     pis = {}
@@ -927,7 +943,7 @@ def test_scan_json_renders_its_document_before_any_row(tmp_path, capsys, monkeyp
     def no_rows(*args):
         raise AssertionError("scan rows were rendered before the document")
 
-    monkeypatch.setattr(cli, "summarize", lambda classes, counts: {"records": 1.5})
+    monkeypatch.setattr(cli, "summarize", lambda classes, counts, checks: {"records": 1.5})
     monkeypatch.setattr(cli, "_scan_rows", no_rows)
     target = tmp_path / "scan.json"
     argv = ["scan", "--family", "circular-dieudonne", "--r", "3", "--m-max", "3", "--format", "json"]
@@ -1032,8 +1048,7 @@ def test_ratio_scan_is_linear_in_its_levels():
     assert run_timed_out(argv, 30) == (
         0,
         "scan family=circular-dieudonne r=2 slope_max=1 m_max=100000\n"
-        "records=4 violations[nonincreasing]=0 violations[strict]=0 violations[increasing-to-stab]=0"
-        " violations[ratio]=0 violations[minimal]=0\n"
+        "records=4 violations[ratio]=0\n"
         "all checks passed\n",
         "",
     )
@@ -1654,7 +1669,7 @@ def test_out_to_directory_creates_no_file(tmp_path, capsys, monkeypatch):
     def no_temp_file(*args, **kwargs):
         raise AssertionError("a temp file was made for a directory target")
 
-    monkeypatch.setattr("fcrystal.cli.tempfile.mkstemp", no_temp_file)
+    monkeypatch.setattr("tempfile.mkstemp", no_temp_file)
     target = tmp_path / "reports"
     target.mkdir()
     code, out, err = run(
@@ -1669,7 +1684,7 @@ def test_out_empty_path_creates_no_file(tmp_path, capsys, monkeypatch):
     def no_temp_file(*args, **kwargs):
         raise AssertionError("a temp file was made for an empty path")
 
-    monkeypatch.setattr("fcrystal.cli.tempfile.mkstemp", no_temp_file)
+    monkeypatch.setattr("tempfile.mkstemp", no_temp_file)
     workdir = tmp_path / "work"
     workdir.mkdir()
     monkeypatch.chdir(workdir)
